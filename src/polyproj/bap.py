@@ -61,6 +61,10 @@ NONDEGENERATE_VERTEX = "nondegenerate_vertex"
 DEGENERATE_VERTEX = "degenerate_vertex"
 NON_VERTEX = "non_vertex"
 
+# Steps are halved from this iteration on, a fixed safeguard against
+# cycling of the undamped full step.
+DAMPING_ONSET = 500
+
 
 class InvalidStateError(RuntimeError):
     """An operation was asked of a solution in the wrong state."""
@@ -148,13 +152,18 @@ class RnnmConfig:
     """Newton solver parameters.
 
     ``mode`` selects the linear solve: "exact" factors the shifted
-    Jacobian with Cholesky, "inexact" runs preconditioned CG to the
-    residual bound ``theta * ||F_k||^nu``.  ``regularization`` selects
-    the shift rule: "adaptive" uses the residual/direction/anchor mean,
-    "fixed" uses min(1e-3, stopcrit) in exact mode and stopcrit**delta
-    in inexact mode.  Damping halves steps once the iteration count
-    passes ``damping_onset``.  On hitting ``max_iter`` the best iterate
-    is accepted if it meets ``10 * tol`` (one-shot relaxed retry).
+    Jacobian with Cholesky, "inexact" runs preconditioned CG, at most
+    ``max(10*m, 50)`` iterations, to the residual bound
+    ``theta * min(||F_k||, ||F_k||^nu)``.  The cap keeps the bound below
+    ``||F_k||``: uncapped, ``theta * ||F_k||^nu`` reaches ``||F_k||`` on
+    large residuals and CG accepts the zero step.  For ``||F_k|| <= 1``
+    the bound is the paper's ``theta * ||F_k||^nu``.
+    ``regularization`` selects the shift rule: "adaptive" uses the
+    residual/direction/anchor mean, "fixed" uses min(1e-3, stopcrit) in
+    exact mode and stopcrit**delta in inexact mode.  Steps are halved
+    from iteration ``DAMPING_ONSET`` (500) on.  On hitting ``max_iter``
+    the best iterate is accepted if it meets ``10 * tol`` (one-shot
+    relaxed retry).
     """
 
     tol: float = 1e-14
@@ -163,10 +172,7 @@ class RnnmConfig:
     delta: float = 1.0
     nu: float = 2.0
     theta: float = 0.5
-    cg_max_iter: int = 0
     regularization: str = "adaptive"
-    damping: bool = True
-    damping_onset: int = 500
     zero_tol: float | None = None
     relax_on_max_iter: bool = True
     collect_trace: bool = False
@@ -282,8 +288,9 @@ def solve_rnnm(
     """Run the regularized nonsmooth Newton iteration from ``y0``.
 
     Each step solves ``(V_k + lambda I) d = -F_k`` (Cholesky in exact
-    mode, Jacobi-preconditioned CG to ``theta*||F_k||^nu`` in inexact
-    mode) and sets ``y <- y + d``; no line search.  Stops when
+    mode, Jacobi-preconditioned CG to ``theta*min(||F_k||, ||F_k||^nu)``
+    in inexact mode) and sets ``y <- y + d``, halved from iteration
+    ``DAMPING_ONSET`` on; no line search.  Stops when
     ``||F(y)|| / (1 + ||b||) <= tol``, the step no longer changes ``y``
     at machine precision (stalled), or ``max_iter`` is hit, in which
     case the best iterate seen is returned (accepted as converged if it
@@ -311,17 +318,17 @@ def solve_rnnm(
         if cfg.mode == "exact":
             d = cholesky_shifted(V, lam).solve(-F)
         else:
-            cg_iters = cfg.cg_max_iter if cfg.cg_max_iter > 0 else max(10 * problem.m, 50)
-            tol_cg = cfg.theta * float(np.linalg.norm(F)) ** cfg.nu
+            f_norm = float(np.linalg.norm(F))
+            tol_cg = cfg.theta * min(f_norm, f_norm**cfg.nu)
             csc = V.csc
             d, _ = conjugate_gradient(
                 lambda q, _csc=csc, _lam=lam: _csc @ q + _lam * q,
                 -F,
                 tol_cg,
-                cg_iters,
+                max(10 * problem.m, 50),
                 diag=V.diagonal() + lam,
             )
-        if cfg.damping and k >= cfg.damping_onset:
+        if k >= DAMPING_ONSET:
             d = 0.5 * d
         y_next = y + d
         if np.array_equal(y_next, y):

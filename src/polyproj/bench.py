@@ -300,6 +300,33 @@ def _write_records_csv(records: list[BenchRecord], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_records_csv(path: str) -> list[BenchRecord]:
+    """Records from a file written by :func:`_write_records_csv`."""
+    records = []
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip().split(",")
+        idx = {name: i for i, name in enumerate(header)}
+        for line in fh:
+            parts = line.strip().split(",")
+            if len(parts) < len(header):
+                continue
+            records.append(
+                BenchRecord(
+                    problem=parts[idx["problem"]],
+                    solver=parts[idx["solver"]],
+                    tol=float(parts[idx["tol"]]),
+                    m=int(parts[idx["m"]]),
+                    n=int(parts[idx["n"]]),
+                    density=float(parts[idx["density"]]),
+                    seed=int(parts[idx["seed"]]),
+                    time_s=float(parts[idx["time_s"]]),
+                    rel_residual=float(parts[idx["rel_residual"]]),
+                    status=parts[idx["status"]],
+                )
+            )
+    return records
+
+
 def _write_results_csv(records: list[BenchRecord], path: str) -> None:
     # repetition means in the paper-style table layout
     groups: dict[tuple, list[BenchRecord]] = {}

@@ -188,7 +188,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    records = _read_records_csv(args.records)
+    records = bench._read_records_csv(args.records)
     by_tol: dict[float, list[bench.BenchRecord]] = {}
     for r in records:
         by_tol.setdefault(r.tol, []).append(r)
@@ -205,32 +205,6 @@ def _cmd_profile(args) -> int:
         print("no convergent records; nothing to profile", file=sys.stderr)
         return 1
     return 0
-
-
-def _read_records_csv(path: str) -> list[bench.BenchRecord]:
-    records = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < len(header):
-                continue
-            records.append(
-                bench.BenchRecord(
-                    problem=parts[idx["problem"]],
-                    solver=parts[idx["solver"]],
-                    tol=float(parts[idx["tol"]]),
-                    m=int(parts[idx["m"]]),
-                    n=int(parts[idx["n"]]),
-                    density=float(parts[idx["density"]]),
-                    seed=int(parts[idx["seed"]]),
-                    time_s=float(parts[idx["time_s"]]),
-                    rel_residual=float(parts[idx["rel_residual"]]),
-                    status=parts[idx["status"]],
-                )
-            )
-    return records
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,6 @@ from .bap import BapProblem
 
 __all__ = [
     "SteeringSequence",
-    "HlwbState",
     "HlwbConfig",
     "HlwbResult",
     "ZeroRowError",
@@ -87,17 +86,6 @@ class SteeringSequence:
         return self.table[k]
 
 
-@dataclass
-class HlwbState:
-    """Iterate plus cursor bookkeeping; ``i_k = k mod (m+1)`` maps global
-    iteration k to the hyperplane rows (0..m-1) and the orthant step (m)."""
-
-    x: np.ndarray
-    k: int
-    sweeps: int
-    i_k: int
-
-
 @dataclass(frozen=True)
 class HlwbConfig:
     tol: float = 1e-14
@@ -160,13 +148,15 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     nb = 1.0 + float(np.linalg.norm(b))
     steering = cfg.steering
 
-    state = HlwbState(x=np.maximum(v, 0.0), k=0, sweeps=0, i_k=0)
+    x = np.maximum(v, 0.0)
+    k = sweeps = 0
     trace: list[tuple[int, float, float]] = []
-    last_xhat = state.x
-    last_rel = float(np.linalg.norm(A.matvec(state.x) - b)) / nb
+    last_xhat = x
+    last_rel = float(np.linalg.norm(A.matvec(x) - b)) / nb
 
-    while state.sweeps < cfg.max_sweeps:
-        pos = state.i_k
+    while sweeps < cfg.max_sweeps:
+        # global iteration k maps to hyperplane rows 0..m-1, then the orthant (m)
+        pos = k % (m + 1)
         if pos < m:
             if dense_rows is not None:
                 row = dense_rows[pos]
@@ -174,34 +164,33 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
                 row = np.zeros(n)
                 lo, hi = csr.indptr[pos], csr.indptr[pos + 1]
                 row[csr.indices[lo:hi]] = csr.data[lo:hi]
-            xhat = project_hyperplane(state.x, row, float(b[pos]))
+            xhat = project_hyperplane(x, row, float(b[pos]))
         else:
-            xhat = np.maximum(state.x, 0.0)
-        sigma = steering.sigma(state.k)
-        state.x = sigma * v + (1.0 - sigma) * xhat
+            xhat = np.maximum(x, 0.0)
+        sigma = steering.sigma(k)
+        x = sigma * v + (1.0 - sigma) * xhat
         if pos == m:
-            state.sweeps += 1
+            sweeps += 1
             last_xhat = xhat
             last_rel = float(np.linalg.norm(A.matvec(xhat) - b)) / nb
             if cfg.collect_trace:
-                trace.append((state.sweeps, last_rel, sigma))
+                trace.append((sweeps, last_rel, sigma))
             if last_rel <= cfg.tol:
                 return HlwbResult(
                     x=last_xhat,
                     rel_residual=last_rel,
-                    sweeps=state.sweeps,
-                    iterations=state.k + 1,
+                    sweeps=sweeps,
+                    iterations=k + 1,
                     status="converged",
                     trace=trace if cfg.collect_trace else None,
                 )
-        state.k += 1
-        state.i_k = state.k % (m + 1)
+        k += 1
 
     return HlwbResult(
         x=last_xhat,
         rel_residual=last_rel,
-        sweeps=state.sweeps,
-        iterations=state.k,
+        sweeps=sweeps,
+        iterations=k,
         status=MAX_SWEEPS,
         trace=trace if cfg.collect_trace else None,
     )

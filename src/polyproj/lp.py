@@ -15,7 +15,6 @@ free-variable projection onto the nearest dual-feasible point.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,8 +153,6 @@ class LpConfig:
     subproblem_max_iter: int = 2000
     regularization: str = "adaptive"
     include_zero_set_in_basis: bool = False
-    debug_checks: bool = False
-    collect_stones: bool = True
 
 
 @dataclass
@@ -275,7 +272,6 @@ def next_stone(
     problem: LpProblem,
     state: SsepfState,
     include_zero_set_in_basis: bool = False,
-    debug_checks: bool = False,
 ) -> NextStone:
     """Sensitivity ratio test for the largest R preserving the bases.
 
@@ -325,17 +321,6 @@ def next_stone(
     if math.isfinite(R_n):
         R_n = max(R_n, R)
 
-    if debug_checks:
-        neg = (e < -_RATIO_EPS * scale) & (f < 0.0)
-        if np.any(neg):
-            max_side = float(np.max(f[neg] / e[neg]))
-            if max_side > R_n * (1.0 + 1e-9):
-                warnings.warn(
-                    f"ratio-test lower bound {max_side:.6e} exceeds R_n {R_n:.6e}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-
     factor = ((R - R_n) / (R * R_n)) if math.isfinite(R_n) else (-1.0 / R)
     dy = factor * dyp
     dw_B = factor * bB
@@ -384,9 +369,10 @@ def _dual_feasibility_bap(
     pinned = np.where(~keep)[0]  # only y-block columns can be empty
     if pinned.size:
         M = M[:, np.where(keep)[0]]
-        sub = BapProblem(SparseMatrix(M), rhs, anchor[keep], free[keep])
-        return sub, pinned
-    return BapProblem(SparseMatrix(M), rhs, anchor, free), pinned
+        anchor, free = anchor[keep], free[keep]
+    # blocks of the validated A and unit diagonals; bmat's CSC output is
+    # canonical, so the matrix goes on the trusted path
+    return BapProblem(SparseMatrix._trusted(M), rhs, anchor, free), pinned
 
 
 def lp_bounds(
@@ -513,20 +499,19 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
         )
         cert = lp_bounds(problem, state, cfg)
         gap = _relative_gap(cert.lower, cert.upper)
-        if cfg.collect_stones:
-            stones.append(
-                StoneRecord(
-                    index=stone,
-                    R=R,
-                    lower=cert.lower,
-                    upper=cert.upper,
-                    gap=gap,
-                    w_norm=float(np.linalg.norm(w)),
-                    z_count=int(bases.Z.size),
-                    subproblem_iterations=sol.iterations,
-                    subproblem_status=sol.status,
-                )
+        stones.append(
+            StoneRecord(
+                index=stone,
+                R=R,
+                lower=cert.lower,
+                upper=cert.upper,
+                gap=gap,
+                w_norm=float(np.linalg.norm(w)),
+                z_count=int(bases.Z.size),
+                subproblem_iterations=sol.iterations,
+                subproblem_status=sol.status,
             )
+        )
         if best is None or gap < best[0]:
             best = (gap, cert)
         if gap <= cfg.tol_gap:
@@ -534,10 +519,7 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
 
         try:
             step = next_stone(
-                problem,
-                state,
-                include_zero_set_in_basis=cfg.include_zero_set_in_basis,
-                debug_checks=cfg.debug_checks,
+                problem, state, include_zero_set_in_basis=cfg.include_zero_set_in_basis
             )
         except SensitivityFailureError:
             degenerate = True
@@ -552,9 +534,8 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
             tight_gap = _relative_gap(tight.lower, tight.upper)
             if tight_gap < gap:
                 cert, gap = tight, tight_gap
-                if stones:
-                    stones[-1].upper = tight.upper
-                    stones[-1].gap = tight_gap
+                stones[-1].upper = tight.upper
+                stones[-1].gap = tight_gap
             if best is None or gap < best[0]:
                 best = (gap, cert)
             if gap <= cfg.tol_gap:

@@ -9,6 +9,14 @@ independent columns, null-space bases, and minimum-norm least-squares
 solves.  Matrix Market coordinate I/O lives here as well because it is
 the on-disk form of :class:`SparseMatrix`.
 
+Validation happens at the boundary only.  Matrices that come from
+outside (the public constructor, ``from_coo``, ``from_dense``,
+``identity``, Matrix Market and MPS input, the generators) are
+canonicalized and checked for finite values.  Matrices derived from an
+already validated one (column selections, the assembled normal matrix,
+the LP dual-feasibility system) keep those invariants by construction
+and are wrapped through :meth:`SparseMatrix._trusted` without a recheck.
+
 Everything is immutable after construction and safe to share across
 threads.
 """
@@ -68,8 +76,9 @@ def as_vector(values, length: int | None = None, name: str = "vector") -> np.nda
 class SparseMatrix:
     """Immutable compressed-sparse-column matrix.
 
-    Invariants enforced at construction: row indices strictly increasing
-    within each column, no explicitly stored zeros, all values finite.
+    Invariants: row indices strictly increasing within each column, no
+    explicitly stored zeros, all values finite.  The public constructors
+    enforce them; :meth:`_trusted` assumes them.
     """
 
     __slots__ = ("_csc",)
@@ -91,6 +100,16 @@ class SparseMatrix:
         if csc.nnz and not np.all(np.isfinite(csc.data)):
             raise ValueError("matrix contains non-finite entries")
         self._csc = csc
+
+    @classmethod
+    def _trusted(cls, csc: sp.csc_array) -> "SparseMatrix":
+        """Wrap a float64 CSC array that already meets the invariants.
+
+        Only for matrices derived from validated ones; nothing is checked.
+        """
+        matrix = object.__new__(cls)
+        matrix._csc = csc
+        return matrix
 
     @classmethod
     def from_coo(cls, nrows: int, ncols: int, rows, cols, values) -> "SparseMatrix":
@@ -135,9 +154,6 @@ class SparseMatrix:
     def toarray(self) -> np.ndarray:
         return self._csc.toarray()
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self._csc.T.tocsc())
-
     def matvec(self, x) -> np.ndarray:
         return self._csc @ np.asarray(x, dtype=np.float64)
 
@@ -148,7 +164,7 @@ class SparseMatrix:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.ncols):
             raise InvalidSupportError("column index out of range")
-        return SparseMatrix(self._csc[:, idx])
+        return SparseMatrix._trusted(self._csc[:, idx])
 
     def column_norms(self) -> np.ndarray:
         sq = self._csc.multiply(self._csc).sum(axis=0)
@@ -156,9 +172,6 @@ class SparseMatrix:
 
     def diagonal(self) -> np.ndarray:
         return np.asarray(self._csc.diagonal(), dtype=np.float64)
-
-    def scaled(self, factor: float) -> "SparseMatrix":
-        return SparseMatrix(self._csc * float(factor))
 
     def has_zero_column(self) -> bool:
         counts = np.diff(self._csc.indptr)
@@ -169,20 +182,17 @@ class SparseMatrix:
 
 
 class CholFactor:
-    """Cholesky-type factorization of ``M + shift*I``.
+    """Cholesky-type factorization of ``M + shift*I``; ``solve`` applies
+    the inverse.
 
-    ``solve`` applies the inverse.  ``perm`` is the fill-reducing column
-    permutation and ``L`` the lower-triangular factor (dense array on
-    the dense path, :class:`SparseMatrix` on the SuperLU path).
+    It holds only what ``solve`` reads: the LAPACK ``cho_factor`` pair on
+    the dense path, or the SuperLU object on the sparse path.
     """
 
-    __slots__ = ("n", "shift", "perm", "L", "_dense", "_splu")
+    __slots__ = ("n", "_dense", "_splu")
 
-    def __init__(self, n, shift, perm, L, dense=None, splu=None):
+    def __init__(self, n, dense=None, splu=None):
         self.n = n
-        self.shift = shift
-        self.perm = perm
-        self.L = L
         self._dense = dense
         self._splu = splu
 
@@ -202,7 +212,7 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix:
     """
     support = np.asarray(support, dtype=np.int64)
     if support.size == 0:
-        return SparseMatrix(sp.csc_array((A.nrows, A.nrows)))
+        return SparseMatrix._trusted(sp.csc_array((A.nrows, A.nrows)))
     if support.min() < 0 or support.max() >= A.ncols:
         raise InvalidSupportError("support index out of range")
     if np.unique(support).size != support.size:
@@ -214,8 +224,10 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix:
     As = A.csc[:, support]
     prod = (As @ sp.diags_array(w)) @ As.T
     lower = sp.tril(prod, format="csc")
+    # Sparse products and sums of canonical operands drop exact zeros,
+    # and tril/triu leave sorted, duplicate-free columns.
     mirrored = lower + sp.triu(lower.T, k=1)
-    return SparseMatrix(mirrored)
+    return SparseMatrix._trusted(mirrored)
 
 
 def cholesky_shifted(M: SparseMatrix, shift: float) -> CholFactor:
@@ -238,7 +250,7 @@ def cholesky_shifted(M: SparseMatrix, shift: float) -> CholFactor:
             factor = scipy.linalg.cho_factor(dense, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(str(exc)) from None
-        return CholFactor(n, shift, np.arange(n), np.tril(factor[0]), dense=factor)
+        return CholFactor(n, dense=factor)
     shifted = (M.csc + shift * sp.eye_array(n, format="csc")).tocsc()
     lu = spla.splu(
         shifted,
@@ -249,7 +261,7 @@ def cholesky_shifted(M: SparseMatrix, shift: float) -> CholFactor:
     diag_u = lu.U.diagonal()
     if np.any(diag_u <= 0.0) or not np.all(np.isfinite(diag_u)):
         raise NotPositiveDefiniteError("non-positive pivot in sparse factorization")
-    return CholFactor(n, shift, lu.perm_c, SparseMatrix(lu.L.tocsc()), splu=lu)
+    return CholFactor(n, splu=lu)
 
 
 def _operator_parts(op, diag):

@@ -234,6 +234,15 @@ class TestSolveRnnm:
         assert si.status == CONVERGED
         assert np.max(np.abs(se.x - si.x)) <= 1e-8 * (1 + np.max(np.abs(se.x)))
 
+    def test_inexact_converges_after_residual_jump(self):
+        # ||F|| jumps to about 96 after the first step; an uncapped CG
+        # bound theta*||F||^nu then exceeds ||F|| and accepts d = 0
+        g = gen_bap_with_known_vertex(GenSpec(m=50, n=500, density=0.0247, seed=2138570730))
+        sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-14, mode="inexact"))
+        assert sol.status == CONVERGED
+        err = np.linalg.norm(sol.x - g.known_x) / (1 + np.linalg.norm(g.known_x))
+        assert err <= 1e-8
+
     def test_warm_start_after_perturbation(self):
         g = gen_bap_with_known_vertex(GenSpec(m=20, n=100, density=0.15, seed=13))
         sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-14))

@@ -6,6 +6,8 @@ import pytest
 
 from polyproj.bench import (
     BenchRecord,
+    _read_records_csv,
+    _write_records_csv,
     performance_profile,
     performance_ratio,
     profile_from_records,
@@ -146,7 +148,12 @@ class TestRunBenchmark:
             BenchRecord("p2", "a", 1e-10, 1, 1, 0.1, 0, 4.0, 1e-12, "converged"),
             BenchRecord("p2", "b", 1e-10, 1, 1, 0.1, 0, 1.0, np.nan, "failed"),
         ]
-        prof = profile_from_records(records)
+        path = str(tmp_path / "records.csv")
+        _write_records_csv(records, path)
+        back = _read_records_csv(path)
+        key = lambda r: (r.problem, r.solver, r.tol, r.m, r.n, r.seed, r.status)
+        assert [key(r) for r in back] == [key(r) for r in records]
+        prof = profile_from_records(back)
         assert prof.value("a", 1.0) == 1.0
         assert prof.value("b", 2.0) == pytest.approx(0.5)
         assert prof.value("b", 1e6) == pytest.approx(0.5)

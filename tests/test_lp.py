@@ -250,13 +250,6 @@ class TestSensitivityOptions:
         assert st.bases.Z.size == 0
         assert augmented.R_n == plain.R_n
 
-    def test_debug_checks_quiet_on_clean_instances(self, recwarn):
-        for seed in (1, 2, 3):
-            gl = gen_lp(GenSpec(m=4, n=12, density=0.5, seed=seed))
-            st = state_at(gl.problem, initial_radius(gl.problem))
-            next_stone(gl.problem, st, debug_checks=True)
-        assert not [w for w in recwarn.list if "ratio-test" in str(w.message)]
-
 
 class TestSubproblemFailure:
     def test_infeasible_lp_raises_with_stone_index(self):

@@ -3,6 +3,16 @@ import io
 import numpy as np
 import pytest
 
+from polyproj.bap import RnnmConfig, classify_indices, generalized_jacobian, solve_rnnm
+from polyproj.factory import GenSpec, gen_bap_with_known_vertex, gen_lp
+from polyproj.lp import (
+    SsepfState,
+    _basis_zero_tol,
+    _dual_feasibility_bap,
+    classify_bases,
+    initial_radius,
+    scaled_subproblem,
+)
 from polyproj.sparse_linalg import (
     DENSE_FACTOR_MAX_DIM,
     InvalidSupportError,
@@ -25,15 +35,23 @@ def rand_sparse(rng, m, n, density=0.3):
     return SparseMatrix.from_dense(vals)
 
 
+def assert_canonical(M):
+    """The invariants every SparseMatrix holds, however it was built."""
+    csc = M.csc
+    assert csc.dtype == np.float64
+    for j in range(csc.shape[1]):
+        idx = csc.indices[csc.indptr[j] : csc.indptr[j + 1]]
+        assert np.all(np.diff(idx) > 0)  # sorted, no duplicates
+    assert np.all(csc.data != 0.0)
+    assert np.all(np.isfinite(csc.data))
+
+
 class TestSparseMatrix:
     def test_construction_canonicalizes(self):
         A = SparseMatrix.from_coo(2, 2, [0, 0, 1], [0, 0, 1], [1.0, 2.0, 0.0])
         assert A.nnz == 1  # duplicates summed, explicit zero dropped
         assert A.toarray()[0, 0] == 3.0
-        csc = A.csc
-        for j in range(csc.shape[1]):
-            idx = csc.indices[csc.indptr[j] : csc.indptr[j + 1]]
-            assert np.all(np.diff(idx) > 0)
+        assert_canonical(A)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -48,6 +66,29 @@ class TestSparseMatrix:
         A = SparseMatrix.identity(3)
         with pytest.raises(InvalidSupportError):
             A.cols([3])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_derived_matrices_canonical(self, seed):
+        # matrices derived from a validated one skip the checks, so they
+        # must meet the invariants by construction
+        rng = np.random.default_rng(seed)
+        g = gen_bap_with_known_vertex(
+            GenSpec(m=20, n=120, density=0.1, seed=seed, degeneracy="degenerate")
+        )
+        A = g.problem.A
+        assert_canonical(A.cols(rng.permutation(A.ncols)[:40]))
+        assert_canonical(A.cols([]))
+        sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-14))
+        for y in (np.zeros(g.problem.m), rng.standard_normal(g.problem.m), sol.y):
+            assert_canonical(generalized_jacobian(g.problem, classify_indices(g.problem, y)))
+        for degeneracy in ("nondegenerate", "degenerate"):
+            lp = gen_lp(GenSpec(m=6, n=20, density=0.4, seed=seed, degeneracy=degeneracy)).problem
+            R = initial_radius(lp)
+            sub = solve_rnnm(scaled_subproblem(lp, R), config=RnnmConfig(tol=1e-14))
+            bases = classify_bases(sub.x, sub.z, _basis_zero_tol(sub.x, sub.z))
+            state = SsepfState(R=R, w=sub.x, y=sub.y, z=sub.z, bases=bases, stone_count=1)
+            for pin_basic in (False, True):
+                assert_canonical(_dual_feasibility_bap(lp, state, pin_basic)[0].A)
 
 
 class TestAssembleNormalMatrix:
