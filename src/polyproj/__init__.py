@@ -32,7 +32,7 @@ from .factory import (
     oracle_lp_vertex_enumeration,
     reference_simplex,
 )
-from .hlwb import HlwbConfig, SteeringSequence, project_halfspace, project_hyperplane, solve_hlwb
+from .hlwb import HlwbConfig, project_hyperplane, solve_hlwb
 from .lp import (
     LpCertificate,
     LpConfig,

@@ -160,10 +160,11 @@ class RnnmConfig:
     the bound is the paper's ``theta * ||F_k||^nu``.
     ``regularization`` selects the shift rule: "adaptive" uses the
     residual/direction/anchor mean, "fixed" uses min(1e-3, stopcrit) in
-    exact mode and stopcrit**delta in inexact mode.  Steps are halved
-    from iteration ``DAMPING_ONSET`` (500) on.  On hitting ``max_iter``
-    the best iterate is accepted if it meets ``10 * tol`` (one-shot
-    relaxed retry).
+    exact mode and stopcrit**delta in inexact mode.  The boundary-set
+    threshold is always :func:`default_zero_tol` of the inner point.
+    Steps are halved from iteration ``DAMPING_ONSET`` (500) on.  On
+    hitting ``max_iter`` the best iterate is accepted if it meets
+    ``10 * tol`` (one-shot relaxed retry).
     """
 
     tol: float = 1e-14
@@ -173,7 +174,6 @@ class RnnmConfig:
     nu: float = 2.0
     theta: float = 0.5
     regularization: str = "adaptive"
-    zero_tol: float | None = None
     relax_on_max_iter: bool = True
     collect_trace: bool = False
 
@@ -219,17 +219,16 @@ def default_zero_tol(p: np.ndarray) -> float:
     return 1e-11 * (1.0 + scale)
 
 
-def classify_indices(problem: BapProblem, y, zero_tol: float | None = None) -> IndexSets:
-    """Partition constrained coordinates by the sign of ``v + A^T y``.
+def classify_indices(problem: BapProblem, p) -> IndexSets:
+    """Partition constrained coordinates by the sign of ``p = v + A^T y``.
 
-    Entries within ``zero_tol`` of zero land in the boundary set (ties
-    at exactly zero are boundary, never active); the independent subset
-    is extracted by rank-revealing QR.
+    ``p`` is the inner point that :func:`moreau_split` returns.  Entries
+    within :func:`default_zero_tol` of zero land in the boundary set
+    (ties at exactly zero are boundary, never active); the independent
+    subset is extracted by rank-revealing QR.
     """
-    y = as_vector(y, problem.m, "y")
-    p = _inner_point(problem, y)
-    if zero_tol is None:
-        zero_tol = default_zero_tol(p)
+    p = as_vector(p, problem.n, "p")
+    zero_tol = default_zero_tol(p)
     constrained = ~problem.free
     zero = constrained & (np.abs(p) <= zero_tol)
     plus = constrained & (p > zero_tol)
@@ -312,7 +311,7 @@ def solve_rnnm(
     status = CONVERGED if stopcrit <= cfg.tol else MAX_ITER
 
     while stopcrit > cfg.tol and k < cfg.max_iter:
-        sets = classify_indices(problem, y, cfg.zero_tol)
+        sets = classify_indices(problem, p)
         V = generalized_jacobian(problem, sets)
         lam = regularization_lambda(cfg, stopcrit, d_norm, v_norm)
         if cfg.mode == "exact":
@@ -347,9 +346,6 @@ def solve_rnnm(
         if stopcrit <= cfg.tol:
             status = CONVERGED
             break
-    else:
-        if stopcrit <= cfg.tol:
-            status = CONVERGED
 
     if status != CONVERGED:
         # fall back to the best iterate; accept it at the relaxed
@@ -402,7 +398,7 @@ def kkt_report(problem: BapProblem, sol: BapSolution) -> tuple[float, float, flo
     return primal, dual, comp
 
 
-def is_vertex(problem: BapProblem, sol: BapSolution, zero_tol: float | None = None) -> str:
+def is_vertex(problem: BapProblem, sol: BapSolution) -> str:
     """Classify the converged optimum as a vertex of the feasible set.
 
     A vertex requires full column rank of A on the active coordinates;
@@ -412,7 +408,8 @@ def is_vertex(problem: BapProblem, sol: BapSolution, zero_tol: float | None = No
     """
     if sol.status != CONVERGED:
         raise InvalidStateError("vertex classification requires a converged solution")
-    sets = classify_indices(problem, sol.y, zero_tol)
+    _, _, p = moreau_split(problem, sol.y)
+    sets = classify_indices(problem, p)
     free_idx = np.where(problem.free)[0]
     active = np.concatenate([sets.i_plus, free_idx])
     kept = independent_columns(problem.A, active)

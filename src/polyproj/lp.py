@@ -141,18 +141,17 @@ class LpCertificate:
 class LpConfig:
     """Path-following controls.
 
-    ``subproblem_tols`` is the retry ladder for each projection solve.
-    The nudge past a stone is relative, ``max(1e-8, 1e-2/stone)``.  When
-    the stone advance stays below ``1e-12 * R`` for three consecutive
-    stones the solver escapes degeneracy by multiplying R by ten.
+    ``subproblem_tols`` is the retry ladder for each projection solve;
+    every subproblem uses the adaptive regularization rule.  The nudge
+    past a stone is relative, ``max(1e-8, 1e-2/stone)``.  When the stone
+    advance stays below ``1e-12 * R`` for three consecutive stones the
+    solver escapes degeneracy by multiplying R by ten.
     """
 
     tol_gap: float = 1e-8
     max_stones: int = 100
     subproblem_tols: tuple[float, ...] = (1e-14, 1e-13)
     subproblem_max_iter: int = 2000
-    regularization: str = "adaptive"
-    include_zero_set_in_basis: bool = False
 
 
 @dataclass
@@ -268,11 +267,7 @@ def ratio_test(e: np.ndarray, f: np.ndarray, scale: np.ndarray | None = None) ->
     return float(np.min(f[eligible] / e[eligible]))
 
 
-def next_stone(
-    problem: LpProblem,
-    state: SsepfState,
-    include_zero_set_in_basis: bool = False,
-) -> NextStone:
+def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
     """Sensitivity ratio test for the largest R preserving the bases.
 
     Solves ``(A_B A_B^T V_Z) xi = b`` in the least-squares sense with
@@ -284,9 +279,6 @@ def next_stone(
     A = problem.A
     R = state.R
     B, N, Z = state.bases.B, state.bases.N, state.bases.Z
-    if include_zero_set_in_basis and Z.size:
-        B = np.sort(np.concatenate([B, Z]))
-        Z = np.empty(0, dtype=np.int64)
 
     AB = A.cols(B)
     gram = (AB.csc @ AB.csc.T).toarray()
@@ -446,11 +438,7 @@ def lp_bounds(
 def _solve_with_ladder(sub: BapProblem, y0, cfg: LpConfig) -> BapSolution:
     sol = None
     for tol in cfg.subproblem_tols:
-        rc = RnnmConfig(
-            tol=tol,
-            max_iter=cfg.subproblem_max_iter,
-            regularization=cfg.regularization,
-        )
+        rc = RnnmConfig(tol=tol, max_iter=cfg.subproblem_max_iter)
         sol = solve_rnnm(sub, y0, rc)
         if sol.status == CONVERGED:
             return sol
@@ -518,9 +506,7 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
             return LpResult(cert, "solved", stones, degenerate)
 
         try:
-            step = next_stone(
-                problem, state, include_zero_set_in_basis=cfg.include_zero_set_in_basis
-            )
+            step = next_stone(problem, state)
         except SensitivityFailureError:
             degenerate = True
             y_start = sol.y

@@ -264,30 +264,17 @@ def cholesky_shifted(M: SparseMatrix, shift: float) -> CholFactor:
     return CholFactor(n, splu=lu)
 
 
-def _operator_parts(op, diag):
-    if callable(op):
-        return op, diag
-    if isinstance(op, SparseMatrix):
-        return op.matvec, op.diagonal() if diag is None else diag
-    arr = np.asarray(op, dtype=np.float64)
-    return (lambda x: arr @ x), (np.diag(arr).copy() if diag is None else diag)
-
-
-def conjugate_gradient(op, rhs, tol_abs: float, max_iter: int, diag=None):
+def conjugate_gradient(matvec, rhs, tol_abs: float, max_iter: int, diag):
     """Jacobi-preconditioned CG for a symmetric positive definite operator.
 
-    ``op`` is a matrix (:class:`SparseMatrix` or dense array) or a matvec
-    callable; pass ``diag`` for the preconditioner when using a callable.
-    Returns ``(d, residual_norm)`` where the norm is the true final
-    ``||op d - rhs||``; non-convergence is reported through it, never
-    raised.
+    ``matvec`` applies the operator and ``diag`` is its diagonal, the
+    preconditioner.  Returns ``(d, residual_norm)`` where the norm is the
+    true final ``||matvec(d) - rhs||``; non-convergence is reported
+    through it, never raised.
     """
     rhs = as_vector(rhs, name="rhs")
-    matvec, d = _operator_parts(op, diag)
     n = rhs.shape[0]
-    if d is None:
-        d = np.ones(n)
-    inv_diag = np.where(d > 0.0, 1.0 / np.where(d > 0.0, d, 1.0), 1.0)
+    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
 
     x = np.zeros(n)
     r = rhs.copy()

@@ -136,7 +136,7 @@ def test_criterion_03_descent_property():
         if np.linalg.norm(F) < 1e-10:
             continue
         checked += 1
-        sets = classify_indices(prob, y)
+        sets = classify_indices(prob, p)
         V = generalized_jacobian(prob, sets)
         d = cholesky_shifted(V, 1e-3).solve(-F)
         h = 1e-6

@@ -91,7 +91,7 @@ class TestClassifyIndices:
     def test_signs(self):
         A = SparseMatrix.identity(3)
         prob = BapProblem(A, np.zeros(3), np.array([0.5, 0.0, -1.0]))
-        sets = classify_indices(prob, np.zeros(3))
+        sets = classify_indices(prob, moreau_split(prob, np.zeros(3))[2])
         assert list(sets.i_plus) == [0]
         assert list(sets.i_zero) == [1]
         assert list(sets.i_minus) == [2]
@@ -99,35 +99,41 @@ class TestClassifyIndices:
     def test_all_positive(self):
         A = SparseMatrix.identity(2)
         prob = BapProblem(A, np.zeros(2), np.array([1.0, 2.0]))
-        sets = classify_indices(prob, np.zeros(2))
+        sets = classify_indices(prob, moreau_split(prob, np.zeros(2))[2])
         assert sets.i_zero.size == 0 and sets.i_minus.size == 0
 
     def test_duplicate_columns_reduced(self):
         prob = simplex_problem()  # v + A^T*0 = (0, 0)
-        sets = classify_indices(prob, np.zeros(1))
+        sets = classify_indices(prob, moreau_split(prob, np.zeros(1))[2])
         assert list(sets.i_zero) == [0, 1]
         assert sets.i_zero_bar.size == 1  # scalar duplicate columns
 
     def test_tie_at_zero_is_boundary(self):
         A = SparseMatrix.identity(1)
         prob = BapProblem(A, np.zeros(1), np.zeros(1))
-        sets = classify_indices(prob, np.zeros(1))
+        sets = classify_indices(prob, moreau_split(prob, np.zeros(1))[2])
         assert list(sets.i_zero) == [0]
         assert sets.i_plus.size == 0
+
+    def test_rejects_multipliers_in_place_of_inner_point(self):
+        prob = simplex_problem()  # m=1, n=2
+        with pytest.raises(ValueError):
+            classify_indices(prob, np.zeros(prob.m))
 
 
 class TestGeneralizedJacobian:
     def test_identity_active(self):
         A = SparseMatrix.identity(2)
         prob = BapProblem(A, np.zeros(2), np.array([1.0, 1.0]))
-        V = generalized_jacobian(prob, classify_indices(prob, np.zeros(2)))
+        sets = classify_indices(prob, moreau_split(prob, np.zeros(2))[2])
+        V = generalized_jacobian(prob, sets)
         assert np.array_equal(V.toarray(), np.eye(2))
 
     def test_boundary_weight_formula(self):
         # column of norm 2 on the boundary carries weight 1/4
         A = SparseMatrix.from_dense(np.array([[2.0, 1.0]]))
         prob = BapProblem(A, np.zeros(1), np.array([0.0, 1.0]))
-        sets = classify_indices(prob, np.zeros(1))
+        sets = classify_indices(prob, moreau_split(prob, np.zeros(1))[2])
         assert list(sets.i_zero_bar) == [0]
         V = generalized_jacobian(prob, sets)
         # 0.25 * (2)(2)^T from the boundary column + 1*(1)(1)^T active
@@ -138,7 +144,7 @@ class TestGeneralizedJacobian:
         for _ in range(10):
             prob = rand_problem(rng)
             y = rng.standard_normal(prob.m)
-            sets = classify_indices(prob, y)
+            sets = classify_indices(prob, moreau_split(prob, y)[2])
             V = generalized_jacobian(prob, sets).toarray()
             support = np.concatenate([sets.i_plus, sets.i_zero_bar])
             expected_rank = np.linalg.matrix_rank(prob.A.toarray()[:, support], tol=1e-10)
@@ -157,7 +163,7 @@ class TestGeneralizedJacobian:
             if np.min(np.abs(p)) < 1e-3:  # stay differentiable
                 continue
             hits += 1
-            V = generalized_jacobian(prob, classify_indices(prob, y)).toarray()
+            V = generalized_jacobian(prob, classify_indices(prob, p)).toarray()
             h = 1e-7
             fd = np.empty((m, m))
             for j in range(m):
@@ -282,7 +288,7 @@ class TestDescentDirection:
             if np.linalg.norm(F) < 1e-8:
                 continue
             checked += 1
-            sets = classify_indices(prob, y)
+            sets = classify_indices(prob, p)
             V = generalized_jacobian(prob, sets)
             lam = 1e-3
             d = cholesky_shifted(V, lam).solve(-F)

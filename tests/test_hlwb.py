@@ -8,9 +8,7 @@ from polyproj.bap import BapProblem
 from polyproj.factory import GenSpec, gen_bap_with_known_vertex
 from polyproj.hlwb import (
     HlwbConfig,
-    SteeringSequence,
     ZeroRowError,
-    project_halfspace,
     project_hyperplane,
     solve_hlwb,
     write_trace_csv,
@@ -18,79 +16,51 @@ from polyproj.hlwb import (
 from polyproj.sparse_linalg import SparseMatrix
 
 
+def dense_row(a):
+    cols = np.flatnonzero(a)
+    return cols, a[cols]
+
+
 class TestProjections:
     def test_hyperplane_basic(self):
-        out = project_hyperplane(np.zeros(2), np.array([1.0, 1.0]), 1.0)
+        out = project_hyperplane(np.zeros(2), np.array([0, 1]), np.array([1.0, 1.0]), 1.0)
         assert np.allclose(out, [0.5, 0.5])
 
     def test_hyperplane_identity_on_member(self):
         x = np.array([0.25, 0.75])
-        out = project_hyperplane(x, np.array([1.0, 1.0]), 1.0)
+        out = project_hyperplane(x.copy(), np.array([0, 1]), np.array([1.0, 1.0]), 1.0)
         assert np.allclose(out, x, atol=1e-15)
 
     def test_hyperplane_distance_formula(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             n = int(rng.integers(2, 10))
-            a = rng.standard_normal(n)
+            # sparse normals: untouched coordinates must stay put
+            a = rng.standard_normal(n) * (rng.random(n) < 0.6)
+            a[rng.integers(n)] = 1.0 + rng.random()
             beta = rng.standard_normal()
             x = rng.standard_normal(n)
-            out = project_hyperplane(x, a, beta)
+            out = project_hyperplane(x.copy(), *dense_row(a), beta)
             assert abs(a @ out - beta) <= 1e-12 * (1 + abs(beta) + np.abs(a @ x))
             dist = abs(a @ x - beta) / np.linalg.norm(a)
             assert np.linalg.norm(out - x) == pytest.approx(dist, abs=1e-12)
-
-    def test_halfspace_outside(self):
-        out = project_halfspace(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 0.0)
-        assert np.allclose(out, [0.0, 1.0])
-
-    def test_halfspace_inside_unchanged(self):
-        x = np.array([-1.0, 1.0])
-        out = project_halfspace(x, np.array([1.0, 0.0]), 0.0)
-        assert out is x
-
-    def test_halfspace_always_feasible(self):
-        rng = np.random.default_rng(14)
-        for _ in range(30):
-            a = rng.standard_normal(4)
-            beta = rng.standard_normal()
-            out = project_halfspace(rng.standard_normal(4), a, beta)
-            assert a @ out <= beta + 1e-14 * (1 + abs(beta))
+            assert np.array_equal(out[a == 0.0], x[a == 0.0])
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ZeroRowError):
-            project_hyperplane(np.zeros(2), np.zeros(2), 1.0)
-        with pytest.raises(ZeroRowError):
-            project_halfspace(np.zeros(2), np.zeros(2), 1.0)
+            project_hyperplane(np.zeros(2), np.array([0, 1]), np.zeros(2), 1.0)
 
 
 class TestSteeringSequence:
     def test_harmonic_values(self):
-        s = SteeringSequence.harmonic()
-        assert s.sigma(0) == 1.0
-        assert s.sigma(3) == pytest.approx(0.25)
-
-    def test_all_zero_table_rejected(self):
-        with pytest.raises(ValueError):
-            SteeringSequence.from_table([0.0, 0.0, 0.0])
-
-    def test_constant_table_rejected(self):
-        with pytest.raises(ValueError):
-            SteeringSequence.from_table([1.0, 1.0, 1.0])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SteeringSequence.from_table([1.5, 0.5])
-
-    def test_increasing_rejected(self):
-        with pytest.raises(ValueError):
-            SteeringSequence.from_table([0.2, 0.5])
-
-    def test_valid_table(self):
-        s = SteeringSequence.from_table([1.0, 0.5, 0.25])
-        assert s.sigma(2) == 0.25
-        with pytest.raises(IndexError):
-            s.sigma(3)
+        # sigma_k = 1/(k+1); sweep s ends at global iteration k = s*(m+1) - 1
+        g = gen_bap_with_known_vertex(GenSpec(m=4, n=12, density=0.5, seed=2))
+        res = solve_hlwb(g.problem, HlwbConfig(tol=1e-18, max_sweeps=6, collect_trace=True))
+        m = g.problem.m
+        assert [t[0] for t in res.trace] == list(range(1, 7))
+        assert res.trace[0][2] == 1.0 / (m + 1)
+        for sweep, _, sigma in res.trace:
+            assert sigma == 1.0 / (sweep * (m + 1))
 
 
 def tiny_problem():
@@ -123,9 +93,9 @@ class TestSolveHlwb:
         calls = {"hyperplane": 0}
         original = hlwb_mod.project_hyperplane
 
-        def counting(x, a, beta):
+        def counting(x, cols, vals, beta):
             calls["hyperplane"] += 1
-            return original(x, a, beta)
+            return original(x, cols, vals, beta)
 
         monkeypatch.setattr(hlwb_mod, "project_hyperplane", counting)
         g = gen_bap_with_known_vertex(GenSpec(m=7, n=30, density=0.3, seed=9))
@@ -140,12 +110,16 @@ class TestSolveHlwb:
         g = gen_bap_with_known_vertex(GenSpec(m=5, n=20, density=0.4, seed=1))
         A = g.problem.A.toarray()
         b = g.problem.b
+        m = g.problem.m
         seen = []
         original = hlwb_mod.project_hyperplane
 
-        def checking(x, a, beta):
-            out = original(x, a, beta)
-            seen.append(abs(a @ out - beta))
+        def checking(x, cols, vals, beta):
+            # rows are visited in order 0..m-1 within each sweep
+            i = len(seen) % m
+            assert beta == b[i]
+            out = original(x, cols, vals, beta)
+            seen.append(abs(A[i] @ out - b[i]))
             return out
 
         monkeypatch.setattr(hlwb_mod, "project_hyperplane", checking)

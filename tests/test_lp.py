@@ -240,17 +240,6 @@ class TestSolveLp:
         assert len(rep["residual_triplet"]) == 3
 
 
-class TestSensitivityOptions:
-    def test_zero_set_augmentation_flag(self):
-        gl = gen_lp(GenSpec(m=5, n=16, density=0.4, seed=31))
-        st = state_at(gl.problem, initial_radius(gl.problem))
-        plain = next_stone(gl.problem, st)
-        augmented = next_stone(gl.problem, st, include_zero_set_in_basis=True)
-        # nondegenerate stone: Z is empty, so the flag changes nothing
-        assert st.bases.Z.size == 0
-        assert augmented.R_n == plain.R_n
-
-
 class TestSubproblemFailure:
     def test_infeasible_lp_raises_with_stone_index(self):
         from polyproj.lp import SubproblemFailureError

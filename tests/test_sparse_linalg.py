@@ -3,7 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from polyproj.bap import RnnmConfig, classify_indices, generalized_jacobian, solve_rnnm
+from polyproj.bap import (
+    RnnmConfig,
+    classify_indices,
+    generalized_jacobian,
+    moreau_split,
+    solve_rnnm,
+)
 from polyproj.factory import GenSpec, gen_bap_with_known_vertex, gen_lp
 from polyproj.lp import (
     SsepfState,
@@ -80,7 +86,8 @@ class TestSparseMatrix:
         assert_canonical(A.cols([]))
         sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-14))
         for y in (np.zeros(g.problem.m), rng.standard_normal(g.problem.m), sol.y):
-            assert_canonical(generalized_jacobian(g.problem, classify_indices(g.problem, y)))
+            sets = classify_indices(g.problem, moreau_split(g.problem, y)[2])
+            assert_canonical(generalized_jacobian(g.problem, sets))
         for degeneracy in ("nondegenerate", "degenerate"):
             lp = gen_lp(GenSpec(m=6, n=20, density=0.4, seed=seed, degeneracy=degeneracy)).problem
             R = initial_radius(lp)
@@ -197,13 +204,18 @@ class TestCholeskyShifted:
 
 class TestConjugateGradient:
     def test_identity(self):
-        d, res = conjugate_gradient(np.eye(3), np.array([1.0, 2.0, 3.0]), 1e-14, 10)
+        M = np.eye(3)
+        d, res = conjugate_gradient(
+            lambda q: M @ q, np.array([1.0, 2.0, 3.0]), 1e-14, 10, diag=np.diag(M)
+        )
         assert np.allclose(d, [1.0, 2.0, 3.0])
         assert res <= 1e-12
 
     def test_diagonal(self):
         M = np.diag([1.0, 10.0])
-        d, res = conjugate_gradient(M, np.array([1.0, 10.0]), 1e-12, 10)
+        d, res = conjugate_gradient(
+            lambda q: M @ q, np.array([1.0, 10.0]), 1e-12, 10, diag=np.diag(M)
+        )
         assert np.allclose(d, [1.0, 1.0], atol=1e-10)
 
     def test_matches_direct_solve(self):
@@ -212,7 +224,7 @@ class TestConjugateGradient:
         M = B @ B.T + np.eye(30)
         rhs = rng.standard_normal(30)
         tol = 1e-11
-        d, res = conjugate_gradient(M, rhs, tol, 500)
+        d, res = conjugate_gradient(lambda q: M @ q, rhs, tol, 500, diag=np.diag(M))
         assert res <= tol
         direct = cholesky_shifted(SparseMatrix.from_dense(M - 1e-9 * np.eye(30)), 1e-9)
         assert np.linalg.norm(d - direct.solve(rhs)) <= 1e-8
@@ -222,7 +234,7 @@ class TestConjugateGradient:
         B = rng.standard_normal((40, 40))
         M = B @ B.T + 1e-8 * np.eye(40)
         rhs = rng.standard_normal(40)
-        _, res = conjugate_gradient(M, rhs, 1e-16, 2)
+        _, res = conjugate_gradient(lambda q: M @ q, rhs, 1e-16, 2, diag=np.diag(M))
         assert res > 1e-16  # caller decides what to do
 
 

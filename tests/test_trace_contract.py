@@ -1,0 +1,23 @@
+"""Names the traced benchmark run (``perfbench/run.py --trace 1``) reads.
+
+The run wraps solver entry points by module attribute and refuses to
+start when one is missing; it also prints two package constants.  A
+change that renames or removes any of them breaks the traced run, so
+the contract is checked here as well.
+"""
+
+import os
+
+import polyproj.lp
+import polyproj.sparse_linalg
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+def test_trace_targets_and_constants_present(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import bench_trace
+
+    assert bench_trace.missing_targets() == []
+    assert hasattr(polyproj.sparse_linalg, "DENSE_FACTOR_MAX_DIM")
+    assert len(polyproj.lp.LpConfig().subproblem_tols) >= 2
