@@ -154,27 +154,19 @@ class RnnmConfig:
     ``mode`` selects the linear solve: "exact" factors the shifted
     Jacobian with Cholesky, "inexact" runs preconditioned CG, at most
     ``max(10*m, 50)`` iterations, to the residual bound
-    ``theta * min(||F_k||, ||F_k||^nu)``.  The cap keeps the bound below
-    ``||F_k||``: uncapped, ``theta * ||F_k||^nu`` reaches ``||F_k||`` on
-    large residuals and CG accepts the zero step.  For ``||F_k|| <= 1``
-    the bound is the paper's ``theta * ||F_k||^nu``.
-    ``regularization`` selects the shift rule: "adaptive" uses the
-    residual/direction/anchor mean, "fixed" uses min(1e-3, stopcrit) in
-    exact mode and stopcrit**delta in inexact mode.  The boundary-set
-    threshold is always :func:`default_zero_tol` of the inner point.
-    Steps are halved from iteration ``DAMPING_ONSET`` (500) on.  On
-    hitting ``max_iter`` the best iterate is accepted if it meets
-    ``10 * tol`` (one-shot relaxed retry).
+    ``0.5 * min(||F_k||, ||F_k||^2)``, the paper's forcing term
+    ``theta * ||F_k||^nu`` with theta = 0.5 and nu = 2 for
+    ``||F_k|| <= 1``.  The cap keeps the bound below ``||F_k||``:
+    uncapped, it reaches ``||F_k||`` on large residuals and CG accepts
+    the zero step.  The shift always follows the adaptive rule of
+    :func:`regularization_lambda`.  On hitting ``max_iter`` the best
+    iterate is returned and accepted as converged if it meets
+    ``10 * tol``.
     """
 
     tol: float = 1e-14
     max_iter: int = 2000
     mode: str = "exact"
-    delta: float = 1.0
-    nu: float = 2.0
-    theta: float = 0.5
-    regularization: str = "adaptive"
-    relax_on_max_iter: bool = True
     collect_trace: bool = False
 
     def __post_init__(self):
@@ -182,14 +174,6 @@ class RnnmConfig:
             raise ValueError("tol must be positive")
         if self.mode not in ("exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.regularization not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown regularization {self.regularization!r}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        if not 1.0 + self.delta / 2.0 <= self.nu <= 2.0:
-            raise ValueError("nu must lie in [1 + delta/2, 2]")
-        if not 0.0 <= self.theta < 1.0:
-            raise ValueError("theta must lie in [0, 1)")
 
 
 def _inner_point(problem: BapProblem, y: np.ndarray) -> np.ndarray:
@@ -255,24 +239,18 @@ def generalized_jacobian(problem: BapProblem, sets: IndexSets) -> SparseMatrix:
 
 
 def regularization_lambda(
-    config: RnnmConfig,
     rel_residual: float,
     newton_dir_norm: float,
     v_norm: float,
 ) -> float:
-    """Shift parameter for the current iteration.
+    """Adaptive shift parameter for the current iteration.
 
-    Fixed rule: ``min(1e-3, r)`` (exact mode) or ``r**delta`` (inexact).
-    Adaptive rule: arithmetic mean of ``1e-2*r*max(1, log10 ||d||)``,
-    ``1e-3*r*max(1, log10 ||v||)`` and ``1e-3*r``; the log terms floor
-    at one, which also covers the first iteration where no direction
-    norm exists yet.
+    Arithmetic mean of ``1e-2*r*max(1, log10 ||d||)``,
+    ``1e-3*r*max(1, log10 ||v||)`` and ``1e-3*r`` for the relative
+    residual ``r``; the log terms floor at one, which also covers the
+    first iteration where no direction norm exists yet.
     """
     r = float(rel_residual)
-    if config.regularization == "fixed":
-        if config.mode == "exact":
-            return min(1e-3, r)
-        return r**config.delta
     log_d = max(1.0, np.log10(newton_dir_norm)) if newton_dir_norm > 0.0 else 1.0
     log_v = max(1.0, np.log10(v_norm)) if v_norm > 0.0 else 1.0
     terms = (1e-2 * r * log_d, 1e-3 * r * log_v, 1e-3 * r)
@@ -287,13 +265,14 @@ def solve_rnnm(
     """Run the regularized nonsmooth Newton iteration from ``y0``.
 
     Each step solves ``(V_k + lambda I) d = -F_k`` (Cholesky in exact
-    mode, Jacobi-preconditioned CG to ``theta*min(||F_k||, ||F_k||^nu)``
-    in inexact mode) and sets ``y <- y + d``, halved from iteration
-    ``DAMPING_ONSET`` on; no line search.  Stops when
-    ``||F(y)|| / (1 + ||b||) <= tol``, the step no longer changes ``y``
-    at machine precision (stalled), or ``max_iter`` is hit, in which
-    case the best iterate seen is returned (accepted as converged if it
-    meets ``10 * tol``).
+    mode, Jacobi-preconditioned CG to ``0.5*min(||F_k||, ||F_k||^2)``
+    in inexact mode), with ``lambda`` from :func:`regularization_lambda`,
+    and sets ``y <- y + d``, halved from iteration ``DAMPING_ONSET`` on;
+    no line search.  Stops when ``||F(y)|| / (1 + ||b||) <= tol``, the
+    step no longer changes ``y`` at machine precision (stalled), or
+    ``max_iter`` is hit.  An unconverged run returns the best iterate
+    seen, with the ``(x, z)`` and residual computed when it was reached;
+    at ``max_iter`` it counts as converged if it meets ``10 * tol``.
     """
     cfg = config if config is not None else RnnmConfig()
     y = np.zeros(problem.m) if y0 is None else as_vector(y0, problem.m, "y0").copy()
@@ -304,7 +283,7 @@ def solve_rnnm(
     stopcrit = float(np.linalg.norm(F)) / nb
     v_norm = float(np.linalg.norm(problem.v))
 
-    best_res, best_y, best_k = stopcrit, y.copy(), 0
+    best = (stopcrit, y, x, z)
     trace: list[tuple[int, float, float]] = []
     d_norm = 0.0
     k = 0
@@ -313,12 +292,12 @@ def solve_rnnm(
     while stopcrit > cfg.tol and k < cfg.max_iter:
         sets = classify_indices(problem, p)
         V = generalized_jacobian(problem, sets)
-        lam = regularization_lambda(cfg, stopcrit, d_norm, v_norm)
+        lam = regularization_lambda(stopcrit, d_norm, v_norm)
         if cfg.mode == "exact":
             d = cholesky_shifted(V, lam).solve(-F)
         else:
             f_norm = float(np.linalg.norm(F))
-            tol_cg = cfg.theta * min(f_norm, f_norm**cfg.nu)
+            tol_cg = 0.5 * min(f_norm, f_norm**2.0)  # theta = 0.5, nu = 2
             csc = V.csc
             d, _ = conjugate_gradient(
                 lambda q, _csc=csc, _lam=lam: _csc @ q + _lam * q,
@@ -341,20 +320,17 @@ def solve_rnnm(
         k += 1
         if cfg.collect_trace:
             trace.append((k, stopcrit, lam))
-        if stopcrit < best_res:
-            best_res, best_y, best_k = stopcrit, y.copy(), k
+        if stopcrit < best[0]:
+            best = (stopcrit, y, x, z)
         if stopcrit <= cfg.tol:
             status = CONVERGED
             break
 
     if status != CONVERGED:
-        # fall back to the best iterate; accept it at the relaxed
-        # tolerance (the one-shot 10*tol retry, without re-running)
-        y = best_y
-        x, z, p = moreau_split(problem, y)
-        F = problem.A.matvec(x) - problem.b
-        stopcrit = float(np.linalg.norm(F)) / nb
-        if cfg.relax_on_max_iter and status == MAX_ITER and stopcrit <= 10.0 * cfg.tol:
+        # fall back to the best iterate; y + d and moreau_split build
+        # fresh arrays, so it is returned as stored
+        stopcrit, y, x, z = best
+        if status == MAX_ITER and stopcrit <= 10.0 * cfg.tol:
             status = CONVERGED
 
     return BapSolution(

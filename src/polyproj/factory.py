@@ -185,8 +185,6 @@ def _random_sparse(rng: np.random.Generator, m: int, n: int, density: float) -> 
 
 def estimate_spectral_norm(A, rng=None, iters: int = 50, tol: float = 1e-6) -> float:
     """Power iteration on A^T A; returns the sigma_max estimate."""
-    if isinstance(A, SparseMatrix):
-        A = A.csc
     n = A.shape[1]
     rng = rng if rng is not None else np.random.default_rng(0)
     u = rng.standard_normal(n)

@@ -113,7 +113,6 @@ class SsepfState:
     y: np.ndarray
     z: np.ndarray
     bases: BasisPartition
-    stone_count: int
 
 
 @dataclass
@@ -141,11 +140,10 @@ class LpCertificate:
 class LpConfig:
     """Path-following controls.
 
-    ``subproblem_tols`` is the retry ladder for each projection solve;
-    every subproblem uses the adaptive regularization rule.  The nudge
-    past a stone is relative, ``max(1e-8, 1e-2/stone)``.  When the stone
-    advance stays below ``1e-12 * R`` for three consecutive stones the
-    solver escapes degeneracy by multiplying R by ten.
+    ``subproblem_tols`` is the retry ladder for each projection solve.
+    The nudge past a stone is relative, ``max(1e-8, 1e-2/stone)``.  The
+    degeneracy escape that multiplies R by ten is described in
+    :func:`solve_lp`.
     """
 
     tol_gap: float = 1e-8
@@ -461,9 +459,12 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
     projection subproblem (warm-started from the previous multipliers
     plus the sensitivity step), classifies the supports, computes bound
     certificates, and advances R just past the next stone.  Stops when
-    the relative gap meets ``tol_gap`` or the ratio test certifies the
-    basis is final; a stalled stone advance triggers the multiplicative
-    degeneracy escape.
+    the relative gap meets ``tol_gap``, directly or through the tight
+    certificate once the ratio test finds the basis final.  Every other
+    way out of a round (a failed sensitivity system, a final basis with
+    a loose certificate, or a stone advance below ``1e-12 * R`` three
+    times in a row) takes the one degeneracy escape: the next round
+    starts from the same multipliers at ten times R.
     """
     cfg = config if config is not None else LpConfig()
     R = initial_radius(problem)
@@ -482,9 +483,7 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
         bases = classify_bases(w, z, _basis_zero_tol(w, z))
         if bases.Z.size:
             degenerate = True
-        state = SsepfState(
-            R=R, w=w, y=sol.y, z=z, bases=bases, stone_count=stone
-        )
+        state = SsepfState(R=R, w=w, y=sol.y, z=z, bases=bases)
         cert = lp_bounds(problem, state, cfg)
         gap = _relative_gap(cert.lower, cert.upper)
         stones.append(
@@ -508,12 +507,9 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
         try:
             step = next_stone(problem, state)
         except SensitivityFailureError:
+            step = None
             degenerate = True
-            y_start = sol.y
-            R = 10.0 * R
-            continue
-
-        if math.isinf(step.R_n):
+        if step is not None and math.isinf(step.R_n):
             # basis is final; certify the gap through the z_B = 0
             # equality case, which pins the exact dual optimum
             tight = lp_bounds(problem, state, cfg, pin_basic=True)
@@ -522,31 +518,26 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
                 cert, gap = tight, tight_gap
                 stones[-1].upper = tight.upper
                 stones[-1].gap = tight_gap
-            if best is None or gap < best[0]:
-                best = (gap, cert)
-            if gap <= cfg.tol_gap:
-                return LpResult(cert, "solved", stones, degenerate)
+                if gap < best[0]:
+                    best = (gap, cert)
+                if gap <= cfg.tol_gap:
+                    return LpResult(cert, "solved", stones, degenerate)
             # certificate still loose: grow R so the multipliers
             # approach dual feasibility and retry
-            degenerate = degenerate or bases.Z.size > 0
-            y_start = sol.y
-            R = 10.0 * R
-            continue
-
-        if step.R_n - R < 1e-12 * R:
-            tiny_advances += 1
-        else:
-            tiny_advances = 0
-        if tiny_advances >= 3:
+        elif step is not None:
+            tiny_advances = tiny_advances + 1 if step.R_n - R < 1e-12 * R else 0
+            if tiny_advances < 3:
+                nudge = max(1e-8, 1e-2 / stone)
+                y_start = sol.y + step.dy
+                R = step.R_n * (1.0 + nudge)
+                continue
+            # the stone advance stalled three times in a row
             degenerate = True
             tiny_advances = 0
-            y_start = sol.y
-            R = 10.0 * R
-            continue
 
-        nudge = max(1e-8, 1e-2 / stone)
-        y_start = sol.y + step.dy
-        R = step.R_n * (1.0 + nudge)
+        # degeneracy escape: same multipliers, ten times the radius
+        y_start = sol.y
+        R = 10.0 * R
 
     assert best is not None
     return LpResult(best[1], "stone_budget", stones, degenerate)

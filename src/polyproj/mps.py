@@ -248,10 +248,8 @@ class StandardFormMap:
 
     minimize: bool
     objective_constant: float
-    original_names: list[str]
     terms: list[tuple[float, list[tuple[int, float]]]]
     original_coefficients: np.ndarray
-    n_std: int
     _forward: callable = None
 
     def to_original(self, x_std: np.ndarray) -> np.ndarray:
@@ -304,7 +302,7 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
     # variable substitutions
     var_cols: dict[str, list[tuple[int, float]]] = {}
     var_offsets: dict[str, float] = {}
-    bound_rows: list[tuple[int, float, float]] = []  # (std col, width, offset?) -> row added later
+    bound_rows: list[tuple[int, float]] = []  # (std col, width); rows added later
     for name in model.columns:
         lo, up = model.bounds.get(name, (0.0, math.inf))
         c_orig = sense * model.objective.get(name, 0.0)
@@ -327,7 +325,7 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
             if up != math.inf:
                 if up < lo:
                     raise MpsParseError(f"variable {name!r} has upper bound below lower")
-                bound_rows.append((j, up - lo, 0.0))
+                bound_rows.append((j, up - lo))
 
     for name in model.columns:
         offset = var_offsets[name]
@@ -356,7 +354,7 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
             s = new_col(f"slack:{rname}", 0.0)
             tri_rows.append(r), tri_cols.append(s), tri_vals.append(1.0)
             rhs_vals[r] = hi
-            bound_rows.append((s, hi - lo, 0.0))
+            bound_rows.append((s, hi - lo))
             forward_ops.append(("slack", rname, s, "le", hi))
 
     # matrix entries of original variables, shifted through substitutions
@@ -370,7 +368,7 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
                 rhs_vals[r] -= coef * offset
 
     # bound rows x_j + t = width
-    for col, width, _ in bound_rows:
+    for col, width in bound_rows:
         r = len(rhs_vals)
         rhs_vals.append(width)
         t = new_col(f"bound:{std_cols[col][0]}", 0.0)
@@ -409,10 +407,8 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
     fmap = StandardFormMap(
         minimize=model.minimize,
         objective_constant=model.objective_constant,
-        original_names=list(model.columns),
         terms=terms,
         original_coefficients=orig_coeffs,
-        n_std=n_std,
         _forward=_make_forward(model, forward_ops, row_index, n_std),
     )
     return problem, fmap

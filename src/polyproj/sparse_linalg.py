@@ -84,12 +84,7 @@ class SparseMatrix:
     __slots__ = ("_csc",)
 
     def __init__(self, matrix):
-        if isinstance(matrix, SparseMatrix):
-            self._csc = matrix._csc
-            return
-        if isinstance(matrix, np.ndarray):
-            csc = sp.csc_array(matrix)
-        elif sp.issparse(matrix):
+        if isinstance(matrix, np.ndarray) or sp.issparse(matrix):
             csc = sp.csc_array(matrix)
         else:
             raise TypeError("SparseMatrix expects a numpy array or scipy sparse matrix")
@@ -326,12 +321,10 @@ def independent_columns(A: SparseMatrix, candidate_cols, tol: float = 1e-10) -> 
 def nullspace_basis(B, tol: float = 1e-12) -> np.ndarray:
     """Orthonormal basis V of null(B) with ``||B V|| <= tol * ||B||``.
 
-    ``B`` may be dense or a :class:`SparseMatrix`; the computation is a
-    dense SVD (the callers only ever pass small restricted systems).
-    A zero-row ``B`` yields the identity.
+    ``B`` is a dense array; the computation is a dense SVD (the callers
+    only ever pass small restricted systems).  A zero-row ``B`` yields
+    the identity.
     """
-    if isinstance(B, SparseMatrix):
-        B = B.toarray()
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     nrows, ncols = B.shape
     if nrows == 0:
@@ -345,8 +338,6 @@ def nullspace_basis(B, tol: float = 1e-12) -> np.ndarray:
 
 def least_squares_solve(M, rhs) -> np.ndarray:
     """Minimum-norm least-squares solution of ``M x ~ rhs`` (pseudo-inverse)."""
-    if isinstance(M, SparseMatrix):
-        M = M.toarray()
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
     rhs = as_vector(rhs, M.shape[0], "rhs")
     sol, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
@@ -398,18 +389,25 @@ def read_matrix_market(source) -> SparseMatrix:
     if symmetry not in ("general", "symmetric"):
         raise ValueError(f"unsupported symmetry: {symmetry}")
     body = [ln for ln in lines[1:] if not ln.startswith("%")]
+    if not body:
+        raise ValueError("missing MatrixMarket size line")
     dims = body[0].split()
+    if len(dims) < 3:
+        raise ValueError(f"malformed MatrixMarket size line: {body[0]}")
     nrows, ncols, nnz = int(dims[0]), int(dims[1]), int(dims[2])
     if len(body) - 1 != nnz:
         raise ValueError(f"expected {nnz} entries, found {len(body) - 1}")
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
-    for k, ln in enumerate(body[1:]):
-        parts = ln.split()
-        rows[k] = int(parts[0]) - 1
-        cols[k] = int(parts[1]) - 1
-        vals[k] = float(parts[2])
+    try:
+        for k, ln in enumerate(body[1:]):
+            parts = ln.split()
+            rows[k] = int(parts[0]) - 1
+            cols[k] = int(parts[1]) - 1
+            vals[k] = float(parts[2])
+    except IndexError:  # an entry line with fewer than three fields
+        raise ValueError(f"malformed MatrixMarket entry line: {ln}") from None
     if symmetry == "symmetric":
         off = rows != cols
         rows, cols, vals = (

@@ -95,7 +95,7 @@ def test_criterion_02_kkt_exactness():
         for max_iter in (1, 3):
             part = solve_rnnm(
                 g.problem,
-                config=RnnmConfig(tol=1e-16, max_iter=max_iter, relax_on_max_iter=False),
+                config=RnnmConfig(tol=1e-16, max_iter=max_iter),
             )
             _, dual, comp = kkt_report(g.problem, part)
             assert dual == 0.0
@@ -169,7 +169,7 @@ def test_criterion_05_inexact_matches_exact():
         exact = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-14, mode="exact"))
         inexact = solve_rnnm(
             g.problem,
-            config=RnnmConfig(tol=1e-14, mode="inexact", delta=1.0, nu=2.0, theta=0.5),
+            config=RnnmConfig(tol=1e-14, mode="inexact"),
         )
         assert exact.status == CONVERGED and inexact.status == CONVERGED
         diff = np.max(np.abs(exact.x - inexact.x)) / (1.0 + np.max(np.abs(exact.x)))
@@ -200,7 +200,7 @@ def test_criterion_06_stepping_stone_sensitivity_oracle():
         R = initial_radius(lp) / 100.0
         for _stone in range(12):
             part0, sol, bases = _partition_at(lp, R)
-            state = SsepfState(R=R, w=sol.x, y=sol.y, z=sol.z, bases=bases, stone_count=1)
+            state = SsepfState(R=R, w=sol.x, y=sol.y, z=sol.z, bases=bases)
             step = next_stone(lp, state)
             R_max = R * 1e4
             if math.isinf(step.R_n):
@@ -292,7 +292,7 @@ def test_criterion_08_bound_duality():
         R = initial_radius(lp)
         for _ in range(8):
             _, sol, bases = _partition_at(lp, R)
-            state = SsepfState(R=R, w=sol.x, y=sol.y, z=sol.z, bases=bases, stone_count=1)
+            state = SsepfState(R=R, w=sol.x, y=sol.y, z=sol.z, bases=bases)
             cert = lp_bounds(lp, state)
             assert cert.lower <= cert.upper + 1e-8 * (1.0 + abs(cert.upper))
             zB = cert.z_lp[bases.B]

@@ -175,44 +175,24 @@ class TestGeneralizedJacobian:
 
 
 class TestRegularizationLambda:
-    def test_exact_fixed_caps_at_1e3(self):
-        cfg = RnnmConfig(regularization="fixed", mode="exact")
-        assert regularization_lambda(cfg, 0.5, 1.0, 1.0) == 1e-3
-
-    def test_inexact_fixed_power(self):
-        cfg = RnnmConfig(regularization="fixed", mode="inexact", delta=1.0)
-        assert regularization_lambda(cfg, 0.01, 1.0, 1.0) == pytest.approx(0.01)
-
     def test_adaptive_hand_value(self):
-        cfg = RnnmConfig(regularization="adaptive")
-        lam = regularization_lambda(cfg, 1e-6, 10.0, 1.0)
+        lam = regularization_lambda(1e-6, 10.0, 1.0)
         assert lam == pytest.approx(4e-9, rel=1e-12)
 
     def test_first_iteration_log_floor(self):
-        cfg = RnnmConfig(regularization="adaptive")
-        lam0 = regularization_lambda(cfg, 1e-2, 0.0, 1.0)
-        lam1 = regularization_lambda(cfg, 1e-2, 1.0, 1.0)
+        lam0 = regularization_lambda(1e-2, 0.0, 1.0)
+        lam1 = regularization_lambda(1e-2, 1.0, 1.0)
         assert lam0 == lam1 > 0.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RnnmConfig(delta=0.0)
-        with pytest.raises(ValueError):
-            RnnmConfig(delta=1.0, nu=1.2)
-        with pytest.raises(ValueError):
-            RnnmConfig(theta=1.0)
+        for tol in (0.0, -1e-14):
+            with pytest.raises(ValueError, match="tol"):
+                RnnmConfig(tol=tol)
+        with pytest.raises(ValueError, match="mode"):
+            RnnmConfig(mode="fixed")
 
 
 class TestSolveRnnm:
-    def test_simplex_fixed_rule_trajectory(self):
-        # hand iteration: y1 ~ 0.999, y2 ~ 0.5002, then contraction
-        prob = simplex_problem()
-        cfg = RnnmConfig(tol=1e-14, regularization="fixed", collect_trace=True)
-        sol = solve_rnnm(prob, config=cfg)
-        assert sol.status == CONVERGED
-        assert np.allclose(sol.x, [0.5, 0.5], atol=1e-12)
-        assert sol.rel_residual <= 1e-14
-
     def test_simplex_adaptive_default(self):
         sol = solve_rnnm(simplex_problem())
         assert sol.status == CONVERGED
@@ -261,8 +241,20 @@ class TestSolveRnnm:
         # x1 + x2 = -1 has no nonnegative solution
         A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
         prob = BapProblem(A, np.array([-1.0]), np.zeros(2))
-        sol = solve_rnnm(prob, config=RnnmConfig(tol=1e-14, max_iter=50, relax_on_max_iter=False))
+        sol = solve_rnnm(prob, config=RnnmConfig(tol=1e-14, max_iter=50))
         assert sol.status in (MAX_ITER, "stalled")
+
+    def test_truncated_solve_returns_state_of_its_y(self):
+        # an unconverged run returns the best iterate together with the
+        # (x, z) and residual of that same iterate
+        g = gen_bap_with_known_vertex(GenSpec(m=40, n=300, density=0.05, seed=4))
+        nb = 1.0 + np.linalg.norm(g.problem.b)
+        for mode in ("exact", "inexact"):
+            sol = solve_rnnm(g.problem, config=RnnmConfig(max_iter=1, mode=mode))
+            assert sol.status == MAX_ITER and sol.iterations == 1
+            x, z, _ = moreau_split(g.problem, sol.y)
+            assert np.array_equal(sol.x, x) and np.array_equal(sol.z, z)
+            assert sol.rel_residual == float(np.linalg.norm(residual(g.problem, sol.y))) / nb
 
     def test_monotonicity_not_required(self):
         # the residual trace may increase between iterations; only record
@@ -379,12 +371,14 @@ class TestIsVertex:
 
 
 class TestHandIteration:
-    def test_fixed_rule_iterates_match_derivation(self):
-        # first step 1/(1+1e-3) ~ 0.999001, second lands near 0.5002
+    def test_adaptive_rule_iterates_match_derivation(self):
+        # y0 = 0: F0 = -1, r0 = 1/2 and both coordinates sit on the
+        # boundary, so V = 1 (one independent column) and
+        # lambda0 = (5e-3 + 5e-4 + 5e-4)/3 = 2e-3, giving y1 = 1/1.002.
+        # Then both are active, V = 2, lambda1 = 4e-3 * r1 with
+        # r1 = (2*y1 - 1)/2, and y2 = y1 - (2*y1 - 1)/(2 + lambda1).
         prob = simplex_problem()
-        one = solve_rnnm(prob, config=RnnmConfig(
-            tol=1e-14, max_iter=1, regularization="fixed", relax_on_max_iter=False))
-        assert one.y[0] == pytest.approx(0.999001, abs=1e-6)
-        two = solve_rnnm(prob, config=RnnmConfig(
-            tol=1e-14, max_iter=2, regularization="fixed", relax_on_max_iter=False))
-        assert two.y[0] == pytest.approx(0.500249, abs=1e-5)
+        one = solve_rnnm(prob, config=RnnmConfig(tol=1e-14, max_iter=1))
+        assert one.y[0] == pytest.approx(1.0 / 1.002, abs=1e-12)
+        two = solve_rnnm(prob, config=RnnmConfig(tol=1e-14, max_iter=2))
+        assert two.y[0] == pytest.approx(0.5004955224, abs=1e-10)

@@ -52,6 +52,21 @@ def test_bap_solve_missing_file_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bap_solve_truncated_mtx_is_input_error(tmp_path, capsys):
+    out = str(tmp_path / "tr")
+    main(["gen", "--kind", "bap", "--m", "4", "--n", "16", "--density", "0.3",
+          "--seed", "2", "--out", out])
+    mtx = os.path.join(out, "bap_000002.mtx")
+    header = open(mtx).readline()
+    # no size line, a short size line, a short entry line
+    for body in ("", "4 16\n", "4 16 2\n1 1 0.5\n1 2\n"):
+        with open(mtx, "w") as fh:
+            fh.write(header + body)
+        capsys.readouterr()
+        assert main(["bap", "solve", mtx]) == 1
+        assert "error: " in capsys.readouterr().err
+
+
 def test_lp_solve_instance_and_report(tmp_path, capsys):
     gl = gen_lp(GenSpec(m=4, n=12, density=0.5, seed=9))
     base = str(tmp_path / "lpinst")

@@ -27,10 +27,10 @@ def tiny_lp():
     return LpProblem(A, np.array([1.0]), np.array([1.0, 0.0]))
 
 
-def state_at(problem, R, stone=1):
+def state_at(problem, R):
     sol = solve_rnnm(scaled_subproblem(problem, R), config=RnnmConfig(tol=1e-14))
     bases = classify_bases(sol.x, sol.z, _basis_zero_tol(sol.x, sol.z))
-    return SsepfState(R=R, w=sol.x, y=sol.y, z=sol.z, bases=bases, stone_count=stone)
+    return SsepfState(R=R, w=sol.x, y=sol.y, z=sol.z, bases=bases)
 
 
 class TestInitialRadius:
@@ -240,6 +240,60 @@ class TestSolveLp:
         assert len(rep["residual_triplet"]) == 3
 
 
+class TestDegeneracyEscape:
+    # tiny_lp takes two stones undisturbed (R = 1/sqrt(2), then just past
+    # the stone at 1) and is not flagged degenerate
+
+    def test_sensitivity_failure_grows_radius_tenfold(self, monkeypatch):
+        import polyproj.lp as lp_mod
+        from polyproj.lp import SensitivityFailureError
+
+        assert not solve_lp(tiny_lp()).degenerate
+        real = lp_mod.next_stone
+        calls = []
+
+        def fail_once(problem, state):
+            calls.append(state.R)
+            if len(calls) == 1:
+                raise SensitivityFailureError("injected")
+            return real(problem, state)
+
+        monkeypatch.setattr(lp_mod, "next_stone", fail_once)
+        res = solve_lp(tiny_lp())
+        assert res.stones[1].R == 10.0 * res.stones[0].R
+        assert res.degenerate
+        assert res.status == "solved"
+
+    def test_three_zero_advances_grow_radius_tenfold(self, monkeypatch):
+        import polyproj.lp as lp_mod
+        from polyproj.lp import NextStone
+
+        real = lp_mod.next_stone
+        calls = []
+
+        def zero_advance(problem, state):
+            calls.append(state.R)
+            if len(calls) > 3:
+                return real(problem, state)
+            return NextStone(
+                R_n=state.R,
+                dy=np.zeros(problem.m),
+                dw_B=np.zeros(state.bases.B.size),
+                dz_N=np.zeros(state.bases.N.size),
+            )
+
+        monkeypatch.setattr(lp_mod, "next_stone", zero_advance)
+        res = solve_lp(tiny_lp())
+        radii = [s.R for s in res.stones]
+        # the first two zero advances only nudge R (by 1e-2/stone)
+        assert radii[1] == radii[0] * (1.0 + 1e-2)
+        assert radii[2] == radii[1] * (1.0 + 1e-2 / 2)
+        # the third in a row takes the escape into the fourth stone
+        assert radii[3] == 10.0 * radii[2]
+        assert res.degenerate
+        assert res.status == "solved"
+
+
 class TestSubproblemFailure:
     def test_infeasible_lp_raises_with_stone_index(self):
         from polyproj.lp import SubproblemFailureError
@@ -264,7 +318,7 @@ def test_sensitivity_failure_on_inconsistent_state():
     )
     state = SsepfState(
         R=1.0, w=np.array([1.0, 0.0, 0.0]), y=np.zeros(3),
-        z=np.array([0.0, 1.0, 1.0]), bases=bases, stone_count=1,
+        z=np.array([0.0, 1.0, 1.0]), bases=bases,
     )
     with pytest.raises(SensitivityFailureError):
         next_stone(lp, state)

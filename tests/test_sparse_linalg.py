@@ -93,7 +93,7 @@ class TestSparseMatrix:
             R = initial_radius(lp)
             sub = solve_rnnm(scaled_subproblem(lp, R), config=RnnmConfig(tol=1e-14))
             bases = classify_bases(sub.x, sub.z, _basis_zero_tol(sub.x, sub.z))
-            state = SsepfState(R=R, w=sub.x, y=sub.y, z=sub.z, bases=bases, stone_count=1)
+            state = SsepfState(R=R, w=sub.x, y=sub.y, z=sub.z, bases=bases)
             for pin_basic in (False, True):
                 assert_canonical(_dual_feasibility_bap(lp, state, pin_basic)[0].A)
 
@@ -352,3 +352,16 @@ class TestMatrixMarket:
             read_matrix_market(io.StringIO("not a matrix\n"))
         with pytest.raises(ValueError):
             read_matrix_market(io.StringIO("%%MatrixMarket matrix array real general\n1 1\n2.0\n"))
+
+    def test_missing_size_line(self):
+        with pytest.raises(ValueError, match="size line"):
+            read_matrix_market(io.StringIO("%%MatrixMarket matrix coordinate real general\n%c\n"))
+
+    def test_short_size_line(self):
+        with pytest.raises(ValueError, match="size line: 2 2"):
+            read_matrix_market(io.StringIO("%%MatrixMarket matrix coordinate real general\n2 2\n"))
+
+    def test_short_entry_line(self):
+        text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 2.0\n2 1\n"
+        with pytest.raises(ValueError, match="entry line: 2 1"):
+            read_matrix_market(io.StringIO(text))

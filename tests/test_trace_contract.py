@@ -3,11 +3,16 @@
 The run wraps solver entry points by module attribute and refuses to
 start when one is missing; it also prints two package constants.  A
 change that renames or removes any of them breaks the traced run, so
-the contract is checked here as well.
+the contract is checked here as well.  The ``solve_rnnm`` wrapper reads
+the problem and config by position or keyword and the tolerance by
+attribute, with defaults; a rename there would not stop the run but
+would silently zero ``lp.ladder_reruns``.
 """
 
+import inspect
 import os
 
+import polyproj.bap
 import polyproj.lp
 import polyproj.sparse_linalg
 
@@ -21,3 +26,9 @@ def test_trace_targets_and_constants_present(monkeypatch):
     assert bench_trace.missing_targets() == []
     assert hasattr(polyproj.sparse_linalg, "DENSE_FACTOR_MAX_DIM")
     assert len(polyproj.lp.LpConfig().subproblem_tols) >= 2
+
+
+def test_solve_rnnm_arguments_read_by_the_trace():
+    params = list(inspect.signature(polyproj.bap.solve_rnnm).parameters)
+    assert params[:3] == ["problem", "y0", "config"]
+    assert hasattr(polyproj.bap.RnnmConfig(), "tol")
