@@ -64,7 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bs.add_argument("--tol", type=float, default=1e-14)
     bs.add_argument("--max-iter", type=int, default=2000)
-    bs.add_argument("--trace", help="write per-sweep trace CSV (hlwb only)")
+    bs.add_argument(
+        "--trace",
+        help="write the convergence trace CSV: per sweep for hlwb, per Newton iteration otherwise",
+    )
     bs.add_argument("--out", help="directory for solution files (default: beside input)")
 
     lp = sub.add_parser("lp", help="LP solves")
@@ -135,7 +138,12 @@ def _solve_one_bap(base: str, args) -> tuple[str, int]:
         )
         return status, 0 if status == "converged" else 2
     mode = "exact" if args.method == "rnnm-exact" else "inexact"
-    sol = solve_rnnm(problem, config=RnnmConfig(tol=args.tol, max_iter=args.max_iter, mode=mode))
+    cfg = RnnmConfig(
+        tol=args.tol, max_iter=args.max_iter, mode=mode, collect_trace=bool(args.trace)
+    )
+    sol = solve_rnnm(problem, config=cfg)
+    if args.trace:
+        write_trace_csv(sol, args.trace, "iteration,rel_residual,lambda")
     out_dir = args.out if args.out else os.path.dirname(base) or "."
     sol_path = os.path.join(out_dir, os.path.basename(base) + ".sol")
     serialize.write_solution(problem, sol, sol_path)

@@ -136,13 +136,18 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     )
 
 
-def write_trace_csv(result: HlwbResult, target) -> None:
-    """Per-sweep convergence trace as CSV rows (sweep, rel_residual, sigma)."""
+def write_trace_csv(result, target, header: str = "sweep,rel_residual,sigma") -> None:
+    """Convergence trace of a solve as CSV rows under ``header``.
+
+    ``result.trace`` holds ``(count, rel_residual, parameter)`` triples:
+    ``(sweep, rel_residual, sigma)`` for HLWB, ``(iteration,
+    rel_residual, lambda)`` for the Newton solver.
+    """
     if result.trace is None:
         raise ValueError("result carries no trace; solve with collect_trace=True")
-    lines = ["sweep,rel_residual,sigma"]
-    for sweep, rel, sigma in result.trace:
-        lines.append(f"{sweep},{rel:.5e},{sigma:.5e}")
+    lines = [header]
+    for count, rel, param in result.trace:
+        lines.append(f"{count},{rel:.5e},{param:.5e}")
     text = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(text)

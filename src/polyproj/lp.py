@@ -151,6 +151,10 @@ class LpConfig:
     subproblem_tols: tuple[float, ...] = (1e-14, 1e-13)
     subproblem_max_iter: int = 2000
 
+    def __post_init__(self):
+        if self.max_stones < 1:
+            raise ValueError("max_stones must be at least 1")
+
 
 @dataclass
 class StoneRecord:
@@ -539,5 +543,4 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
         y_start = sol.y
         R = 10.0 * R
 
-    assert best is not None
     return LpResult(best[1], "stone_budget", stones, degenerate)

@@ -241,6 +241,8 @@ class StandardFormMap:
     """Affine map between standard-form and original variables.
 
     Each original variable is ``offset + sum(coeff * x_std[col])``.
+    ``problem`` is the converted problem itself (shared, not copied);
+    ``to_standard`` reads the added columns off its rows.
     ``original_objective`` evaluates the model's objective (in its own
     min/max sense and units, including the constant) at a standard-form
     point.
@@ -250,7 +252,7 @@ class StandardFormMap:
     objective_constant: float
     terms: list[tuple[float, list[tuple[int, float]]]]
     original_coefficients: np.ndarray
-    _forward: callable = None
+    problem: LpProblem
 
     def to_original(self, x_std: np.ndarray) -> np.ndarray:
         x_std = np.asarray(x_std, dtype=np.float64)
@@ -260,7 +262,41 @@ class StandardFormMap:
         return out
 
     def to_standard(self, x_orig: np.ndarray) -> np.ndarray:
-        return self._forward(np.asarray(x_orig, dtype=np.float64))
+        """Standard-form point of an original point, in two passes.
+
+        Substituted columns invert ``terms``: a shifted or mirrored
+        column is ``(x - offset)/coef`` and a free pair is
+        ``(max(x, 0), max(-x, 0))``.  Every other column was added by
+        the conversion (a slack or a bound column); in ascending index
+        order each is solved from the first row it appears in,
+        ``x_j = (b_r - A_r x)/A_rj``.  That row is the one that defines
+        the column: constraint rows come before bound rows and slack
+        columns are created before bound columns, so a ranged row's
+        slack is known before its bound column is solved.  A point that
+        breaks a bound, an inequality or a range thus maps to a point
+        with a negative entry.
+        """
+        x_orig = np.asarray(x_orig, dtype=np.float64)
+        if x_orig.shape != (len(self.terms),):
+            raise ValueError(f"expected {len(self.terms)} original values")
+        A, b = self.problem.A.csc, self.problem.b
+        x_std = np.zeros(A.shape[1])
+        added = np.ones(A.shape[1], dtype=bool)
+        for value, (offset, parts) in zip(x_orig, self.terms):
+            if len(parts) == 2:
+                (p, _), (q, _) = parts
+                x_std[p], x_std[q] = max(value, 0.0), max(-value, 0.0)
+            elif parts:
+                ((j, coef),) = parts
+                x_std[j] = (value - offset) / coef
+            added[[col for col, _ in parts]] = False
+        rows = A.tocsr()
+        for j in np.flatnonzero(added):
+            k = A.indptr[j]
+            r = A.indices[k]
+            lo, hi = rows.indptr[r], rows.indptr[r + 1]
+            x_std[j] = (b[r] - rows.data[lo:hi] @ x_std[rows.indices[lo:hi]]) / A.data[k]
+        return x_std
 
     def original_objective(self, x_std: np.ndarray) -> float:
         x_orig = self.to_original(x_std)
@@ -276,10 +312,13 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
     that end up absent from every constraint are fixed at zero and
     dropped (they cannot carry a bounded optimum in max form unless
     their reduced objective is nonpositive, which is verified).
+
+    Rows are the constraint rows in model order, then one bound row per
+    two-sided variable or ranged row.  Columns are the substituted
+    variables, then the slacks, then the bound columns.
+    :meth:`StandardFormMap.to_standard` relies on this order.
     """
-    std_cols: list[tuple[str, int]] = []  # bookkeeping label, original index or -1
     col_obj: list[float] = []
-    terms: list[tuple[float, list[tuple[int, float]]]] = []
     orig_coeffs = np.array([model.objective.get(c, 0.0) for c in model.columns])
     sense = -1.0 if model.minimize else 1.0
 
@@ -292,12 +331,9 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
     row_index = {name: i for i, name in enumerate(model.row_order)}
     rhs_vals = [0.0] * n_rows
 
-    def new_col(label: str, obj_coef: float) -> int:
-        std_cols.append((label, -1))
+    def new_col(obj_coef: float) -> int:
         col_obj.append(obj_coef)
-        return len(std_cols) - 1
-
-    forward_ops: list[tuple] = []  # recipe to rebuild x_std from x_orig
+        return len(col_obj) - 1
 
     # variable substitutions
     var_cols: dict[str, list[tuple[int, float]]] = {}
@@ -307,29 +343,24 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
         lo, up = model.bounds.get(name, (0.0, math.inf))
         c_orig = sense * model.objective.get(name, 0.0)
         if lo == -math.inf and up == math.inf:
-            p = new_col(f"{name}+", c_orig)
-            q = new_col(f"{name}-", -c_orig)
+            p = new_col(c_orig)
+            q = new_col(-c_orig)
             var_cols[name] = [(p, 1.0), (q, -1.0)]
             var_offsets[name] = 0.0
-            forward_ops.append(("split", name, p, q))
         elif lo == -math.inf:
-            j = new_col(f"{name}~", -c_orig)
+            j = new_col(-c_orig)
             var_cols[name] = [(j, -1.0)]
             var_offsets[name] = up
-            forward_ops.append(("mirror", name, j, up))
         else:
-            j = new_col(name, c_orig)
+            j = new_col(c_orig)
             var_cols[name] = [(j, 1.0)]
             var_offsets[name] = lo
-            forward_ops.append(("shift", name, j, lo))
             if up != math.inf:
                 if up < lo:
                     raise MpsParseError(f"variable {name!r} has upper bound below lower")
                 bound_rows.append((j, up - lo))
 
-    for name in model.columns:
-        offset = var_offsets[name]
-        terms.append((offset, var_cols[name]))
+    terms = [(var_offsets[name], var_cols[name]) for name in model.columns]
 
     # constraint rows with slacks
     for rname in model.row_order:
@@ -341,21 +372,18 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
         if lo == hi:
             rhs_vals[r] = lo
         elif hi < math.inf and lo == -math.inf:
-            s = new_col(f"slack:{rname}", 0.0)
+            s = new_col(0.0)
             tri_rows.append(r), tri_cols.append(s), tri_vals.append(1.0)
             rhs_vals[r] = hi
-            forward_ops.append(("slack", rname, s, "le", hi))
         elif lo > -math.inf and hi == math.inf:
-            s = new_col(f"surplus:{rname}", 0.0)
+            s = new_col(0.0)
             tri_rows.append(r), tri_cols.append(s), tri_vals.append(-1.0)
             rhs_vals[r] = lo
-            forward_ops.append(("slack", rname, s, "ge", lo))
         else:
-            s = new_col(f"slack:{rname}", 0.0)
+            s = new_col(0.0)
             tri_rows.append(r), tri_cols.append(s), tri_vals.append(1.0)
             rhs_vals[r] = hi
             bound_rows.append((s, hi - lo))
-            forward_ops.append(("slack", rname, s, "le", hi))
 
     # matrix entries of original variables, shifted through substitutions
     for name in model.columns:
@@ -371,13 +399,12 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
     for col, width in bound_rows:
         r = len(rhs_vals)
         rhs_vals.append(width)
-        t = new_col(f"bound:{std_cols[col][0]}", 0.0)
+        t = new_col(0.0)
         tri_rows += [r, r]
         tri_cols += [col, t]
         tri_vals += [1.0, 1.0]
-        forward_ops.append(("bound", col, t, width))
 
-    n_std = len(std_cols)
+    n_std = len(col_obj)
     m_std = len(rhs_vals)
     A = SparseMatrix.from_coo(m_std, n_std, tri_rows, tri_cols, tri_vals)
     b = np.asarray(rhs_vals)
@@ -399,9 +426,6 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
             (off, [(int(remap[col]), coef) for col, coef in parts if remap[col] >= 0])
             for off, parts in terms
         ]
-        forward_ops = [op for op in forward_ops if _op_col(op) is None or remap[_op_col(op)] >= 0]
-        forward_ops = [_remap_op(op, remap) for op in forward_ops]
-        n_std = kept.size
 
     problem = LpProblem(A, b, c)
     fmap = StandardFormMap(
@@ -409,7 +433,7 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
         objective_constant=model.objective_constant,
         terms=terms,
         original_coefficients=orig_coeffs,
-        _forward=_make_forward(model, forward_ops, row_index, n_std),
+        problem=problem,
     )
     return problem, fmap
 
@@ -429,68 +453,3 @@ def _row_interval(rtype: str, rhs: float, rng: float | None) -> tuple[float, flo
     if rtype == "L":
         return rhs - abs(r), rhs
     return rhs, rhs + abs(r)
-
-
-def _op_col(op) -> int | None:
-    # the std column whose removal invalidates the op (slack columns
-    # always carry a constraint entry, so they are never dropped; a
-    # split pair is dropped or kept as a whole)
-    kind = op[0]
-    if kind in ("split", "mirror", "shift"):
-        return op[2]
-    if kind == "bound":
-        return op[1]
-    return None
-
-
-def _remap_op(op, remap):
-    kind = op[0]
-    if kind == "split":
-        return (kind, op[1], int(remap[op[2]]), int(remap[op[3]]))
-    if kind in ("mirror", "shift"):
-        return (kind, op[1], int(remap[op[2]]), op[3])
-    if kind == "slack":
-        return (kind, op[1], int(remap[op[2]]), op[3], op[4])
-    if kind == "bound":
-        return (kind, int(remap[op[1]]), int(remap[op[2]]), op[3])
-    return op
-
-
-def _make_forward(model: MpsModel, ops, row_index, n_std):
-    names = list(model.columns)
-    name_pos = {n: i for i, n in enumerate(names)}
-    row_entries: dict[str, list[tuple[int, float]]] = {r: [] for r in model.row_order}
-    for cname in names:
-        for rname, coef in model.entries[cname].items():
-            row_entries[rname].append((name_pos[cname], coef))
-
-    def forward(x_orig: np.ndarray) -> np.ndarray:
-        if x_orig.shape != (len(names),):
-            raise ValueError(f"expected {len(names)} original values")
-        x_std = np.zeros(n_std)
-        row_value = {
-            r: sum(coef * x_orig[i] for i, coef in row_entries[r]) for r in row_entries
-        }
-        for op in ops:
-            kind = op[0]
-            if kind == "split":
-                _, name, p, q = op
-                val = x_orig[name_pos[name]]
-                x_std[p] = max(val, 0.0)
-                x_std[q] = max(-val, 0.0)
-            elif kind == "mirror":
-                _, name, j, up = op
-                x_std[j] = up - x_orig[name_pos[name]]
-            elif kind == "shift":
-                _, name, j, lo = op
-                x_std[j] = x_orig[name_pos[name]] - lo
-            elif kind == "slack":
-                _, rname, s, side, bnd = op
-                val = row_value[rname]
-                x_std[s] = (bnd - val) if side == "le" else (val - bnd)
-            elif kind == "bound":
-                _, col, t, width = op
-                x_std[t] = width - x_std[col]
-        return x_std
-
-    return forward

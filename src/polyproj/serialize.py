@@ -64,19 +64,26 @@ def write_bap_instance(problem: BapProblem, base: str) -> tuple[str, str]:
     return mtx, side
 
 
+def _read_sidecar(path: str, magic: str, shape: tuple[int, int], keys: tuple[str, ...]) -> dict:
+    """Fields of a sidecar after its magic line; ``m``/``n`` must match ``shape``."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines or lines[0] != magic:
+        raise ValueError(f"{path}: not a {magic!r} sidecar")
+    fields = {key: rest for key, _, rest in (ln.partition(" ") for ln in lines[1:])}
+    missing = [key for key in ("m", "n") + keys if key not in fields]
+    if missing:
+        raise ValueError(f"{path}: missing field {missing[0]!r}")
+    m, n = int(fields["m"]), int(fields["n"])
+    if (m, n) != shape:
+        raise ValueError(f"sidecar dimensions {(m, n)} disagree with matrix {shape}")
+    return fields
+
+
 def read_bap_instance(base: str) -> BapProblem:
     A = read_matrix_market(base + ".mtx")
-    with open(base + ".bap", "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != _BAP_MAGIC:
-        raise ValueError(f"{base}.bap: not a polyproj bap sidecar")
-    fields = {}
-    for ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        fields[key] = rest
-    m, n = int(fields["m"]), int(fields["n"])
-    if (m, n) != A.shape:
-        raise ValueError(f"sidecar dimensions {(m, n)} disagree with matrix {A.shape}")
+    fields = _read_sidecar(base + ".bap", _BAP_MAGIC, A.shape, ("b", "v", "signs"))
+    m, n = A.shape
     b = _parse_vector(fields["b"], m, "b")
     v = _parse_vector(fields["v"], n, "v")
     signs = fields["signs"]
@@ -103,15 +110,8 @@ def write_lp_instance(problem: LpProblem, base: str) -> tuple[str, str]:
 
 def read_lp_instance(base: str) -> LpProblem:
     A = read_matrix_market(base + ".mtx")
-    with open(base + ".lp", "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != _LP_MAGIC:
-        raise ValueError(f"{base}.lp: not a polyproj lp sidecar")
-    fields = {}
-    for ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        fields[key] = rest
-    m, n = int(fields["m"]), int(fields["n"])
+    fields = _read_sidecar(base + ".lp", _LP_MAGIC, A.shape, ("b", "c"))
+    m, n = A.shape
     b = _parse_vector(fields["b"], m, "b")
     c = _parse_vector(fields["c"], n, "c")
     return LpProblem(A, b, c)

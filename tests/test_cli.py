@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 from polyproj.cli import main
 from polyproj.factory import GenSpec, gen_lp
@@ -37,6 +39,20 @@ def test_bap_solve_exit_codes_and_solution(tmp_path, capsys):
     code = main(["bap", "solve", base, "--method", "hlwb", "--tol", "1e-14",
                  "--max-iter", "50"])
     assert code == 2
+
+
+def test_bap_solve_newton_trace(tmp_path, capsys):
+    out = str(tmp_path / "nt")
+    main(["gen", "--kind", "bap", "--m", "5", "--n", "20", "--density", "0.3",
+          "--seed", "1", "--out", out])
+    base = os.path.join(out, "bap_000001")
+    for method in ("rnnm-exact", "rnnm-inexact"):
+        trace = str(tmp_path / f"{method}.csv")
+        assert main(["bap", "solve", base, "--method", method, "--trace", trace]) == 0
+        lines = open(trace).read().splitlines()
+        assert lines[0] == "iteration,rel_residual,lambda"
+        iterations = int(capsys.readouterr().out.split("iterations=")[1].split()[0])
+        assert [int(ln.split(",")[0]) for ln in lines[1:]] == list(range(1, iterations + 1))
 
 
 def test_bap_solve_accepts_mtx_path(tmp_path, capsys):
@@ -78,6 +94,14 @@ def test_lp_solve_instance_and_report(tmp_path, capsys):
     assert rep["status"] == "solved"
     assert rep["gap"] <= 1e-8
     assert len(rep["R_sequence"]) == rep["stones"]
+
+
+def test_lp_solve_rejects_zero_stone_budget(tmp_path, capsys):
+    gl = gen_lp(GenSpec(m=4, n=12, density=0.5, seed=9))
+    base = str(tmp_path / "lpinst")
+    write_lp_instance(gl.problem, base)
+    assert main(["lp", "solve", base, "--max-stones", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_lp_solve_mps(tmp_path, capsys, monkeypatch):
@@ -132,3 +156,14 @@ def test_gen_triangle_from_edge_list(tmp_path, capsys):
     # 4 edges, 1 induced triple: rows 3*1 + 4, cols 4 + 3 + 4
     assert prob.A.shape == (7, 11)
     assert main(["bap", "solve", os.path.join(out, "triangle_000005")]) == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyproj", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: polyproj")

@@ -239,6 +239,15 @@ class TestSolveLp:
         assert len(rep["R_sequence"]) == rep["stones"]
         assert len(rep["residual_triplet"]) == 3
 
+    def test_max_stones_below_one_rejected(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_stones"):
+                LpConfig(max_stones=bad)
+        # tiny_lp needs two stones, so one stone ends on the budget
+        res = solve_lp(tiny_lp(), LpConfig(max_stones=1))
+        assert res.status == "stone_budget"
+        assert len(res.stones) == 1
+
 
 class TestDegeneracyEscape:
     # tiny_lp takes two stones undisturbed (R = 1/sqrt(2), then just past

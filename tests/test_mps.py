@@ -148,39 +148,65 @@ ENDATA
             assert abs(std_val - orig_val) <= 1e-12 * (1 + abs(std_val))
 
     def test_feasible_region_preserved(self):
+        # random models with E/L/G rows, RANGES (E rows with both signs),
+        # and LO/UP/MI/FR bounds; x0 lies inside every row interval and
+        # bound, and breaking one of them must show up as a negative
+        # standard-form entry
         rng = np.random.default_rng(42)
+        bound_kinds = ["none", "LO", "UP", "LOUP", "MI", "MIUP", "FR"]
+
+        def convert(types, rhs, ranges, lo, up, obj, dense):
+            rows = [f"R{i}" for i in range(len(types))]
+            names = [f"C{j}" for j in range(len(lo))]
+            lines = ["NAME RND", "ROWS"] + [f" {t}  {r}" for t, r in zip(types, rows)]
+            lines += [" N  OBJ", "COLUMNS"]
+            for j, cname in enumerate(names):
+                lines.append(f"    {cname}  OBJ  {obj[j]!r}")
+                lines += [f"    {cname}  {rows[i]}  {float(dense[i, j])!r}"
+                          for i in range(len(rows)) if dense[i, j] != 0.0]
+            lines.append("RHS")
+            lines += [f"    B  {r}  {float(v)!r}" for r, v in zip(rows, rhs)]
+            lines.append("RANGES")
+            lines += [f"    RG  {r}  {float(v)!r}" for r, v in zip(rows, ranges) if v != 0.0]
+            lines.append("BOUNDS")
+            for cname, l, u in zip(names, lo, up):
+                if l == -np.inf:
+                    lines.append(f" {'FR' if u == np.inf else 'MI'} BND  {cname}")
+                elif l != 0.0:
+                    lines.append(f" LO BND  {cname}  {float(l)!r}")
+                if np.isfinite(u):
+                    lines.append(f" UP BND  {cname}  {float(u)!r}")
+            lines.append("ENDATA")
+            return to_standard_form(parse_mps("\n".join(lines) + "\n"))
+
         for trial in range(100):
             m, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-            names = [f"C{j}" for j in range(n)]
-            rows = [f"R{i}" for i in range(m)]
             types = rng.choice(["E", "L", "G"], size=m)
             dense = np.round(rng.standard_normal((m, n)) * 2, 3)
-            lo = np.where(rng.random(n) < 0.3, -rng.integers(1, 4, n).astype(float), 0.0)
-            up = np.where(rng.random(n) < 0.4, rng.integers(2, 6, n).astype(float), np.inf)
-            x0 = np.array([rng.uniform(l, min(u, l + 3)) for l, u in zip(lo, up)])
+            obj = [round(float(rng.standard_normal()), 4) for _ in range(n)]
+            kind = rng.choice(bound_kinds, size=n)
+            lo = np.select([np.isin(kind, ["LO", "LOUP"]), np.isin(kind, ["MI", "MIUP", "FR"])],
+                           [-rng.integers(1, 4, n).astype(float), -np.inf], 0.0)
+            up = np.select([np.isin(kind, ["UP", "LOUP"]), kind == "MIUP"],
+                           [rng.integers(2, 6, n).astype(float),
+                            rng.integers(-2, 4, n).astype(float)], np.inf)
+            x0 = np.array([rng.uniform(l, u) if np.isfinite(l) and np.isfinite(u)
+                           else rng.uniform(l, l + 3) if np.isfinite(l)
+                           else rng.uniform(u - 3, u) if np.isfinite(u)
+                           else rng.uniform(-3, 3) for l, u in zip(lo, up)])
+            # every row interval is [q - below, q + above]
             q = dense @ x0
-            rhs = np.where(types == "E", q, np.where(types == "L", q + 0.5, q - 0.5))
-            lines = [f"NAME RND{trial}", "ROWS"]
-            lines += [f" {t}  {r}" for t, r in zip(types, rows)]
-            lines.append(" N  OBJ")
-            lines.append("COLUMNS")
-            for j, cname in enumerate(names):
-                lines.append(f"    {cname}  OBJ  {rng.standard_normal():.4f}")
-                for i, rname in enumerate(rows):
-                    if dense[i, j] != 0.0:
-                        lines.append(f"    {cname}  {rname}  {float(dense[i, j])!r}")
-            lines.append("RHS")
-            for i, rname in enumerate(rows):
-                lines.append(f"    B  {rname}  {float(rhs[i])!r}")
-            lines.append("BOUNDS")
-            for j, cname in enumerate(names):
-                if lo[j] != 0.0:
-                    lines.append(f" LO BND  {cname}  {float(lo[j])!r}")
-                if np.isfinite(up[j]):
-                    lines.append(f" UP BND  {cname}  {float(up[j])!r}")
-            lines.append("ENDATA")
-            model = parse_mps("\n".join(lines) + "\n")
-            lp, fmap = to_standard_form(model)
+            below, above = rng.uniform(0.1, 1.0, m), rng.uniform(0.1, 1.0, m)
+            ranged = rng.random(m) < 0.5
+            sign = rng.choice([-1.0, 1.0], size=m)
+            ranges = np.where(ranged, sign * (below + above), 0.0)
+            # the rhs sits at the top for L rows and for E rows with R < 0
+            # ([rhs + R, rhs]), at the bottom for G rows and E rows with R > 0
+            at_top = (types == "L") | ((types == "E") & (sign < 0))
+            rhs = np.where(at_top, q + above, q - below)
+            rhs = np.where((types == "E") & ~ranged, q, rhs)
+
+            lp, fmap = convert(types, rhs, ranges, lo, up, obj, dense)
             x_std = fmap.to_standard(x0)
             assert np.all(x_std >= -1e-12)
             assert np.linalg.norm(lp.A.matvec(x_std) - lp.b) <= 1e-12 * (
@@ -190,6 +216,27 @@ ENDATA
                 1 + np.linalg.norm(x0)
             )
 
+            # break one inequality, range or bound by 0.5
+            has_top = (types == "L") | ranged
+            has_bottom = (types == "G") | ranged
+            candidates = [("top", i) for i in np.flatnonzero(has_top)]
+            candidates += [("bottom", i) for i in np.flatnonzero(has_bottom)]
+            candidates += [("lo", j) for j in np.flatnonzero(np.isfinite(lo))]
+            candidates += [("up", j) for j in np.flatnonzero(np.isfinite(up))]
+            if not candidates:
+                continue
+            side, k = candidates[rng.integers(len(candidates))]
+            x1, rhs1 = x0.copy(), rhs.copy()
+            if side == "top":
+                rhs1[k] -= above[k] + 0.5
+            elif side == "bottom":
+                rhs1[k] += below[k] + 0.5
+            elif side == "lo":
+                x1[k] = lo[k] - 0.5
+            else:
+                x1[k] = up[k] + 0.5
+            lp, fmap = convert(types, rhs1, ranges, lo, up, obj, dense)
+            assert fmap.to_standard(x1).min() < -0.49, (trial, side, k)
 
 class TestAfiroPipeline:
     def test_parse_convert_solve(self, data_dir):

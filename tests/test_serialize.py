@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from polyproj.bap import RnnmConfig, solve_rnnm
 from polyproj.factory import GenSpec, gen_bap_with_known_vertex, gen_lp
@@ -43,6 +44,28 @@ def test_lp_instance_round_trip(tmp_path):
     back = read_lp_instance(base)
     assert np.array_equal(back.b, gl.problem.b)
     assert np.array_equal(back.c, gl.problem.c)
+
+
+def test_lp_sidecar_dimensions_must_match_matrix(tmp_path):
+    gl = gen_lp(GenSpec(m=4, n=14, density=0.4, seed=3))
+    base = str(tmp_path / "lpinst")
+    write_lp_instance(gl.problem, base)
+    text = open(base + ".lp").read()
+    with open(base + ".lp", "w") as fh:
+        fh.write(text.replace("\nm 4\n", "\nm 5\n"))
+    with pytest.raises(ValueError, match="disagree"):
+        read_lp_instance(base)
+
+
+def test_sidecar_missing_field_is_named(tmp_path):
+    gl = gen_lp(GenSpec(m=4, n=14, density=0.4, seed=3))
+    base = str(tmp_path / "lpinst")
+    write_lp_instance(gl.problem, base)
+    lines = open(base + ".lp").read().splitlines()
+    with open(base + ".lp", "w") as fh:
+        fh.write("\n".join(ln for ln in lines if not ln.startswith("c ")) + "\n")
+    with pytest.raises(ValueError, match="missing field 'c'"):
+        read_lp_instance(base)
 
 
 def test_solution_round_trip(tmp_path):
