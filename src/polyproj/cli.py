@@ -237,3 +237,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:  # console script
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -8,8 +8,11 @@ sensitivity ratio test on the support sets of ``(w, z)`` yields the
 largest ``R_n`` at which the support partition survives; jumping just
 past these stepping stones, with warm-started multipliers, walks the
 path in a handful of projection solves.  ``R_n = inf`` certifies LP
-optimality.  Primal/dual bound certificates come from a companion
-free-variable projection onto the nearest dual-feasible point.
+optimality.  Each stone carries one primal/dual bound certificate.  At
+a final stone with a square nonsingular basis the dual optimum
+``y = A_B^{-T} c_B`` is read off in closed form; everywhere else it
+comes from a companion free-variable projection onto the nearest
+dual-feasible point.
 """
 
 from __future__ import annotations
@@ -369,6 +372,36 @@ def _dual_feasibility_bap(
     return BapProblem(SparseMatrix._trusted(M), rhs, anchor, free), pinned
 
 
+def _basis_dual(
+    problem: LpProblem, bases: BasisPartition
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Closed-form answer of the z_B = 0 projection at a square basis.
+
+    With ``|B| = m`` and ``A_B`` nonsingular the pinned dual-feasible
+    set holds at most the one point ``y = A_B^{-T} c_B``,
+    ``z_N = A_N^T y - c_N``; when ``z_N >= 0`` it is the projection's
+    answer.  Returns ``(y, z_N)``, or None when the basis is not square,
+    the dense LU solve fails or leaves a relative residual above 1e-12,
+    or some ``z_N`` entry is negative.
+    """
+    B, N = bases.B, bases.N
+    if B.size != problem.m:
+        return None
+    ABt = problem.A.cols(B).toarray().T
+    cB = problem.c[B]
+    try:
+        y = np.linalg.solve(ABt, cB)
+    except np.linalg.LinAlgError:
+        return None
+    res = float(np.linalg.norm(ABt @ y - cB))
+    if not res <= 1e-12 * (1.0 + float(np.linalg.norm(cB))):  # NaN fails too
+        return None
+    zN = problem.A.cols(N).rmatvec(y) - problem.c[N]
+    if not np.all(zN >= 0.0):
+        return None
+    return y, zN
+
+
 def lp_bounds(
     problem: LpProblem,
     state: SsepfState,
@@ -381,9 +414,12 @@ def lp_bounds(
     ``b^T y_lp`` where ``(y_lp, z_lp)`` is the projection of the current
     multipliers onto the dual-feasible set; the two coincide whenever
     the projected ``z_lp`` vanishes on B.  ``pin_basic`` requests the
-    z_B = 0 equality case directly (used once the basis is final).  A
-    failed dual projection is reported with an infinite upper bound and
-    a warning flag.
+    z_B = 0 equality case directly (used once the basis is final).
+    There the closed form of :func:`_basis_dual` is tried first, one
+    dense m-by-m solve; the projection runs only when it does not apply
+    (``|B| != m``, a singular ``A_B`` or a negative ``z_N``).  A failed
+    dual projection is reported with an infinite upper bound and a
+    warning flag.
     """
     cfg = config if config is not None else LpConfig()
     x = state.R * state.w
@@ -398,22 +434,26 @@ def lp_bounds(
         y_lp = -state.y.copy()
         z_lp = np.maximum(problem.A.rmatvec(y_lp) - problem.c, 0.0)
     else:
-        sub, pinned = _dual_feasibility_bap(problem, state, pin_basic)
-        sol = _solve_with_ladder(sub, None, cfg)
-        if sol.status != CONVERGED:
-            warning = f"dual-feasibility projection ended {sol.status}"
-        nz_b = 0 if pin_basic else B.size
-        total = m + nz_b + N.size
-        mask = np.ones(total, dtype=bool)
-        mask[pinned] = False
-        full = np.empty(total)
-        full[mask] = sol.x
-        full[~mask] = -state.y[pinned]
-        y_lp = full[:m]
+        closed = _basis_dual(problem, state.bases) if pin_basic else None
         z_lp = np.zeros(problem.n)
-        if not pin_basic:
-            z_lp[B] = full[m : m + B.size]
-        z_lp[N] = full[m + nz_b :]
+        if closed is not None:
+            y_lp, z_lp[N] = closed
+        else:
+            sub, pinned = _dual_feasibility_bap(problem, state, pin_basic)
+            sol = _solve_with_ladder(sub, None, cfg)
+            if sol.status != CONVERGED:
+                warning = f"dual-feasibility projection ended {sol.status}"
+            nz_b = 0 if pin_basic else B.size
+            total = m + nz_b + N.size
+            mask = np.ones(total, dtype=bool)
+            mask[pinned] = False
+            full = np.empty(total)
+            full[mask] = sol.x
+            full[~mask] = -state.y[pinned]
+            y_lp = full[:m]
+            if not pin_basic:
+                z_lp[B] = full[m : m + B.size]
+            z_lp[N] = full[m + nz_b :]
         if Z.size:
             z_lp[Z] = np.maximum(problem.A.cols(Z).rmatvec(y_lp) - problem.c[Z], 0.0)
 
@@ -461,14 +501,16 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
 
     Starting from the radius estimate, each round solves the scaled
     projection subproblem (warm-started from the previous multipliers
-    plus the sensitivity step), classifies the supports, computes bound
-    certificates, and advances R just past the next stone.  Stops when
-    the relative gap meets ``tol_gap``, directly or through the tight
-    certificate once the ratio test finds the basis final.  Every other
-    way out of a round (a failed sensitivity system, a final basis with
-    a loose certificate, or a stone advance below ``1e-12 * R`` three
-    times in a row) takes the one degeneracy escape: the next round
-    starts from the same multipliers at ten times R.
+    plus the sensitivity step), classifies the supports, runs the ratio
+    test, and computes one bound certificate for the stone: the pinned
+    ``z_B = 0`` bound once the ratio test finds the basis final, the
+    loose bound otherwise.  Stops when the relative gap meets
+    ``tol_gap``; otherwise advances R just past the next stone.  Every
+    other way out of a round (a failed sensitivity system, a final
+    basis with a loose certificate, or a stone advance below
+    ``1e-12 * R`` three times in a row) takes the one degeneracy
+    escape: the next round starts from the same multipliers at ten
+    times R.
     """
     cfg = config if config is not None else LpConfig()
     R = initial_radius(problem)
@@ -488,7 +530,15 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
         if bases.Z.size:
             degenerate = True
         state = SsepfState(R=R, w=w, y=sol.y, z=z, bases=bases)
-        cert = lp_bounds(problem, state, cfg)
+        try:
+            step = next_stone(problem, state)
+        except SensitivityFailureError:
+            step = None
+            degenerate = True
+        # at the final basis the z_B = 0 equality case pins the exact
+        # dual optimum
+        final = step is not None and math.isinf(step.R_n)
+        cert = lp_bounds(problem, state, cfg, pin_basic=final)
         gap = _relative_gap(cert.lower, cert.upper)
         stones.append(
             StoneRecord(
@@ -508,27 +558,7 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
         if gap <= cfg.tol_gap:
             return LpResult(cert, "solved", stones, degenerate)
 
-        try:
-            step = next_stone(problem, state)
-        except SensitivityFailureError:
-            step = None
-            degenerate = True
-        if step is not None and math.isinf(step.R_n):
-            # basis is final; certify the gap through the z_B = 0
-            # equality case, which pins the exact dual optimum
-            tight = lp_bounds(problem, state, cfg, pin_basic=True)
-            tight_gap = _relative_gap(tight.lower, tight.upper)
-            if tight_gap < gap:
-                cert, gap = tight, tight_gap
-                stones[-1].upper = tight.upper
-                stones[-1].gap = tight_gap
-                if gap < best[0]:
-                    best = (gap, cert)
-                if gap <= cfg.tol_gap:
-                    return LpResult(cert, "solved", stones, degenerate)
-            # certificate still loose: grow R so the multipliers
-            # approach dual feasibility and retry
-        elif step is not None:
+        if step is not None and not final:
             tiny_advances = tiny_advances + 1 if step.R_n - R < 1e-12 * R else 0
             if tiny_advances < 3:
                 nudge = max(1e-8, 1e-2 / stone)
@@ -539,7 +569,9 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
             degenerate = True
             tiny_advances = 0
 
-        # degeneracy escape: same multipliers, ten times the radius
+        # degeneracy escape: same multipliers, ten times the radius (at
+        # a final basis with a loose certificate this brings the
+        # multipliers closer to dual feasibility)
         y_start = sol.y
         R = 10.0 * R
 

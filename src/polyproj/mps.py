@@ -71,7 +71,9 @@ def parse_mps(text: str) -> MpsModel:
     Sections must appear in standard order and the file must end with
     ENDATA.  Duplicate row names, duplicate matrix entries, integer
     markers, and unsupported bound types are rejected with the line
-    number.
+    number.  A negative ``UP`` bound on a column given no ``LO``,
+    ``FX``, ``FR`` or ``MI`` bound before it sets the lower bound to
+    -inf, the usual MPS reading.
     """
     model = MpsModel()
     section = None
@@ -81,6 +83,7 @@ def parse_mps(text: str) -> MpsModel:
     range_set_name = None
     bound_set_name = None
     ignored_free_rows: set[str] = set()
+    explicit_lower: set[str] = set()  # columns given a LO, FX, FR or MI bound
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
@@ -204,6 +207,8 @@ def parse_mps(text: str) -> MpsModel:
                 value = _parse_float(toks[3], line_no)
                 if btype == "UP":
                     up = value
+                    if value < 0.0 and col not in explicit_lower:
+                        lo = -math.inf
                 elif btype == "LO":
                     lo = value
                 else:
@@ -214,6 +219,8 @@ def parse_mps(text: str) -> MpsModel:
                 lo = -math.inf
             elif btype == "PL":
                 up = math.inf
+            if btype in ("LO", "FX", "FR", "MI"):
+                explicit_lower.add(col)
             model.bounds[col] = (lo, up)
 
         else:  # pragma: no cover - sections are exhaustive

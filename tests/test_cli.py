@@ -158,12 +158,22 @@ def test_gen_triangle_from_edge_list(tmp_path, capsys):
     assert main(["bap", "solve", os.path.join(out, "triangle_000005")]) == 0
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_dash_m_help(module):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyproj", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", module, "--help"],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python_dash_m_help("polyproj")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: polyproj")
+
+
+def test_python_dash_m_runs_the_cli_module():
+    proc = _python_dash_m_help("polyproj.cli")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: polyproj")

@@ -1,11 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import polyproj.lp as lp_mod
 from polyproj.bap import RnnmConfig, solve_rnnm
 from polyproj.factory import GenSpec, gen_lp, reference_simplex
 from polyproj.lp import (
+    BasisPartition,
     InconsistentCertificateError,
     LpConfig,
     LpProblem,
@@ -18,7 +21,10 @@ from polyproj.lp import (
     scaled_subproblem,
     solve_lp,
     _basis_zero_tol,
+    _dual_feasibility_bap,
+    _solve_with_ladder,
 )
+from polyproj.mps import parse_mps, to_standard_form
 from polyproj.sparse_linalg import SparseMatrix
 
 
@@ -31,6 +37,35 @@ def state_at(problem, R):
     sol = solve_rnnm(scaled_subproblem(problem, R), config=RnnmConfig(tol=1e-14))
     bases = classify_bases(sol.x, sol.z, _basis_zero_tol(sol.x, sol.z))
     return SsepfState(R=R, w=sol.x, y=sol.y, z=sol.z, bases=bases)
+
+
+def bound_calls(monkeypatch, problem):
+    """Run ``solve_lp`` and return it with ``(state, pin_basic)`` per
+    call it makes to ``lp_bounds``."""
+    real = lp_mod.lp_bounds
+    calls = []
+
+    def spy(problem, state, config=None, pin_basic=False):
+        calls.append((state, pin_basic))
+        return real(problem, state, config, pin_basic)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp_mod, "lp_bounds", spy)
+        res = solve_lp(problem)
+    return res, calls
+
+
+def count_projections(monkeypatch):
+    """Count the ``solve_rnnm`` calls made through the lp module from
+    here until ``monkeypatch`` is undone."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_rnnm(*args, **kwargs)
+
+    monkeypatch.setattr(lp_mod, "solve_rnnm", counting)
+    return calls
 
 
 class TestInitialRadius:
@@ -191,6 +226,102 @@ class TestLpBounds:
         res = solve_lp(lp)
         assert res.certificate.lower == pytest.approx(0.0, abs=1e-12)
         assert res.certificate.upper == pytest.approx(0.0, abs=1e-9)
+
+
+class TestBasisCertificate:
+    """The pinned bound at a final stone: closed form, else projection."""
+
+    def test_closed_form_matches_pinned_projection(self, monkeypatch):
+        classes = ((10, 40, 0.3), (20, 80, 0.15), (30, 120, 0.1), (50, 200, 0.06))
+        checked = 0
+        for ci, (m, n, d) in enumerate(classes):
+            for k in range(3):
+                lp = gen_lp(GenSpec(m=m, n=n, density=d, seed=6100 + 10 * ci + k)).problem
+                _, calls = bound_calls(monkeypatch, lp)
+                state, pinned = calls[-1]
+                assert pinned and state.bases.B.size == m
+                with monkeypatch.context() as mp:
+                    projections = count_projections(mp)
+                    cert = lp_bounds(lp, state, pin_basic=True)
+                assert projections == []
+                sub, dropped = _dual_feasibility_bap(lp, state, pin_basic=True)
+                assert dropped.size == 0
+                ref = solve_rnnm(sub, None, RnnmConfig(tol=1e-14))
+                y_ref, zN_ref = ref.x[:m], ref.x[m:]
+                assert np.max(np.abs(cert.y_lp - y_ref)) <= 1e-10 * np.max(np.abs(y_ref))
+                upper_ref = float(lp.b @ y_ref)
+                assert abs(cert.upper - upper_ref) <= 1e-10 * abs(upper_ref)
+                zN = cert.z_lp[state.bases.N]
+                assert np.max(np.abs(zN - zN_ref)) <= 1e-10 * np.max(np.abs(zN_ref))
+                assert np.all(cert.z_lp[state.bases.B] == 0.0)
+                assert cert.warning is None
+                assert max(cert.rel_residual_triplet) <= 1e-12
+                checked += 1
+        assert checked == 12
+
+    def test_projection_runs_when_basis_is_not_square(self, monkeypatch):
+        # |B| = 1 < m = 2: A_B^T y = c_B fixes only y_1 = 1, and the
+        # projection of the anchor (y, z_N) = (0, 5, 6) onto
+        # {y_1 = 1, z_N = y_1 + y_2 >= 0} is (1, 5, 6), not the
+        # min-norm y = (1, 0)
+        A = SparseMatrix.from_dense(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        lp = LpProblem(A, np.array([1.0, 1.0]), np.array([1.0, 2.0, 0.0]))
+        bases = BasisPartition(B=np.array([0]), N=np.array([2]), Z=np.array([1]))
+        state = SsepfState(
+            R=1.0, w=np.array([1.0, 0.0, 0.0]), y=np.array([0.0, -5.0]),
+            z=np.array([0.0, 0.0, 6.0]), bases=bases,
+        )
+        projections = count_projections(monkeypatch)
+        cert = lp_bounds(lp, state, pin_basic=True)
+        assert len(projections) == 1
+        assert np.allclose(cert.y_lp, [1.0, 5.0], atol=1e-12)
+        assert np.allclose(cert.z_lp, [0.0, 3.0, 6.0], atol=1e-12)
+        assert cert.upper == pytest.approx(6.0, abs=1e-12)
+
+    def test_projection_runs_on_afiro_final_basis(self, monkeypatch, data_dir):
+        # afiro's final basis is degenerate: |B| = 19 of m = 27
+        with open(os.path.join(data_dir, "afiro.mps")) as fh:
+            lp, _ = to_standard_form(parse_mps(fh.read()))
+        res, calls = bound_calls(monkeypatch, lp)
+        assert res.status == "solved"
+        state, pinned = calls[-1]
+        assert pinned and state.bases.B.size < lp.m
+        projections = count_projections(monkeypatch)
+        cert = lp_bounds(lp, state, pin_basic=True)
+        assert len(projections) >= 1
+        assert cert.upper == res.certificate.upper
+
+    def test_projection_runs_when_z_n_is_negative(self, monkeypatch):
+        # square basis {0, 1}: y = A_B^{-T} c_B = (1, 1) gives
+        # z_2 = y_1 + y_2 - c_2 = -1, so the pinned set is empty
+        A = SparseMatrix.from_dense(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        lp = LpProblem(A, np.array([1.0, 1.0]), np.array([1.0, 1.0, 3.0]))
+        bases = BasisPartition(
+            B=np.array([0, 1]), N=np.array([2]), Z=np.empty(0, dtype=np.int64)
+        )
+        state = SsepfState(
+            R=1.0, w=np.array([1.0, 1.0, 0.0]), y=np.zeros(2),
+            z=np.array([0.0, 0.0, 1.0]), bases=bases,
+        )
+        cfg = LpConfig(subproblem_max_iter=30)
+        sub, _ = _dual_feasibility_bap(lp, state, pin_basic=True)
+        ref = _solve_with_ladder(sub, None, cfg)
+        projections = count_projections(monkeypatch)
+        cert = lp_bounds(lp, state, cfg, pin_basic=True)
+        assert len(projections) == len(cfg.subproblem_tols)
+        assert np.array_equal(cert.y_lp, ref.x[:2])
+        assert np.array_equal(cert.z_lp, [0.0, 0.0, ref.x[2]])
+        assert cert.warning == f"dual-feasibility projection ended {ref.status}"
+        assert math.isinf(cert.upper)
+
+    def test_one_bound_per_stone(self, monkeypatch):
+        for lp in (tiny_lp(), gen_lp(GenSpec(m=8, n=30, density=0.3, seed=10)).problem):
+            res, calls = bound_calls(monkeypatch, lp)
+            assert res.status == "solved" and not res.degenerate
+            assert len(res.stones) >= 2
+            # loose bounds on the way, the pinned bound at the final stone
+            assert [pinned for _, pinned in calls] == [False] * (len(res.stones) - 1) + [True]
+            assert res.stones[-1].upper == res.certificate.upper
 
 
 class TestSolveLp:

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -133,6 +134,50 @@ ENDATA
         assert lp.m == 2  # constraint row + bound row
         x_std = fmap.to_standard(np.array([1.0, 1.0]))
         assert np.allclose(lp.A.matvec(x_std), lp.b, atol=1e-14)
+
+    def test_negative_upper_bound_without_lower_is_unbounded_below(self):
+        text = """NAME T4
+ROWS
+ E  R1
+ N  OBJ
+COLUMNS
+    X1        R1              1.   OBJ             1.
+    X2        R1              1.
+RHS
+    B         R1              2.
+BOUNDS
+ UP BND       X1             -1.0
+ENDATA
+"""
+        model = parse_mps(text)
+        assert model.bounds["X1"] == (-math.inf, -1.0)
+        lp, fmap = to_standard_form(model)
+        # X1 = -1 - x_std[0], mirrored with no bound row
+        assert lp.m == 1
+        assert np.array_equal(lp.A.toarray(), [[-1.0, 1.0]])
+        assert np.array_equal(lp.b, [3.0])
+        x_std = fmap.to_standard(np.array([-4.0, 6.0]))
+        assert np.allclose(x_std, [3.0, 6.0])
+        assert np.allclose(fmap.to_original(x_std), [-4.0, 6.0])
+
+    def test_negative_upper_bound_below_explicit_lower_rejected(self):
+        text = """NAME T5
+ROWS
+ E  R1
+ N  OBJ
+COLUMNS
+    X1        R1              1.   OBJ             1.
+RHS
+    B         R1              2.
+BOUNDS
+ LO BND       X1              0.
+ UP BND       X1             -1.0
+ENDATA
+"""
+        model = parse_mps(text)
+        assert model.bounds["X1"] == (0.0, -1.0)
+        with pytest.raises(MpsParseError, match="upper bound below lower"):
+            to_standard_form(model)
 
     def test_round_trip_objective(self):
         rng = np.random.default_rng(0)

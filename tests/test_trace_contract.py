@@ -6,7 +6,10 @@ change that renames or removes any of them breaks the traced run, so
 the contract is checked here as well.  The ``solve_rnnm`` wrapper reads
 the problem and config by position or keyword and the tolerance by
 attribute, with defaults; a rename there would not stop the run but
-would silently zero ``lp.ladder_reruns``.
+would silently zero ``lp.ladder_reruns``.  ``lp.bounds_s`` times the
+``lp_bounds`` span, so ``solve_lp`` must reach its bound certificate
+(the closed form included) through that module attribute, once per
+stone.
 """
 
 import inspect
@@ -15,6 +18,7 @@ import os
 import polyproj.bap
 import polyproj.lp
 import polyproj.sparse_linalg
+from polyproj.factory import GenSpec, gen_lp
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -32,3 +36,18 @@ def test_solve_rnnm_arguments_read_by_the_trace():
     params = list(inspect.signature(polyproj.bap.solve_rnnm).parameters)
     assert params[:3] == ["problem", "y0", "config"]
     assert hasattr(polyproj.bap.RnnmConfig(), "tol")
+
+
+def test_solve_lp_reaches_bounds_through_the_traced_name(monkeypatch):
+    real = polyproj.lp.lp_bounds
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polyproj.lp, "lp_bounds", counting)
+    problem = gen_lp(GenSpec(m=8, n=30, density=0.3, seed=10)).problem
+    res = polyproj.lp.solve_lp(problem)
+    assert len(res.stones) >= 2
+    assert len(calls) == len(res.stones)
