@@ -222,12 +222,16 @@ def classify_indices(problem: BapProblem, p) -> IndexSets:
     return IndexSets(np.where(plus)[0], i_zero, np.where(minus)[0], i_zero_bar)
 
 
-def generalized_jacobian(problem: BapProblem, sets: IndexSets) -> SparseMatrix:
+def generalized_jacobian(
+    problem: BapProblem, sets: IndexSets
+) -> SparseMatrix | np.ndarray:
     """Selected generalized Jacobian ``V = sum u_i A_i A_i^T``.
 
     Active and free columns carry weight one; columns of the independent
     boundary subset carry ``min(1, 1/||A_i||^2)``, the diagonal scaling
-    that conditions the chosen Jacobian.
+    that conditions the chosen Jacobian.  ``V`` is a dense ``np.ndarray``
+    for ``m <= DENSE_FACTOR_MAX_DIM`` and a :class:`SparseMatrix` above
+    (see :func:`assemble_normal_matrix`).
     """
     free_idx = np.where(problem.free)[0]
     support = np.concatenate([sets.i_plus, free_idx, sets.i_zero_bar])
@@ -265,14 +269,17 @@ def solve_rnnm(
     """Run the regularized nonsmooth Newton iteration from ``y0``.
 
     Each step solves ``(V_k + lambda I) d = -F_k`` (Cholesky in exact
-    mode, Jacobi-preconditioned CG to ``0.5*min(||F_k||, ||F_k||^2)``
-    in inexact mode), with ``lambda`` from :func:`regularization_lambda`,
-    and sets ``y <- y + d``, halved from iteration ``DAMPING_ONSET`` on;
-    no line search.  Stops when ``||F(y)|| / (1 + ||b||) <= tol``, the
-    step no longer changes ``y`` at machine precision (stalled), or
-    ``max_iter`` is hit.  An unconverged run returns the best iterate
-    seen, with the ``(x, z)`` and residual computed when it was reached;
-    at ``max_iter`` it counts as converged if it meets ``10 * tol``.
+    mode, dense LAPACK or SuperLU by the size of ``V_k``;
+    Jacobi-preconditioned CG to ``0.5*min(||F_k||, ||F_k||^2)`` in
+    inexact mode), with ``lambda`` from :func:`regularization_lambda`,
+    floored at ``1e-14 * max diag(V_k)`` so that the shift stays above
+    the rounding error of a singular ``V_k``, and sets ``y <- y + d``,
+    halved from iteration ``DAMPING_ONSET`` on; no line search.  Stops
+    when ``||F(y)|| / (1 + ||b||) <= tol``, the step no longer changes
+    ``y`` at machine precision (stalled), or ``max_iter`` is hit.  An
+    unconverged run returns the best iterate seen, with the ``(x, z)``
+    and residual computed when it was reached; at ``max_iter`` it counts
+    as converged if it meets ``10 * tol``.
     """
     cfg = config if config is not None else RnnmConfig()
     y = np.zeros(problem.m) if y0 is None else as_vector(y0, problem.m, "y0").copy()
@@ -292,19 +299,23 @@ def solve_rnnm(
     while stopcrit > cfg.tol and k < cfg.max_iter:
         sets = classify_indices(problem, p)
         V = generalized_jacobian(problem, sets)
-        lam = regularization_lambda(stopcrit, d_norm, v_norm)
+        diag = V.diagonal()
+        lam = max(
+            regularization_lambda(stopcrit, d_norm, v_norm),
+            1e-14 * float(np.max(diag, initial=0.0)),
+        )
         if cfg.mode == "exact":
             d = cholesky_shifted(V, lam).solve(-F)
         else:
             f_norm = float(np.linalg.norm(F))
             tol_cg = 0.5 * min(f_norm, f_norm**2.0)  # theta = 0.5, nu = 2
-            csc = V.csc
+            op = getattr(V, "csc", V)
             d, _ = conjugate_gradient(
-                lambda q, _csc=csc, _lam=lam: _csc @ q + _lam * q,
+                lambda q, _op=op, _lam=lam: _op @ q + _lam * q,
                 -F,
                 tol_cg,
                 max(10 * problem.m, 50),
-                diag=V.diagonal() + lam,
+                diag=diag + lam,
             )
         if k >= DAMPING_ONSET:
             d = 0.5 * d

@@ -9,10 +9,10 @@ largest ``R_n`` at which the support partition survives; jumping just
 past these stepping stones, with warm-started multipliers, walks the
 path in a handful of projection solves.  ``R_n = inf`` certifies LP
 optimality.  Each stone carries one primal/dual bound certificate.  At
-a final stone with a square nonsingular basis the dual optimum
-``y = A_B^{-T} c_B`` is read off in closed form; everywhere else it
-comes from a companion free-variable projection onto the nearest
-dual-feasible point.
+a final stone whose basis holds m independent columns the dual optimum,
+``y = A_B^{-T} c_B`` on those columns, is read off in closed form;
+everywhere else it comes from a companion free-variable projection onto
+the nearest dual-feasible point.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .bap import BapProblem, BapSolution, CONVERGED, RnnmConfig, solve_rnnm
 from .sparse_linalg import (
     SparseMatrix,
     as_vector,
+    independent_columns,
     least_squares_solve,
     nullspace_basis,
 )
@@ -375,22 +376,34 @@ def _dual_feasibility_bap(
 def _basis_dual(
     problem: LpProblem, bases: BasisPartition
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Closed-form answer of the z_B = 0 projection at a square basis.
+    """Closed-form answer of the z_B = 0 projection at a basis spanning R^m.
 
-    With ``|B| = m`` and ``A_B`` nonsingular the pinned dual-feasible
-    set holds at most the one point ``y = A_B^{-T} c_B``,
-    ``z_N = A_N^T y - c_N``; when ``z_N >= 0`` it is the projection's
-    answer.  Returns ``(y, z_N)``, or None when the basis is not square,
-    the dense LU solve fails or leaves a relative residual above 1e-12,
-    or some ``z_N`` entry is negative.
+    When m columns of B are linearly independent, the pinned
+    dual-feasible set holds at most the one point ``y`` solving
+    ``A_B^T y = c_B`` on them, ``z_N = A_N^T y - c_N``; when the other
+    rows of B hold too and ``z_N >= 0`` it is the projection's answer.
+    With ``|B| = m`` those m columns are B itself; with ``|B| > m``
+    (a degenerate final basis) :func:`independent_columns` picks them.
+    Returns ``(y, z_N)``, or None when ``|B| < m``, no m independent
+    columns exist, the dense LU solve fails, ``A_B^T y = c_B`` leaves a
+    relative residual above 1e-12 on any row of B, or some ``z_N``
+    entry is negative.
     """
     B, N = bases.B, bases.N
-    if B.size != problem.m:
+    m = problem.m
+    if B.size < m:
         return None
     ABt = problem.A.cols(B).toarray().T
     cB = problem.c[B]
+    if B.size == m:
+        rows = np.arange(m)
+    else:
+        # B is sorted, and so is what independent_columns returns
+        rows = np.searchsorted(B, independent_columns(problem.A, B))
+    if rows.size < m:
+        return None
     try:
-        y = np.linalg.solve(ABt, cB)
+        y = np.linalg.solve(ABt[rows], cB[rows])
     except np.linalg.LinAlgError:
         return None
     res = float(np.linalg.norm(ABt @ y - cB))
@@ -417,7 +430,8 @@ def lp_bounds(
     z_B = 0 equality case directly (used once the basis is final).
     There the closed form of :func:`_basis_dual` is tried first, one
     dense m-by-m solve; the projection runs only when it does not apply
-    (``|B| != m``, a singular ``A_B`` or a negative ``z_N``).  A failed
+    (``|B| < m``, fewer than m independent columns in B, rows of
+    ``A_B^T y = c_B`` left unsatisfied, or a negative ``z_N``).  A failed
     dual projection is reported with an infinite upper bound and a
     warning flag.
     """

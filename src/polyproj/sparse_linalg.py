@@ -9,6 +9,12 @@ independent columns, null-space bases, and minimum-norm least-squares
 solves.  Matrix Market coordinate I/O lives here as well because it is
 the on-disk form of :class:`SparseMatrix`.
 
+The normal matrix ``V = sum w_i A_i A_i^T`` has one form per size
+regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
+it is assembled as a dense ``np.ndarray`` with one BLAS rank-k update
+and factored by LAPACK; above it, it is a :class:`SparseMatrix` built
+from sparse products and factored by SuperLU.
+
 Validation happens at the boundary only.  Matrices that come from
 outside (the public constructor, ``from_coo``, ``from_dense``,
 ``identity``, Matrix Market and MPS input, the generators) are
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas as blas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -44,9 +51,13 @@ __all__ = [
     "write_matrix_market",
 ]
 
-# Systems at or below this dimension are factored densely; above it the
-# SuperLU sparse path with a fill-reducing ordering is used.
+# Normal matrices of at most this dimension are assembled dense and
+# factored by LAPACK; above it they stay sparse and SuperLU with a
+# fill-reducing ordering factors them.
 DENSE_FACTOR_MAX_DIM = 256
+# Dense assembly gathers the support columns in blocks of at most this
+# many, so the gathered block stays small however large the support.
+_GATHER_COLS = 2048
 
 
 class InvalidSupportError(ValueError):
@@ -56,8 +67,9 @@ class InvalidSupportError(ValueError):
 class NotPositiveDefiniteError(ValueError):
     """A matrix handed to the Cholesky kernel is not positive definite.
 
-    For shifted normal matrices this signals a bug in Jacobian assembly,
-    not a property of the problem data.
+    A shifted normal matrix ``V + shift*I`` is positive definite in exact
+    arithmetic, so for one this means the shift fell below the rounding
+    error of a singular or nearly singular ``V``.
     """
 
 
@@ -194,20 +206,28 @@ class CholFactor:
     def solve(self, rhs) -> np.ndarray:
         rhs = as_vector(rhs, self.n, "rhs")
         if self._dense is not None:
-            return scipy.linalg.cho_solve(self._dense, rhs)
+            return scipy.linalg.cho_solve(self._dense, rhs, check_finite=False)
         return self._splu.solve(rhs)
 
 
-def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix:
+def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | np.ndarray:
     """Weighted outer-product sum ``sum_{i in support} w_i A_i A_i^T``.
 
     ``weights`` is indexed by column of ``A``; only the entries on
     ``support`` are read and they must lie in [0, 1].  The result is
     symmetric to the bit: the lower triangle is computed and mirrored.
+    With at most ``DENSE_FACTOR_MAX_DIM`` rows it is a dense
+    ``np.ndarray``: the support columns, scaled by ``sqrt(w)``, are
+    gathered from the CSC arrays into a dense block ``G`` and the lower
+    triangle is one BLAS update ``G G^T``.  Above that it is a
+    :class:`SparseMatrix`.
     """
+    m = A.nrows
     support = np.asarray(support, dtype=np.int64)
     if support.size == 0:
-        return SparseMatrix._trusted(sp.csc_array((A.nrows, A.nrows)))
+        if m <= DENSE_FACTOR_MAX_DIM:
+            return np.zeros((m, m))
+        return SparseMatrix._trusted(sp.csc_array((m, m)))
     if support.min() < 0 or support.max() >= A.ncols:
         raise InvalidSupportError("support index out of range")
     if np.unique(support).size != support.size:
@@ -216,6 +236,8 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix:
     w = weights[support]
     if np.any(w < 0.0) or np.any(w > 1.0):
         raise ValueError("weights must lie in [0, 1] on the support")
+    if m <= DENSE_FACTOR_MAX_DIM:
+        return _dense_normal_matrix(A.csc, np.sqrt(w), support)
     As = A.csc[:, support]
     prod = (As @ sp.diags_array(w)) @ As.T
     lower = sp.tril(prod, format="csc")
@@ -225,24 +247,55 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix:
     return SparseMatrix._trusted(mirrored)
 
 
-def cholesky_shifted(M: SparseMatrix, shift: float) -> CholFactor:
+def _dense_normal_matrix(csc: sp.csc_array, scale, support) -> np.ndarray:
+    m = csc.shape[0]
+    V = np.zeros((m, m), order="F")
+    for lo in range(0, support.size, _GATHER_COLS):
+        cols = support[lo : lo + _GATHER_COLS]
+        starts = csc.indptr[cols]
+        counts = csc.indptr[cols + 1] - starts
+        which = np.repeat(np.arange(cols.size), counts)
+        offsets = np.cumsum(counts) - counts
+        pos = np.arange(which.size) + np.repeat(starts - offsets, counts)
+        G = np.zeros((m, cols.size), order="F")
+        G[csc.indices[pos], which] = csc.data[pos] * scale[lo + which]
+        # updates the lower triangle only; the upper one stays zero
+        V = blas.dsyrk(1.0, G, beta=1.0, c=V, lower=1, overwrite_c=1)
+    # adding zeros mirrors the lower triangle exactly; the diagonal is
+    # doubled and halved, both exact
+    V = V + V.T
+    V[np.diag_indices(m)] *= 0.5
+    return V
+
+
+def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
     """Factor ``M + shift*I`` for a symmetric PSD ``M`` and ``shift > 0``.
 
-    Dense LAPACK Cholesky for dimensions up to ``DENSE_FACTOR_MAX_DIM``;
-    beyond that, SuperLU in symmetric mode with a minimum-degree ordering
-    and diagonal pivoting, which reduces to a Cholesky-like LDL^T for
-    positive definite input.
+    A dense ``np.ndarray`` (what :func:`assemble_normal_matrix` returns
+    up to ``DENSE_FACTOR_MAX_DIM``) is left unchanged: the shift goes on
+    the diagonal of a private copy, which LAPACK Cholesky factors in
+    place.  A :class:`SparseMatrix` up to that dimension is densified
+    and factored the same way; beyond it, SuperLU in symmetric mode with
+    a minimum-degree ordering and diagonal pivoting, which reduces to a
+    Cholesky-like LDL^T for positive definite input.
     """
-    if M.nrows != M.ncols:
+    if M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     if not shift > 0.0:
         raise ValueError("shift must be positive")
-    n = M.nrows
-    if n <= DENSE_FACTOR_MAX_DIM:
-        dense = M.toarray()
+    n = M.shape[0]
+    if isinstance(M, np.ndarray) or n <= DENSE_FACTOR_MAX_DIM:
+        if isinstance(M, SparseMatrix):
+            dense = M.toarray()
+        else:  # a private copy, so M stays unchanged
+            dense = np.array(M, dtype=np.float64, order="F")
         dense[np.diag_indices(n)] += shift
         try:
-            factor = scipy.linalg.cho_factor(dense, lower=True)
+            # normal matrices are built from validated (finite) matrices,
+            # so the finiteness scan is skipped
+            factor = scipy.linalg.cho_factor(
+                dense, lower=True, overwrite_a=True, check_finite=False
+            )
         except scipy.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(str(exc)) from None
         return CholFactor(n, dense=factor)

@@ -143,7 +143,7 @@ def test_criterion_03_descent_property():
         f_plus = 0.5 * np.linalg.norm(residual(prob, y + h * d)) ** 2
         f_minus = 0.5 * np.linalg.norm(residual(prob, y - h * d)) ** 2
         dd = (f_plus - f_minus) / (2.0 * h)
-        grad_norm = np.linalg.norm(V.toarray() @ F)
+        grad_norm = np.linalg.norm(V @ F)
         margin = dd / (grad_norm * np.linalg.norm(d))
         worst_margin = max(worst_margin, margin)
         assert dd < -1e-12 * grad_norm * np.linalg.norm(d)

@@ -127,7 +127,7 @@ class TestGeneralizedJacobian:
         prob = BapProblem(A, np.zeros(2), np.array([1.0, 1.0]))
         sets = classify_indices(prob, moreau_split(prob, np.zeros(2))[2])
         V = generalized_jacobian(prob, sets)
-        assert np.array_equal(V.toarray(), np.eye(2))
+        assert np.array_equal(V, np.eye(2))
 
     def test_boundary_weight_formula(self):
         # column of norm 2 on the boundary carries weight 1/4
@@ -137,7 +137,7 @@ class TestGeneralizedJacobian:
         assert list(sets.i_zero_bar) == [0]
         V = generalized_jacobian(prob, sets)
         # 0.25 * (2)(2)^T from the boundary column + 1*(1)(1)^T active
-        assert np.allclose(V.toarray(), [[0.25 * 4.0 + 1.0]])
+        assert np.allclose(V, [[0.25 * 4.0 + 1.0]])
 
     def test_rank_matches_support(self):
         rng = np.random.default_rng(8)
@@ -145,7 +145,7 @@ class TestGeneralizedJacobian:
             prob = rand_problem(rng)
             y = rng.standard_normal(prob.m)
             sets = classify_indices(prob, moreau_split(prob, y)[2])
-            V = generalized_jacobian(prob, sets).toarray()
+            V = generalized_jacobian(prob, sets)
             support = np.concatenate([sets.i_plus, sets.i_zero_bar])
             expected_rank = np.linalg.matrix_rank(prob.A.toarray()[:, support], tol=1e-10)
             assert np.linalg.matrix_rank(V, tol=1e-10) == expected_rank
@@ -163,7 +163,7 @@ class TestGeneralizedJacobian:
             if np.min(np.abs(p)) < 1e-3:  # stay differentiable
                 continue
             hits += 1
-            V = generalized_jacobian(prob, classify_indices(prob, p)).toarray()
+            V = generalized_jacobian(prob, classify_indices(prob, p))
             h = 1e-7
             fd = np.empty((m, m))
             for j in range(m):
@@ -288,7 +288,7 @@ class TestDescentDirection:
             f_plus = 0.5 * np.linalg.norm(residual(prob, y + h * d)) ** 2
             f_minus = 0.5 * np.linalg.norm(residual(prob, y - h * d)) ** 2
             dd = (f_plus - f_minus) / (2 * h)
-            grad = V.toarray() @ F
+            grad = V @ F
             assert dd < -1e-12 * np.linalg.norm(grad) * np.linalg.norm(d)
 
 

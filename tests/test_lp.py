@@ -278,6 +278,53 @@ class TestBasisCertificate:
         assert np.allclose(cert.z_lp, [0.0, 3.0, 6.0], atol=1e-12)
         assert cert.upper == pytest.approx(6.0, abs=1e-12)
 
+    def test_closed_form_at_wide_basis_matches_pinned_projection(self, monkeypatch):
+        # degenerate-mode LPs duplicate three optimal columns, both copies
+        # stay positive and the final basis has |B| = m + 3
+        checked = 0
+        for m, n, d, seed in ((5, 20, 0.5, 5000), (10, 40, 0.3, 5001), (20, 80, 0.15, 5002)):
+            spec = GenSpec(m=m, n=n, density=d, seed=seed, degeneracy="degenerate")
+            lp = gen_lp(spec).problem
+            _, calls = bound_calls(monkeypatch, lp)
+            state, pinned = calls[-1]
+            assert pinned and state.bases.B.size == m + 3
+            with monkeypatch.context() as mp:
+                projections = count_projections(mp)
+                cert = lp_bounds(lp, state, pin_basic=True)
+            assert projections == []
+            sub, dropped = _dual_feasibility_bap(lp, state, pin_basic=True)
+            assert dropped.size == 0
+            ref = solve_rnnm(sub, None, RnnmConfig(tol=1e-14))
+            y_ref, zN_ref = ref.x[:m], ref.x[m:]
+            assert np.max(np.abs(cert.y_lp - y_ref)) <= 1e-10 * np.max(np.abs(y_ref))
+            upper_ref = float(lp.b @ y_ref)
+            assert abs(cert.upper - upper_ref) <= 1e-10 * abs(upper_ref)
+            zN = cert.z_lp[state.bases.N]
+            assert np.max(np.abs(zN - zN_ref)) <= 1e-10 * np.max(np.abs(zN_ref))
+            assert cert.warning is None
+            checked += 1
+        assert checked == 3
+
+    def test_projection_runs_when_wide_basis_is_rank_deficient(self, monkeypatch):
+        # |B| = 3 > m = 2 but A_B has rank one: A_B^T y = c_B fixes only
+        # y_1 = 1, and the projection of the anchor (y, z_N) = (0, 5, 6)
+        # onto {y_1 = 1, z_N = y_2} is (1, 5.5, 5.5)
+        A = SparseMatrix.from_dense(np.array([[1.0, 2.0, 3.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+        lp = LpProblem(A, np.array([6.0, 0.0]), np.array([1.0, 2.0, 3.0, 0.0]))
+        bases = BasisPartition(
+            B=np.array([0, 1, 2]), N=np.array([3]), Z=np.empty(0, dtype=np.int64)
+        )
+        state = SsepfState(
+            R=1.0, w=np.array([1.0, 1.0, 1.0, 0.0]), y=np.array([0.0, -5.0]),
+            z=np.array([0.0, 0.0, 0.0, 6.0]), bases=bases,
+        )
+        projections = count_projections(monkeypatch)
+        cert = lp_bounds(lp, state, pin_basic=True)
+        assert len(projections) >= 1
+        assert cert.warning is None
+        assert np.allclose(cert.y_lp, [1.0, 5.5], atol=1e-12)
+        assert np.allclose(cert.z_lp, [0.0, 0.0, 0.0, 5.5], atol=1e-12)
+
     def test_projection_runs_on_afiro_final_basis(self, monkeypatch, data_dir):
         # afiro's final basis is degenerate: |B| = 19 of m = 27
         with open(os.path.join(data_dir, "afiro.mps")) as fh:
@@ -325,6 +372,16 @@ class TestBasisCertificate:
 
 
 class TestSolveLp:
+    def test_shift_floor_keeps_the_bound_projection_factorable(self, monkeypatch):
+        # with the closed form disabled the pinned projection runs; its
+        # shifted Jacobian used to lose positive definiteness near
+        # convergence and raise NotPositiveDefiniteError
+        gl = gen_lp(GenSpec(m=5, n=14, density=0.5, seed=5011, degeneracy="degenerate"))
+        monkeypatch.setattr(lp_mod, "_basis_dual", lambda problem, bases: None)
+        res = solve_lp(gl.problem)
+        assert res.status == "solved"
+        assert abs(res.certificate.lower - gl.known_optimum) <= 1e-7 * (1 + abs(gl.known_optimum))
+
     def test_tiny_lp(self):
         res = solve_lp(tiny_lp())
         assert res.status == "solved"

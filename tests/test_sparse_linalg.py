@@ -19,6 +19,7 @@ from polyproj.lp import (
     initial_radius,
     scaled_subproblem,
 )
+from polyproj import sparse_linalg
 from polyproj.sparse_linalg import (
     DENSE_FACTOR_MAX_DIM,
     InvalidSupportError,
@@ -74,7 +75,7 @@ class TestSparseMatrix:
             A.cols([3])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_derived_matrices_canonical(self, seed):
+    def test_derived_matrices_canonical(self, seed, monkeypatch):
         # matrices derived from a validated one skip the checks, so they
         # must meet the invariants by construction
         rng = np.random.default_rng(seed)
@@ -87,7 +88,11 @@ class TestSparseMatrix:
         sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-14))
         for y in (np.zeros(g.problem.m), rng.standard_normal(g.problem.m), sol.y):
             sets = classify_indices(g.problem, moreau_split(g.problem, y)[2])
-            assert_canonical(generalized_jacobian(g.problem, sets))
+            V = generalized_jacobian(g.problem, sets)
+            assert np.array_equal(V, V.T)
+            with monkeypatch.context() as mp:  # the sparse regime
+                mp.setattr(sparse_linalg, "DENSE_FACTOR_MAX_DIM", 0)
+                assert_canonical(generalized_jacobian(g.problem, sets))
         for degeneracy in ("nondegenerate", "degenerate"):
             lp = gen_lp(GenSpec(m=6, n=20, density=0.4, seed=seed, degeneracy=degeneracy)).problem
             R = initial_radius(lp)
@@ -102,12 +107,12 @@ class TestAssembleNormalMatrix:
     def test_identity_case(self):
         A = SparseMatrix.identity(2)
         M = assemble_normal_matrix(A, np.ones(2), [0, 1])
-        assert np.array_equal(M.toarray(), np.eye(2))
+        assert np.array_equal(M, np.eye(2))
 
     def test_hand_sum_of_outer_products(self):
         A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
         M = assemble_normal_matrix(A, np.ones(2), [0, 1])
-        assert np.array_equal(M.toarray(), np.array([[2.0]]))
+        assert np.array_equal(M, np.array([[2.0]]))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(42)
@@ -119,7 +124,7 @@ class TestAssembleNormalMatrix:
         w_full = np.zeros(8)
         w_full[support] = weights[support]
         expected = D @ np.diag(w_full) @ D.T
-        assert np.allclose(M.toarray(), expected, atol=1e-14)
+        assert np.allclose(M, expected, atol=1e-14)
 
     def test_bit_symmetry_and_psd(self):
         rng = np.random.default_rng(7)
@@ -128,11 +133,34 @@ class TestAssembleNormalMatrix:
             A = rand_sparse(rng, m, n, 0.5)
             w = rng.uniform(0.0, 1.0, n)
             sup = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
-            M = assemble_normal_matrix(A, w, sup).toarray()
+            M = assemble_normal_matrix(A, w, sup)
             assert np.array_equal(M, M.T)
             evals = np.linalg.eigvalsh(M)
             norm = max(np.abs(evals).max(), 1e-300)
             assert evals.min() >= -1e-12 * norm
+
+    def test_regimes_agree(self, monkeypatch):
+        # dense and sparse assembly, bit-symmetric both; the widest
+        # support spans more than one gathered block
+        rng = np.random.default_rng(21)
+        for m, n, density in ((5, 12, 0.5), (40, 200, 0.1), (120, 600, 0.05), (6, 4500, 0.3)):
+            A = rand_sparse(rng, m, n, density)
+            w = rng.uniform(0.0, 1.0, n)
+            sup = rng.permutation(n)[: max(1, 3 * n // 4)]
+            dense = assemble_normal_matrix(A, w, sup)
+            with monkeypatch.context() as mp:
+                mp.setattr(sparse_linalg, "DENSE_FACTOR_MAX_DIM", 0)
+                sparse = assemble_normal_matrix(A, w, sup).toarray()
+            assert isinstance(dense, np.ndarray)
+            assert np.array_equal(dense, dense.T)
+            assert np.array_equal(sparse, sparse.T)
+            assert np.max(np.abs(dense - sparse)) <= 1e-14 * np.max(np.abs(sparse))
+
+    def test_empty_support_dense_zeros(self):
+        A = rand_sparse(np.random.default_rng(4), 7, 10)
+        M = assemble_normal_matrix(A, np.ones(10), [])
+        assert isinstance(M, np.ndarray)
+        assert np.array_equal(M, np.zeros((7, 7)))
 
     def test_invalid_support(self):
         A = SparseMatrix.identity(2)
@@ -191,6 +219,18 @@ class TestCholeskyShifted:
         rhs = rng.standard_normal(n)
         expected = np.linalg.solve(M_dense + 0.1 * np.eye(n), rhs)
         assert np.linalg.norm(fac.solve(rhs) - expected) <= 1e-10 * (1 + np.linalg.norm(expected))
+
+    def test_leaves_ndarray_input_unchanged(self):
+        rng = np.random.default_rng(13)
+        B = rng.standard_normal((30, 30))
+        for M in (B @ B.T, np.asfortranarray(B @ B.T)):
+            before = M.copy()
+            fac = cholesky_shifted(M, 0.25)
+            assert np.array_equal(M, before)
+            rhs = rng.standard_normal(30)
+            expected = np.linalg.solve(before + 0.25 * np.eye(30), rhs)
+            err = np.linalg.norm(fac.solve(rhs) - expected)
+            assert err <= 1e-10 * (1 + np.linalg.norm(expected))
 
     def test_not_psd_raises(self):
         M = SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, -5.0]]))

@@ -9,16 +9,23 @@ attribute, with defaults; a rename there would not stop the run but
 would silently zero ``lp.ladder_reruns``.  ``lp.bounds_s`` times the
 ``lp_bounds`` span, so ``solve_lp`` must reach its bound certificate
 (the closed form included) through that module attribute, once per
-stone.
+stone.  Likewise an exact Newton step must reach
+``generalized_jacobian``, ``assemble_normal_matrix`` and
+``cholesky_shifted`` through the ``bap`` module attributes, once per
+iteration: ``linalg.assemble_s`` and ``linalg.factor_calls.dense`` read
+those spans, and the latter sorts factors by the dimension of the
+matrix handed in, an ``(m, m)`` array at small m.
 """
 
 import inspect
 import os
 
+import numpy as np
+
 import polyproj.bap
 import polyproj.lp
 import polyproj.sparse_linalg
-from polyproj.factory import GenSpec, gen_lp
+from polyproj.factory import GenSpec, gen_bap_with_known_vertex, gen_lp
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -51,3 +58,27 @@ def test_solve_lp_reaches_bounds_through_the_traced_name(monkeypatch):
     res = polyproj.lp.solve_lp(problem)
     assert len(res.stones) >= 2
     assert len(calls) == len(res.stones)
+
+
+def test_exact_newton_step_reaches_the_traced_kernels(monkeypatch):
+    calls = {"generalized_jacobian": 0, "assemble_normal_matrix": 0, "cholesky_shifted": 0}
+    factored = []
+
+    def counting(name):
+        real = getattr(polyproj.bap, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "cholesky_shifted":
+                factored.append(args[0])
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(polyproj.bap, name, counting(name))
+    problem = gen_bap_with_known_vertex(GenSpec(m=12, n=60, density=0.2, seed=4)).problem
+    sol = polyproj.bap.solve_rnnm(problem, config=polyproj.bap.RnnmConfig(mode="exact"))
+    assert sol.status == polyproj.bap.CONVERGED and sol.iterations >= 2
+    assert calls == dict.fromkeys(calls, sol.iterations)
+    assert all(isinstance(V, np.ndarray) and V.shape == (12, 12) for V in factored)
