@@ -11,8 +11,11 @@ where ``pi`` clamps sign-constrained coordinates at zero and passes free
 coordinates through.  A Newton step on F uses a selected generalized
 Jacobian ``V = sum_i u_i A_i A_i^T`` (u_i = 1 on the active set, a
 norm-scaled weight on an independent subset of the boundary set) with a
-Levenberg-Marquardt style shift ``lambda*I``.  No line search is used
-and the residual is not monotone.
+Levenberg-Marquardt style shift ``lambda*I``.  F is the gradient of the
+convex C^1 dual function ``theta(y) = 0.5*||pi(v + A^T y)||^2 - b^T y``
+and the shifted Jacobian is positive definite, so the Newton step
+descends on ``theta``; a backtracking line search on ``theta``
+globalizes the iteration (see :func:`solve_rnnm`).
 """
 
 from __future__ import annotations
@@ -61,9 +64,8 @@ NONDEGENERATE_VERTEX = "nondegenerate_vertex"
 DEGENERATE_VERTEX = "degenerate_vertex"
 NON_VERTEX = "non_vertex"
 
-# Steps are halved from this iteration on, a fixed safeguard against
-# cycling of the undamped full step.
-DAMPING_ONSET = 500
+# Sufficient-decrease constant of the Armijo test on the dual function.
+ARMIJO_SIGMA = 1e-4
 
 
 class InvalidStateError(RuntimeError):
@@ -144,7 +146,7 @@ class BapSolution:
     rel_residual: float
     iterations: int
     status: str
-    trace: list[tuple[int, float, float]] | None = None
+    trace: list[tuple[int, float, float, float]] | None = None
 
 
 @dataclass(frozen=True)
@@ -273,13 +275,37 @@ def solve_rnnm(
     Jacobi-preconditioned CG to ``0.5*min(||F_k||, ||F_k||^2)`` in
     inexact mode), with ``lambda`` from :func:`regularization_lambda`,
     floored at ``1e-14 * max diag(V_k)`` so that the shift stays above
-    the rounding error of a singular ``V_k``, and sets ``y <- y + d``,
-    halved from iteration ``DAMPING_ONSET`` on; no line search.  Stops
-    when ``||F(y)|| / (1 + ||b||) <= tol``, the step no longer changes
-    ``y`` at machine precision (stalled), or ``max_iter`` is hit.  An
-    unconverged run returns the best iterate seen, with the ``(x, z)``
-    and residual computed when it was reached; at ``max_iter`` it counts
-    as converged if it meets ``10 * tol``.
+    the rounding error of a singular ``V_k``.  Either solve gives
+    ``F_k^T d < 0`` (a CG iterate started from zero too), so ``d``
+    descends on the dual function
+    ``theta(y) = 0.5*||pi(v + A^T y)||^2 - b^T y``, whose gradient is F.
+    The new iterate is ``y + t*d``, with ``t = 1, 1/2, 1/4, ...`` until
+    the trial point, with Moreau split ``x_+`` and residual ``F_+``,
+    meets one of:
+
+    - Armijo: ``theta(y + t*d) - theta(y) <= ARMIJO_SIGMA * t * F_k^T d``,
+      the difference evaluated as ``0.5*(x_+ - x)^T(x_+ + x) - t*b^T d``
+      so that its rounding error shrinks with the step;
+    - ``||F_+||`` meets ``tol``;
+    - ``||F_+|| <= 0.5 * min_{j<=k} ||F_j||``: the smallest residual so
+      far halves.
+
+    The last rule lets the end game finish, where the Armijo difference
+    is rounding noise; its steps, wherever taken, may raise theta.  Each
+    one halves the record residual, which starts at the initial relative
+    residual ``r_0`` and ends the solve once it meets ``tol``, so a
+    solve takes at most ``ceil(log2(r_0 / tol))`` of them.  Past those,
+    every step but a final one that meets ``tol`` decreases theta by the
+    Armijo amount: the monotone descent that the convergence argument
+    for Armijo-globalized Newton on a convex C^1 function rests on.  The
+    accepted trial's Moreau split and residual are the next iterate's,
+    so a full step costs what an unsearched step would, and gives the
+    same ``y``.  Stops when ``||F(y)|| / (1 + ||b||) <= tol``, when a
+    trial step no longer changes ``y`` at machine precision (stalled),
+    or when ``max_iter`` is hit.  An unconverged run returns the best
+    iterate seen, with the ``(x, z)`` and residual computed when it was
+    reached; at ``max_iter`` it counts as converged if it meets
+    ``10 * tol``.  Trace rows are ``(k, rel_residual, lambda, t)``.
     """
     cfg = config if config is not None else RnnmConfig()
     y = np.zeros(problem.m) if y0 is None else as_vector(y0, problem.m, "y0").copy()
@@ -291,7 +317,7 @@ def solve_rnnm(
     v_norm = float(np.linalg.norm(problem.v))
 
     best = (stopcrit, y, x, z)
-    trace: list[tuple[int, float, float]] = []
+    trace: list[tuple[int, float, float, float]] = []
     d_norm = 0.0
     k = 0
     status = CONVERGED if stopcrit <= cfg.tol else MAX_ITER
@@ -317,20 +343,31 @@ def solve_rnnm(
                 max(10 * problem.m, 50),
                 diag=diag + lam,
             )
-        if k >= DAMPING_ONSET:
-            d = 0.5 * d
-        y_next = y + d
-        if np.array_equal(y_next, y):
-            status = STALLED
+        t = 1.0
+        while True:
+            y_next = y + t * d
+            if np.array_equal(y_next, y):
+                status = STALLED
+                break
+            x_next, z_next, p_next = moreau_split(problem, y_next)
+            F_next = problem.A.matvec(x_next) - problem.b
+            crit_next = float(np.linalg.norm(F_next)) / nb
+            if crit_next <= cfg.tol or crit_next <= 0.5 * best[0]:
+                break
+            # the Armijo test runs last: on a full Newton step near the
+            # solution the residual test passes and its products are skipped
+            d_theta = 0.5 * float((x_next - x) @ (x_next + x))
+            d_theta -= t * float(problem.b @ d)
+            if d_theta <= ARMIJO_SIGMA * t * float(F @ d):
+                break
+            t *= 0.5
+        if status == STALLED:
             break
-        y = y_next
+        y, x, z, p, F, stopcrit = y_next, x_next, z_next, p_next, F_next, crit_next
         d_norm = float(np.linalg.norm(d))
-        x, z, p = moreau_split(problem, y)
-        F = problem.A.matvec(x) - problem.b
-        stopcrit = float(np.linalg.norm(F)) / nb
         k += 1
         if cfg.collect_trace:
-            trace.append((k, stopcrit, lam))
+            trace.append((k, stopcrit, lam, t))
         if stopcrit < best[0]:
             best = (stopcrit, y, x, z)
         if stopcrit <= cfg.tol:
@@ -338,7 +375,7 @@ def solve_rnnm(
             break
 
     if status != CONVERGED:
-        # fall back to the best iterate; y + d and moreau_split build
+        # fall back to the best iterate; y + t*d and moreau_split build
         # fresh arrays, so it is returned as stored
         stopcrit, y, x, z = best
         if status == MAX_ITER and stopcrit <= 10.0 * cfg.tol:

@@ -143,7 +143,7 @@ def _solve_one_bap(base: str, args) -> tuple[str, int]:
     )
     sol = solve_rnnm(problem, config=cfg)
     if args.trace:
-        write_trace_csv(sol, args.trace, "iteration,rel_residual,lambda")
+        write_trace_csv(sol, args.trace, "iteration,rel_residual,lambda,step")
     out_dir = args.out if args.out else os.path.dirname(base) or "."
     sol_path = os.path.join(out_dir, os.path.basename(base) + ".sol")
     serialize.write_solution(problem, sol, sol_path)

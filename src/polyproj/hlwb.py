@@ -139,15 +139,16 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
 def write_trace_csv(result, target, header: str = "sweep,rel_residual,sigma") -> None:
     """Convergence trace of a solve as CSV rows under ``header``.
 
-    ``result.trace`` holds ``(count, rel_residual, parameter)`` triples:
+    ``result.trace`` holds ``(count, value, ...)`` rows:
     ``(sweep, rel_residual, sigma)`` for HLWB, ``(iteration,
-    rel_residual, lambda)`` for the Newton solver.
+    rel_residual, lambda, step)`` for the Newton solver.  The count is
+    written as an integer and every other field as ``%.5e``.
     """
     if result.trace is None:
         raise ValueError("result carries no trace; solve with collect_trace=True")
     lines = [header]
-    for count, rel, param in result.trace:
-        lines.append(f"{count},{rel:.5e},{param:.5e}")
+    for count, *values in result.trace:
+        lines.append(",".join([str(count)] + [f"{v:.5e}" for v in values]))
     text = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(text)

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+import polyproj.bap as bap_mod
 from polyproj.bap import (
     CONVERGED,
     DEGENERATE_VERTEX,
     MAX_ITER,
     NON_VERTEX,
     NONDEGENERATE_VERTEX,
+    STALLED,
     BapProblem,
     BapSolution,
     InvalidStateError,
@@ -21,7 +25,8 @@ from polyproj.bap import (
     residual,
     solve_rnnm,
 )
-from polyproj.factory import GenSpec, gen_bap_with_known_vertex
+from polyproj.factory import GenSpec, gen_bap_with_known_vertex, gen_lp
+from polyproj.lp import initial_radius, scaled_subproblem
 from polyproj.sparse_linalg import SparseMatrix
 
 
@@ -34,6 +39,80 @@ def rand_problem(rng, m=6, n=15):
     A = rng.standard_normal((m, n))
     x = np.abs(rng.standard_normal(n))
     return BapProblem(SparseMatrix.from_dense(A), A @ x, rng.standard_normal(n))
+
+
+def replay_search(monkeypatch, problem, mode, tol):
+    """Solve with every trial point and Newton direction recorded.
+
+    Returns the solution, the rule that accepted each step ("armijo",
+    "tol", "halving" or None), and the initial relative residual.  The
+    step lengths come from the trace; every trial before the accepted
+    one must meet none of the rules.
+    """
+    trials, directions = [], []
+    real_split = bap_mod.moreau_split
+    real_chol = bap_mod.cholesky_shifted
+    real_cg = bap_mod.conjugate_gradient
+
+    def split(prob, y):
+        out = real_split(prob, y)
+        trials.append((np.array(y, copy=True), out[0]))
+        return out
+
+    class Recorded:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, rhs):
+            d = self.factor.solve(rhs)
+            directions.append(d)
+            return d
+
+    def cg(*args, **kwargs):
+        d, res = real_cg(*args, **kwargs)
+        directions.append(d)
+        return d, res
+
+    monkeypatch.setattr(bap_mod, "moreau_split", split)
+    monkeypatch.setattr(
+        bap_mod, "cholesky_shifted", lambda V, lam: Recorded(real_chol(V, lam))
+    )
+    monkeypatch.setattr(bap_mod, "conjugate_gradient", cg)
+    sol = solve_rnnm(problem, config=RnnmConfig(tol=tol, mode=mode, collect_trace=True))
+
+    A, b = problem.A, problem.b
+    nb = 1.0 + np.linalg.norm(b)
+    y, x = trials[0]
+    F = A.matvec(x) - b
+    record = r0 = np.linalg.norm(F) / nb
+    pos = 1
+    rules = []
+    for (_, _, _, t), d in zip(sol.trace, directions):
+        slope, b_d = F @ d, b @ d
+        n_trials = round(-math.log2(t)) + 1
+        for j in range(n_trials):
+            tj = 0.5**j
+            y_t, x_t = trials[pos]
+            pos += 1
+            assert np.array_equal(y_t, y + tj * d)
+            F_t = A.matvec(x_t) - b
+            crit = np.linalg.norm(F_t) / nb
+            d_theta = 0.5 * ((x_t - x) @ (x_t + x)) - tj * b_d
+            if d_theta <= 1e-4 * tj * slope:
+                rule = "armijo"
+            elif crit <= tol:
+                rule = "tol"
+            elif crit <= 0.5 * record:
+                rule = "halving"
+            else:
+                rule = None
+            if j < n_trials - 1:
+                assert rule is None
+        rules.append(rule)
+        y, x, F = y_t, x_t, F_t
+        record = min(record, crit)
+    assert pos == len(trials) and len(directions) == sol.iterations
+    return sol, rules, r0
 
 
 class TestProblemValidation:
@@ -256,12 +335,41 @@ class TestSolveRnnm:
             assert np.array_equal(sol.x, x) and np.array_equal(sol.z, z)
             assert sol.rel_residual == float(np.linalg.norm(residual(g.problem, sol.y))) / nb
 
-    def test_monotonicity_not_required(self):
-        # the residual trace may increase between iterations; only record
-        # that the solver still converges on a problem where it wanders
+    @pytest.mark.parametrize("mode", ["exact", "inexact"])
+    def test_accepted_steps_meet_the_search_rule(self, monkeypatch, mode):
+        # the stone-1 subproblem of this LP backtracks and, in exact
+        # mode, takes a step on the residual-halving rule
+        g = gen_lp(GenSpec(m=20, n=120, density=0.1, seed=45, degeneracy="degenerate"))
+        problem = scaled_subproblem(g.problem, initial_radius(g.problem))
+        sol, rules, r0 = replay_search(monkeypatch, problem, mode, tol=1e-14)
+        assert sol.status == CONVERGED
+        assert None not in rules
+        assert min(row[3] for row in sol.trace) < 1.0
+        # non-Armijo steps: halvings of the record residual, bounded by
+        # ceil(log2(r0 / tol)), and at most one final step meeting tol
+        halvings = rules.count("halving")
+        assert halvings <= math.ceil(math.log2(r0 / 1e-14))
+        assert rules.count("tol") <= 1 and "tol" not in rules[:-1]
+        if mode == "exact":
+            assert halvings >= 1
+
+    def test_unreachable_tol_ends_stalled_at_the_rounding_floor(self):
+        # below rounding no trial meets a rule; the search ends the
+        # solve instead of spending the iteration budget
+        for seed in range(6):
+            g = gen_bap_with_known_vertex(GenSpec(m=15, n=60, density=0.2, seed=seed))
+            sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-300))
+            assert sol.status == STALLED
+            assert sol.iterations <= 30
+            assert sol.rel_residual <= 1e-16
+
+    def test_full_steps_on_a_vertex_instance(self):
+        # no step backtracks on a well-posed projection: the search
+        # leaves the undamped Newton iteration as it was
         g = gen_bap_with_known_vertex(GenSpec(m=15, n=60, density=0.2, seed=3))
         sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-12, collect_trace=True))
         assert sol.status == CONVERGED
+        assert [row[3] for row in sol.trace] == [1.0] * sol.iterations
 
 
 class TestDescentDirection:

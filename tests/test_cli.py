@@ -50,9 +50,11 @@ def test_bap_solve_newton_trace(tmp_path, capsys):
         trace = str(tmp_path / f"{method}.csv")
         assert main(["bap", "solve", base, "--method", method, "--trace", trace]) == 0
         lines = open(trace).read().splitlines()
-        assert lines[0] == "iteration,rel_residual,lambda"
+        assert lines[0] == "iteration,rel_residual,lambda,step"
         iterations = int(capsys.readouterr().out.split("iterations=")[1].split()[0])
-        assert [int(ln.split(",")[0]) for ln in lines[1:]] == list(range(1, iterations + 1))
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(1, iterations + 1))
+        assert all(len(row) == 4 and 0.0 < float(row[3]) <= 1.0 for row in rows)
 
 
 def test_bap_solve_accepts_mtx_path(tmp_path, capsys):

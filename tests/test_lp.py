@@ -491,6 +491,36 @@ class TestDegeneracyEscape:
         assert res.status == "solved"
 
 
+class TestGlobalizedSubproblem:
+    # stone-1 Newton solves that cycled until SubproblemFailureError
+    # before the step was globalized by a line search on the dual function
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec(5, 14, 0.5, seed=1128202141),
+            GenSpec(20, 80, 0.15, seed=2123875159),
+            GenSpec(40, 160, 0.08, seed=97007),
+            GenSpec(10, 40, 0.3, seed=5009, degeneracy="degenerate"),
+            GenSpec(10, 40, 0.3, seed=5012, degeneracy="degenerate"),
+            GenSpec(5, 20, 0.5, seed=5009, degeneracy="degenerate"),
+        ],
+        ids=lambda spec: f"{spec.m}x{spec.n}-{spec.seed}-{spec.degeneracy}",
+    )
+    def test_formerly_cycling_lp_solves(self, spec):
+        gl = gen_lp(spec)
+        res = solve_lp(gl.problem)
+        assert res.status == "solved"
+        ref = gl.known_optimum
+        assert abs(res.certificate.lower - ref) <= 1e-7 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("seed", [8003, 8006])
+    def test_search_bounds_the_newton_tail(self, seed):
+        # 157 and 114 stone-1 iterations without the search
+        res = solve_lp(gen_lp(GenSpec(200, 800, 0.02, seed=seed)).problem)
+        assert res.status == "solved"
+        assert max(s.subproblem_iterations for s in res.stones) <= 20
+
+
 class TestSubproblemFailure:
     def test_infeasible_lp_raises_with_stone_index(self):
         from polyproj.lp import SubproblemFailureError
