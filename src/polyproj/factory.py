@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .bap import BapProblem
 from .lp import LpProblem
-from .sparse_linalg import SparseMatrix
+from .sparse_linalg import SparseMatrix, independent_columns
 
 __all__ = [
     "GenSpec",
@@ -204,19 +203,17 @@ def estimate_spectral_norm(A, rng=None, iters: int = 50, tol: float = 1e-6) -> f
     return sigma
 
 
-def _pick_basis(rng: np.random.Generator, A: sp.csc_array, m: int, n: int) -> np.ndarray:
-    # pivoted QR on a sampled column pool; widen the pool on failure up
+def _pick_basis(rng: np.random.Generator, A: SparseMatrix, m: int, n: int) -> np.ndarray:
+    # independent columns of a sampled pool; widen the pool on failure up
     # to the whole matrix (rank m holds generically after the row repair)
     for pool in (min(n, 4 * m), min(n, 16 * m), n):
         if pool == n:
             cand = np.arange(n)
         else:
             cand = np.sort(rng.choice(n, size=pool, replace=False))
-        dense = A[:, cand].toarray()
-        r_mat, piv = scipy.linalg.qr(dense, mode="r", pivoting=True)
-        diag = np.abs(np.diag(r_mat))
-        if diag.size >= m and diag[m - 1] > 1e-10 * max(diag[0], 1e-300):
-            return np.sort(cand[piv[:m]])
+        basis = independent_columns(A, cand)
+        if basis.size == m:
+            return basis
     raise GenerationError("constraint matrix has no full-rank basis")
 
 
@@ -237,7 +234,7 @@ def gen_bap_with_known_vertex(spec: GenSpec) -> GeneratedBap:
         raise GenerationError("sampled an all-zero matrix")
     A = SparseMatrix(A_raw * (1.0 / sigma))
 
-    basis = _pick_basis(rng, A.csc, m, n)
+    basis = _pick_basis(rng, A, m, n)
     support = basis
     if spec.degeneracy == NON_VERTEX:
         off = np.setdiff1d(np.arange(n), basis)
@@ -294,7 +291,7 @@ def gen_lp(spec: GenSpec) -> GeneratedLp:
         raise GenerationError("sampled an all-zero matrix")
     A_csc = A_raw * (1.0 / sigma)
 
-    basis = _pick_basis(rng, A_csc, m, n)
+    basis = _pick_basis(rng, SparseMatrix(A_csc), m, n)
     x = np.zeros(n)
     x[basis] = rng.uniform(1.0, 2.0, size=m)
     x /= np.linalg.norm(x)

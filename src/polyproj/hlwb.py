@@ -43,6 +43,10 @@ class HlwbConfig:
     max_sweeps: int = 2000
     collect_trace: bool = False
 
+    def __post_init__(self):
+        if self.tol <= 0.0:
+            raise ValueError("tol must be positive")
+
 
 @dataclass
 class HlwbResult:

@@ -328,49 +328,39 @@ def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
 
 def _dual_feasibility_bap(
     problem: LpProblem, state: SsepfState, pin_basic: bool
-) -> tuple[BapProblem, np.ndarray]:
-    """Nearest dual-feasible system as a free-variable projection.
+) -> tuple[BapProblem, np.ndarray, np.ndarray]:
+    """Nearest dual-feasible point as a free-variable projection.
 
-    Variables (y_lp, z_B, z_N); constraints A_B^T y - z_B = c_B and
-    A_N^T y - z_N = c_N; anchor (-y, 0, z_N).  With ``pin_basic`` the
-    z_B block is fixed at zero (dropped), the equality case of the
-    upper-bound lemma: at the final basis this forces the exact dual
-    optimum.  Columns of the y block that vanish on B union N (possible
-    under degeneracy) are pinned to their anchor value and dropped,
-    since they are unconstrained.
+    Variables (y_lp, z_B, z_N), y_lp free; constraints A_B^T y - z_B =
+    c_B and A_N^T y - z_N = c_N; anchor (-y, 0, z_N).  Columns outside
+    the keep mask are dropped and stay at their anchor values: y columns
+    that vanish on B union N (all of them when both are empty), being
+    unconstrained, and with ``pin_basic`` the z_B block, the z_B = 0
+    equality case of the upper-bound lemma that at the final basis
+    forces the exact dual optimum.  Returns the projection over the kept
+    columns, the keep mask and the full anchor.
     """
     B, N = state.bases.B, state.bases.N
     m = problem.m
-    nB, nN = B.size, N.size
-    ABt = problem.A.cols(B).csc.T.tocsc()
-    ANt = problem.A.cols(N).csc.T.tocsc()
-    if pin_basic:
-        blocks = [
-            [ABt, None],
-            [ANt, -sp.eye_array(nN, format="csc")],
-        ]
-        anchor = np.concatenate([-state.y, state.z[N]])
-        free = np.zeros(m + nN, dtype=bool)
-    else:
-        blocks = [
-            [ABt, -sp.eye_array(nB, format="csc"), None],
-            [ANt, None, -sp.eye_array(nN, format="csc")],
-        ]
-        anchor = np.concatenate([-state.y, np.zeros(nB), state.z[N]])
-        free = np.zeros(m + nB + nN, dtype=bool)
-    M = sp.bmat(blocks, format="csc")
+    M = sp.bmat(
+        [
+            [problem.A.cols(B).csc.T.tocsc(), -sp.eye_array(B.size, format="csc"), None],
+            [problem.A.cols(N).csc.T.tocsc(), None, -sp.eye_array(N.size, format="csc")],
+        ],
+        format="csc",
+    )
     rhs = np.concatenate([problem.c[B], problem.c[N]])
-    free[:m] = True
+    anchor = np.concatenate([-state.y, np.zeros(B.size), state.z[N]])
+    free = np.arange(anchor.size) < m
 
-    col_counts = np.diff(M.indptr)
-    keep = col_counts > 0
-    pinned = np.where(~keep)[0]  # only y-block columns can be empty
-    if pinned.size:
+    keep = np.diff(M.indptr) > 0  # only y-block columns can be empty
+    if pin_basic:
+        keep[m : m + B.size] = False
+    if not keep.all():
         M = M[:, np.where(keep)[0]]
-        anchor, free = anchor[keep], free[keep]
     # blocks of the validated A and unit diagonals; bmat's CSC output is
     # canonical, so the matrix goes on the trusted path
-    return BapProblem(SparseMatrix._trusted(M), rhs, anchor, free), pinned
+    return BapProblem(SparseMatrix._trusted(M), rhs, anchor[keep], free[keep]), keep, anchor
 
 
 def _basis_dual(
@@ -431,9 +421,11 @@ def lp_bounds(
     There the closed form of :func:`_basis_dual` is tried first, one
     dense m-by-m solve; the projection runs only when it does not apply
     (``|B| < m``, fewer than m independent columns in B, rows of
-    ``A_B^T y = c_B`` left unsatisfied, or a negative ``z_N``).  A failed
-    dual projection is reported with an infinite upper bound and a
-    warning flag.
+    ``A_B^T y = c_B`` left unsatisfied, or a negative ``z_N``).  Columns
+    that :func:`_dual_feasibility_bap` drops keep their anchor values,
+    and ``z_lp`` on Z is ``max(A_Z^T y_lp - c_Z, 0)``.  A failed dual
+    projection is reported with an infinite upper bound and a warning
+    flag.
     """
     cfg = config if config is not None else LpConfig()
     x = state.R * state.w
@@ -442,34 +434,21 @@ def lp_bounds(
     m = problem.m
     B, N, Z = state.bases.B, state.bases.N, state.bases.Z
     warning = None
-    if B.size + N.size == 0:
-        # no support constraints at all (homogeneous instance); the
-        # dual projection is unconstrained and returns its anchor
-        y_lp = -state.y.copy()
-        z_lp = np.maximum(problem.A.rmatvec(y_lp) - problem.c, 0.0)
+    closed = _basis_dual(problem, state.bases) if pin_basic else None
+    z_lp = np.zeros(problem.n)
+    if closed is not None:
+        y_lp, z_lp[N] = closed
     else:
-        closed = _basis_dual(problem, state.bases) if pin_basic else None
-        z_lp = np.zeros(problem.n)
-        if closed is not None:
-            y_lp, z_lp[N] = closed
-        else:
-            sub, pinned = _dual_feasibility_bap(problem, state, pin_basic)
-            sol = _solve_with_ladder(sub, None, cfg)
-            if sol.status != CONVERGED:
-                warning = f"dual-feasibility projection ended {sol.status}"
-            nz_b = 0 if pin_basic else B.size
-            total = m + nz_b + N.size
-            mask = np.ones(total, dtype=bool)
-            mask[pinned] = False
-            full = np.empty(total)
-            full[mask] = sol.x
-            full[~mask] = -state.y[pinned]
-            y_lp = full[:m]
-            if not pin_basic:
-                z_lp[B] = full[m : m + B.size]
-            z_lp[N] = full[m + nz_b :]
-        if Z.size:
-            z_lp[Z] = np.maximum(problem.A.cols(Z).rmatvec(y_lp) - problem.c[Z], 0.0)
+        sub, keep, full = _dual_feasibility_bap(problem, state, pin_basic)
+        sol = _solve_with_ladder(sub, None, cfg)
+        if sol.status != CONVERGED:
+            warning = f"dual-feasibility projection ended {sol.status}"
+        full[keep] = sol.x
+        y_lp = full[:m]
+        z_lp[B] = full[m : m + B.size]
+        z_lp[N] = full[m + B.size :]
+    if Z.size:
+        z_lp[Z] = np.maximum(problem.A.cols(Z).rmatvec(y_lp) - problem.c[Z], 0.0)
 
     upper = math.inf if warning else float(problem.b @ y_lp)
 

@@ -1,12 +1,16 @@
 """MPS ingestion and conversion to standard equality form.
 
-Accepts fixed- and free-format MPS (whitespace-tokenized, case
+Accepts fixed- and free-format MPS (whitespace-tokenized, names case
 sensitive): NAME, OBJSENSE, ROWS, COLUMNS, RHS, RANGES, BOUNDS, ENDATA.
-The first N row is the objective; integer markers and integer bound
-types are rejected outright.  Conversion produces the maximization
-standard form ``max c^T x, A x = b, x >= 0`` (minimization inputs are
-negated) together with an affine map back to the original variables, so
-objective values can be reported in original units.
+OBJSENSE, in the header or the section form, takes MIN, MINIMIZE, MAX
+or MAXIMIZE in any letter case and rejects any other word; without it
+the model is minimized.  The first N row is the objective; integer
+markers and integer bound types are rejected outright.  Only the first
+RHS, RANGES and BOUNDS set is read.  Conversion produces the
+maximization standard form ``max c^T x, A x = b, x >= 0``
+(minimization inputs are negated) together with an affine map back to
+the original variables, so objective values can be reported in
+original units.
 """
 
 from __future__ import annotations
@@ -61,10 +65,6 @@ class MpsModel:
     objective_constant: float = 0.0
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def parse_mps(text: str) -> MpsModel:
     """Parse MPS text into an :class:`MpsModel`.
 
@@ -79,9 +79,7 @@ def parse_mps(text: str) -> MpsModel:
     section = None
     rank = -1
     saw_endata = False
-    rhs_set_name = None
-    range_set_name = None
-    bound_set_name = None
+    set_names: dict[str, str] = {}  # section -> first set name; later sets are skipped
     ignored_free_rows: set[str] = set()
     explicit_lower: set[str] = set()  # columns given a LO, FX, FR or MI bound
 
@@ -89,7 +87,7 @@ def parse_mps(text: str) -> MpsModel:
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
         is_header = not raw[0].isspace()
-        toks = _tokens(raw)
+        toks = raw.split()
 
         if is_header:
             keyword = toks[0]
@@ -102,7 +100,7 @@ def parse_mps(text: str) -> MpsModel:
             if keyword == "NAME":
                 model.name = toks[1] if len(toks) > 1 else ""
             elif keyword == "OBJSENSE" and len(toks) > 1:
-                model.minimize = toks[1].upper() != "MAX"
+                model.minimize = _parse_sense(toks[1], line_no)
             elif keyword == "ENDATA":
                 saw_endata = True
                 break
@@ -112,7 +110,7 @@ def parse_mps(text: str) -> MpsModel:
             raise MpsParseError("data before any section header", line_no)
 
         if section == "OBJSENSE":
-            model.minimize = toks[0].upper() != "MAX"
+            model.minimize = _parse_sense(toks[0], line_no)
 
         elif section == "ROWS":
             if len(toks) != 2:
@@ -160,17 +158,8 @@ def parse_mps(text: str) -> MpsModel:
         elif section in ("RHS", "RANGES"):
             if len(toks) < 3 or len(toks) % 2 == 0:
                 raise MpsParseError(f"{section} record needs row/value pairs", line_no)
-            set_name = toks[0]
-            if section == "RHS":
-                if rhs_set_name is None:
-                    rhs_set_name = set_name
-                elif set_name != rhs_set_name:
-                    continue  # only the first RHS vector is used
-            else:
-                if range_set_name is None:
-                    range_set_name = set_name
-                elif set_name != range_set_name:
-                    continue
+            if set_names.setdefault(section, toks[0]) != toks[0]:
+                continue
             for rname, val in zip(toks[1::2], toks[2::2]):
                 value = _parse_float(val, line_no)
                 if rname == model.objective_name:
@@ -192,10 +181,7 @@ def parse_mps(text: str) -> MpsModel:
                 raise MpsParseError(f"integer bound type {btype} is not supported", line_no)
             if btype not in _SUPPORTED_BOUNDS:
                 raise MpsParseError(f"unknown bound type {btype!r}", line_no)
-            set_name = toks[1]
-            if bound_set_name is None:
-                bound_set_name = set_name
-            elif set_name != bound_set_name:
+            if set_names.setdefault(section, toks[1]) != toks[1]:
                 continue
             col = toks[2]
             if col not in model.entries:
@@ -231,6 +217,16 @@ def parse_mps(text: str) -> MpsModel:
     if not model.objective_name:
         raise MpsParseError("no objective (N) row declared")
     return model
+
+
+def _parse_sense(token: str, line_no: int) -> bool:
+    """True for a minimization OBJSENSE word, False for maximization."""
+    sense = token.upper()
+    if sense in ("MIN", "MINIMIZE"):
+        return True
+    if sense in ("MAX", "MAXIMIZE"):
+        return False
+    raise MpsParseError(f"unknown objective sense {token!r}", line_no)
 
 
 def _parse_float(token: str, line_no: int) -> float:

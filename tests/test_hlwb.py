@@ -132,6 +132,11 @@ class TestSolveHlwb:
         res = solve_hlwb(g.problem, HlwbConfig(tol=1e-16, max_sweeps=2000))
         assert res.rel_residual <= 1e-3
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            HlwbConfig(tol=tol)
+
     def test_free_variables_rejected(self):
         A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
         prob = BapProblem(A, np.zeros(1), np.zeros(2), free=np.array([True, False]))

@@ -227,6 +227,24 @@ class TestLpBounds:
         assert res.certificate.lower == pytest.approx(0.0, abs=1e-12)
         assert res.certificate.upper == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("pin_basic", [False, True])
+    def test_empty_support_returns_the_anchor(self, pin_basic):
+        # B and N empty: no dual constraint binds, so y_lp is the anchor
+        # -y and z_lp is read off on Z, which is every column
+        A = SparseMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]))
+        lp = LpProblem(A, np.array([1.0, 2.0]), np.array([1.0, -1.0, 0.5]))
+        empty = np.empty(0, dtype=np.int64)
+        state = SsepfState(
+            R=1.0, w=np.zeros(3), y=np.array([0.5, -2.0]), z=np.zeros(3),
+            bases=BasisPartition(B=empty, N=empty, Z=np.arange(3)),
+        )
+        cert = lp_bounds(lp, state, pin_basic=pin_basic)
+        assert np.array_equal(cert.y_lp, -state.y)
+        assert np.array_equal(cert.z_lp, np.maximum(A.rmatvec(cert.y_lp) - lp.c, 0.0))
+        assert np.array_equal(cert.z_lp, [0.0, 3.0, 0.5])
+        assert cert.upper == float(lp.b @ cert.y_lp) == 3.5
+        assert cert.warning is None
+
 
 class TestBasisCertificate:
     """The pinned bound at a final stone: closed form, else projection."""
@@ -244,8 +262,8 @@ class TestBasisCertificate:
                     projections = count_projections(mp)
                     cert = lp_bounds(lp, state, pin_basic=True)
                 assert projections == []
-                sub, dropped = _dual_feasibility_bap(lp, state, pin_basic=True)
-                assert dropped.size == 0
+                sub, keep, _ = _dual_feasibility_bap(lp, state, pin_basic=True)
+                assert keep[:m].all()
                 ref = solve_rnnm(sub, None, RnnmConfig(tol=1e-14))
                 y_ref, zN_ref = ref.x[:m], ref.x[m:]
                 assert np.max(np.abs(cert.y_lp - y_ref)) <= 1e-10 * np.max(np.abs(y_ref))
@@ -292,8 +310,8 @@ class TestBasisCertificate:
                 projections = count_projections(mp)
                 cert = lp_bounds(lp, state, pin_basic=True)
             assert projections == []
-            sub, dropped = _dual_feasibility_bap(lp, state, pin_basic=True)
-            assert dropped.size == 0
+            sub, keep, _ = _dual_feasibility_bap(lp, state, pin_basic=True)
+            assert keep[:m].all()
             ref = solve_rnnm(sub, None, RnnmConfig(tol=1e-14))
             y_ref, zN_ref = ref.x[:m], ref.x[m:]
             assert np.max(np.abs(cert.y_lp - y_ref)) <= 1e-10 * np.max(np.abs(y_ref))
@@ -351,7 +369,7 @@ class TestBasisCertificate:
             z=np.array([0.0, 0.0, 1.0]), bases=bases,
         )
         cfg = LpConfig(subproblem_max_iter=30)
-        sub, _ = _dual_feasibility_bap(lp, state, pin_basic=True)
+        sub, _, _ = _dual_feasibility_bap(lp, state, pin_basic=True)
         ref = _solve_with_ladder(sub, None, cfg)
         projections = count_projections(monkeypatch)
         cert = lp_bounds(lp, state, cfg, pin_basic=True)

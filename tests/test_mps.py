@@ -71,6 +71,23 @@ class TestParse:
         with pytest.raises(MpsParseError, match="not supported"):
             parse_mps(text)
 
+    @pytest.mark.parametrize("header", [False, True], ids=["section", "header"])
+    @pytest.mark.parametrize(
+        "word, minimize",
+        [("MIN", True), ("MINIMIZE", True), ("MAX", False), ("MAXIMIZE", False),
+         ("maximize", False)],
+    )
+    def test_objsense_words(self, header, word, minimize):
+        sense = f"OBJSENSE {word}\n" if header else f"OBJSENSE\n    {word}\n"
+        model = parse_mps(TINY_MPS.replace("OBJSENSE\n    MAX\n", sense))
+        assert model.minimize is minimize
+
+    @pytest.mark.parametrize("header", [False, True], ids=["section", "header"])
+    def test_unknown_objsense_rejected(self, header):
+        sense = "OBJSENSE MAXIMUM\n" if header else "OBJSENSE\n    MAXIMUM\n"
+        with pytest.raises(MpsParseError, match=f"line {2 if header else 3}: .*MAXIMUM"):
+            parse_mps(TINY_MPS.replace("OBJSENSE\n    MAX\n", sense))
+
     def test_error_carries_line_number(self):
         text = TINY_MPS.replace("X2        R1              1.", "X2        R1        oops")
         with pytest.raises(MpsParseError, match="line 9"):
