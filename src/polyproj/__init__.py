@@ -53,8 +53,6 @@ from .sparse_linalg import (
     cholesky_shifted,
     conjugate_gradient,
     independent_columns,
-    least_squares_solve,
-    nullspace_basis,
     read_matrix_market,
     write_matrix_market,
 )

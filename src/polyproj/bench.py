@@ -37,6 +37,8 @@ __all__ = [
 
 BAP_SOLVERS = ("rnnm-exact", "rnnm-inexact", "hlwb")
 LP_SOLVERS = ("ssepf",)
+_BAP_KINDS = ("bap", "bap_file")
+_LP_KINDS = ("lp", "lp_file", "mps")
 
 
 @dataclass
@@ -207,20 +209,29 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
     ``results.csv`` (repetition means per row/solver/tol, the table
     layout: specs, time, rel. resid.), and one ``profile_tol*.csv`` per
     tolerance.  Fixed seeds reproduce everything byte for byte except
-    the timing columns.
+    the timing columns.  An unknown solver name, row ``kind`` or
+    ``lp_residual`` word raises ``ValueError`` before anything runs.
     """
     import os
 
     if isinstance(config, str):
         with open(config, "r", encoding="ascii") as fh:
             config = json.load(fh)
-    os.makedirs(out_dir, exist_ok=True)
     reps = int(config.get("repetitions", 1))
     tols = [float(t) for t in config.get("tols", [1e-14])]
     tol_gap = float(config.get("tol_gap", 1e-8))
     timeout_s = float(config.get("timeout_s", 300.0))
     solvers = list(config.get("solvers", ["rnnm-exact"]))
     lp_residual = config.get("lp_residual", "gap")  # or "triplet" (summed)
+    for solver in solvers:
+        if solver not in BAP_SOLVERS + LP_SOLVERS:
+            raise ValueError(f"unknown solver {solver!r}")
+    if lp_residual not in ("gap", "triplet"):
+        raise ValueError(f"unknown lp_residual {lp_residual!r}")
+    for row_idx, row in enumerate(config["rows"]):
+        if row["kind"] not in _BAP_KINDS + _LP_KINDS:
+            raise ValueError(f"row {row_idx}: unknown problem kind {row['kind']!r}")
+    os.makedirs(out_dir, exist_ok=True)
 
     records: list[BenchRecord] = []
     for row_idx, row in enumerate(config["rows"]):
@@ -228,8 +239,8 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
         applicable = [
             s
             for s in solvers
-            if (s in BAP_SOLVERS and kind in ("bap", "bap_file"))
-            or (s in LP_SOLVERS and kind in ("lp", "lp_file", "mps"))
+            if (s in BAP_SOLVERS and kind in _BAP_KINDS)
+            or (s in LP_SOLVERS and kind in _LP_KINDS)
         ]
         if not applicable:
             continue

@@ -9,10 +9,11 @@ largest ``R_n`` at which the support partition survives; jumping just
 past these stepping stones, with warm-started multipliers, walks the
 path in a handful of projection solves.  ``R_n = inf`` certifies LP
 optimality.  Each stone carries one primal/dual bound certificate.  At
-a final stone whose basis holds m independent columns the dual optimum,
-``y = A_B^{-T} c_B`` on those columns, is read off in closed form;
+a final stone whose basis spans R^m the dual optimum, the solution of
+``A_B^T y = c_B``, is read off from one dense least-squares solve;
 everywhere else it comes from a companion free-variable projection onto
-the nearest dual-feasible point.
+the nearest dual-feasible point.  The sensitivity system of each stone
+is one dense least-squares solve as well.
 """
 
 from __future__ import annotations
@@ -21,16 +22,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .bap import BapProblem, BapSolution, CONVERGED, RnnmConfig, solve_rnnm
-from .sparse_linalg import (
-    SparseMatrix,
-    as_vector,
-    independent_columns,
-    least_squares_solve,
-    nullspace_basis,
-)
+from .sparse_linalg import SparseMatrix, as_vector
 
 __all__ = [
     "LpProblem",
@@ -276,8 +272,9 @@ def ratio_test(e: np.ndarray, f: np.ndarray, scale: np.ndarray | None = None) ->
 def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
     """Sensitivity ratio test for the largest R preserving the bases.
 
-    Solves ``(A_B A_B^T V_Z) xi = b`` in the least-squares sense with
-    ``V_Z`` spanning null(A_Z^T) (identity when strict complementarity
+    Takes the minimum-norm least-squares solution d of the stacked
+    system ``[A_B A_B^T; A_Z^T] d = [b; 0]`` (one complete orthogonal
+    factorization; the A_Z^T rows vanish when strict complementarity
     holds), forms the bound vectors e, f on the B and N blocks, and
     returns ``R_n = min f_i/e_i`` over entries with both positive
     (infinite over the empty set) together with the warm-start steps.
@@ -287,20 +284,18 @@ def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
     B, N, Z = state.bases.B, state.bases.N, state.bases.Z
 
     AB = A.cols(B)
-    gram = (AB.csc @ AB.csc.T).toarray()
-    if Z.size:
-        Vz = nullspace_basis(A.cols(Z).toarray().T)
-        system = gram @ Vz
-    else:
-        Vz = None
-        system = gram
-    xi = least_squares_solve(system, problem.b)
-    res = float(np.linalg.norm(system @ xi - problem.b))
+    system = np.vstack([(AB.csc @ AB.csc.T).toarray(), A.cols(Z).toarray().T])
+    rhs = np.concatenate([problem.b, np.zeros(Z.size)])
+    # cond = eps * max(shape) is numpy's rcond=None cutoff
+    dyp, _, _, _ = scipy.linalg.lstsq(
+        system, rhs, cond=np.finfo(np.float64).eps * max(system.shape),
+        lapack_driver="gelsy", check_finite=False,
+    )
+    res = float(np.linalg.norm(system @ dyp - rhs))
     if res > 1e-6 * (1.0 + float(np.linalg.norm(problem.b))):
         raise SensitivityFailureError(
             f"sensitivity system inconsistent (residual {res:.3e})"
         )
-    dyp = Vz @ xi if Vz is not None else xi
 
     bB = AB.rmatvec(dyp)
     bN = A.cols(N).rmatvec(dyp)
@@ -368,33 +363,23 @@ def _basis_dual(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Closed-form answer of the z_B = 0 projection at a basis spanning R^m.
 
-    When m columns of B are linearly independent, the pinned
-    dual-feasible set holds at most the one point ``y`` solving
-    ``A_B^T y = c_B`` on them, ``z_N = A_N^T y - c_N``; when the other
-    rows of B hold too and ``z_N >= 0`` it is the projection's answer.
-    With ``|B| = m`` those m columns are B itself; with ``|B| > m``
-    (a degenerate final basis) :func:`independent_columns` picks them.
-    Returns ``(y, z_N)``, or None when ``|B| < m``, no m independent
-    columns exist, the dense LU solve fails, ``A_B^T y = c_B`` leaves a
-    relative residual above 1e-12 on any row of B, or some ``z_N``
-    entry is negative.
+    When the columns of B span R^m, the pinned dual-feasible set holds
+    at most the one point ``y`` solving ``A_B^T y = c_B``, ``z_N =
+    A_N^T y - c_N``; when it exists and ``z_N >= 0`` it is the
+    projection's answer.  One least-squares solve of ``A_B^T y = c_B``
+    (complete orthogonal factorization, rank cutoff 1e-10) covers every
+    |B|.  Returns ``(y, z_N)``, or None when the numerical rank of A_B
+    is below m (|B| < m included), ``A_B^T y = c_B`` leaves a relative
+    residual above 1e-12 on any row of B, or some ``z_N`` entry is
+    negative.
     """
     B, N = bases.B, bases.N
-    m = problem.m
-    if B.size < m:
-        return None
     ABt = problem.A.cols(B).toarray().T
     cB = problem.c[B]
-    if B.size == m:
-        rows = np.arange(m)
-    else:
-        # B is sorted, and so is what independent_columns returns
-        rows = np.searchsorted(B, independent_columns(problem.A, B))
-    if rows.size < m:
-        return None
-    try:
-        y = np.linalg.solve(ABt[rows], cB[rows])
-    except np.linalg.LinAlgError:
+    y, _, rank, _ = scipy.linalg.lstsq(
+        ABt, cB, cond=1e-10, lapack_driver="gelsy", check_finite=False
+    )
+    if rank < problem.m:
         return None
     res = float(np.linalg.norm(ABt @ y - cB))
     if not res <= 1e-12 * (1.0 + float(np.linalg.norm(cB))):  # NaN fails too
@@ -419,11 +404,11 @@ def lp_bounds(
     the projected ``z_lp`` vanishes on B.  ``pin_basic`` requests the
     z_B = 0 equality case directly (used once the basis is final).
     There the closed form of :func:`_basis_dual` is tried first, one
-    dense m-by-m solve; the projection runs only when it does not apply
-    (``|B| < m``, fewer than m independent columns in B, rows of
-    ``A_B^T y = c_B`` left unsatisfied, or a negative ``z_N``).  Columns
-    that :func:`_dual_feasibility_bap` drops keep their anchor values,
-    and ``z_lp`` on Z is ``max(A_Z^T y_lp - c_Z, 0)``.  A failed dual
+    dense least-squares solve; the projection runs only when it does not
+    apply (A_B of rank below m, rows of ``A_B^T y = c_B`` left
+    unsatisfied, or a negative ``z_N``).  Columns that
+    :func:`_dual_feasibility_bap` drops keep their anchor values, and
+    ``z_lp`` on Z is ``max(A_Z^T y_lp - c_Z, 0)``.  A failed dual
     projection is reported with an infinite upper bound and a warning
     flag.
     """

@@ -4,10 +4,9 @@ The module owns the compressed-sparse-column matrix type used for
 constraint matrices and their submatrices, plus the handful of dense and
 sparse kernels the Newton and path-following solvers are built from:
 weighted normal-matrix assembly, shifted Cholesky factorization,
-Jacobi-preconditioned conjugate gradients, rank-revealing selection of
-independent columns, null-space bases, and minimum-norm least-squares
-solves.  Matrix Market coordinate I/O lives here as well because it is
-the on-disk form of :class:`SparseMatrix`.
+Jacobi-preconditioned conjugate gradients and rank-revealing selection
+of independent columns.  Matrix Market coordinate I/O lives here as
+well because it is the on-disk form of :class:`SparseMatrix`.
 
 The normal matrix ``V = sum w_i A_i A_i^T`` has one form per size
 regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
@@ -45,8 +44,6 @@ __all__ = [
     "cholesky_shifted",
     "conjugate_gradient",
     "independent_columns",
-    "nullspace_basis",
-    "least_squares_solve",
     "read_matrix_market",
     "write_matrix_market",
 ]
@@ -271,12 +268,12 @@ def _dense_normal_matrix(csc: sp.csc_array, scale, support) -> np.ndarray:
 def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
     """Factor ``M + shift*I`` for a symmetric PSD ``M`` and ``shift > 0``.
 
-    A dense ``np.ndarray`` (what :func:`assemble_normal_matrix` returns
-    up to ``DENSE_FACTOR_MAX_DIM``) is left unchanged: the shift goes on
-    the diagonal of a private copy, which LAPACK Cholesky factors in
-    place.  A :class:`SparseMatrix` up to that dimension is densified
-    and factored the same way; beyond it, SuperLU in symmetric mode with
-    a minimum-degree ordering and diagonal pivoting, which reduces to a
+    The path follows the type of ``M``, which
+    :func:`assemble_normal_matrix` chooses by size.  A dense
+    ``np.ndarray`` is left unchanged: the shift goes on the diagonal of
+    a private copy, which LAPACK Cholesky factors in place.  A
+    :class:`SparseMatrix` goes to SuperLU in symmetric mode with a
+    minimum-degree ordering and diagonal pivoting, which reduces to a
     Cholesky-like LDL^T for positive definite input.
     """
     if M.shape[0] != M.shape[1]:
@@ -284,11 +281,8 @@ def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
     if not shift > 0.0:
         raise ValueError("shift must be positive")
     n = M.shape[0]
-    if isinstance(M, np.ndarray) or n <= DENSE_FACTOR_MAX_DIM:
-        if isinstance(M, SparseMatrix):
-            dense = M.toarray()
-        else:  # a private copy, so M stays unchanged
-            dense = np.array(M, dtype=np.float64, order="F")
+    if isinstance(M, np.ndarray):
+        dense = np.array(M, dtype=np.float64, order="F")  # a private copy
         dense[np.diag_indices(n)] += shift
         try:
             # normal matrices are built from validated (finite) matrices,
@@ -369,32 +363,6 @@ def independent_columns(A: SparseMatrix, candidate_cols, tol: float = 1e-10) -> 
         return np.empty(0, dtype=np.int64)
     rank = int(np.count_nonzero(diag >= tol * diag[0]))
     return np.sort(cand[piv[:rank]])
-
-
-def nullspace_basis(B, tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis V of null(B) with ``||B V|| <= tol * ||B||``.
-
-    ``B`` is a dense array; the computation is a dense SVD (the callers
-    only ever pass small restricted systems).  A zero-row ``B`` yields
-    the identity.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    nrows, ncols = B.shape
-    if nrows == 0:
-        return np.eye(ncols)
-    _, svals, vt = scipy.linalg.svd(B, full_matrices=True)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.eye(ncols)
-    rank = int(np.count_nonzero(svals > tol * svals[0]))
-    return vt[rank:].T.copy()
-
-
-def least_squares_solve(M, rhs) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``M x ~ rhs`` (pseudo-inverse)."""
-    M = np.atleast_2d(np.asarray(M, dtype=np.float64))
-    rhs = as_vector(rhs, M.shape[0], "rhs")
-    sol, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
-    return sol
 
 
 def write_matrix_market(matrix: SparseMatrix, target) -> None:

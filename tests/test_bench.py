@@ -173,3 +173,29 @@ class TestLpResidualColumn:
         # both tiny, but computed from different definitions
         assert r_gap[0].rel_residual <= 1e-8
         assert r_tri[0].rel_residual <= 1e-6
+
+
+class TestSuiteValidation:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"solvers": ["rnnm-exat"]}, "unknown solver 'rnnm-exat'"),
+            (
+                {"rows": [{"kind": "bapp", "m": 5, "n": 20, "density": 0.3}]},
+                "row 0: unknown problem kind 'bapp'",
+            ),
+            ({"lp_residual": "triplets"}, "unknown lp_residual 'triplets'"),
+        ],
+        ids=["solver", "kind", "lp_residual"],
+    )
+    def test_typo_rejected_before_running(self, tmp_path, changes, message):
+        suite = {
+            "tols": [1e-10],
+            "solvers": ["rnnm-exact"],
+            "rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3, "seed": 4}],
+        }
+        suite.update(changes)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(suite, str(out))
+        assert not out.exists()

@@ -145,6 +145,18 @@ def test_bench_and_profile_commands(tmp_path, capsys):
     assert header.startswith("tau,rho_")
 
 
+def test_bench_rejects_unknown_row_kind(tmp_path, capsys):
+    suite = {
+        "solvers": ["rnnm-exact"],
+        "rows": [{"kind": "bapp", "m": 5, "n": 20, "density": 0.3, "seed": 4}],
+    }
+    cfg = str(tmp_path / "suite.json")
+    with open(cfg, "w") as fh:
+        json.dump(suite, fh)
+    assert main(["bench", cfg, "--out", str(tmp_path / "bench")]) == 1
+    assert "row 0: unknown problem kind 'bapp'" in capsys.readouterr().err
+
+
 def test_scientific_notation_output(tmp_path, capsys):
     out = str(tmp_path / "sn")
     main(["gen", "--kind", "bap", "--m", "4", "--n", "16", "--density", "0.3",

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import polyproj.lp as lp_mod
 from polyproj.bap import RnnmConfig, solve_rnnm
@@ -20,6 +21,7 @@ from polyproj.lp import (
     ratio_test,
     scaled_subproblem,
     solve_lp,
+    _basis_dual,
     _basis_zero_tol,
     _dual_feasibility_bap,
     _solve_with_ladder,
@@ -194,6 +196,43 @@ class TestNextStone:
         assert step.dw_B.shape == st.bases.B.shape
         assert step.dz_N.shape == st.bases.N.shape
 
+    def test_min_norm_step_with_strict_complement_failure(self):
+        # |B| = 2 < m = 4 and Z = {2}: A_B A_B^T d = b leaves d free on the
+        # 2-dimensional null(A_B^T), A_Z^T d = 0 removes one direction, and
+        # the step is the min-norm d left; the reference forms it from an
+        # orthonormal basis V_Z of null(A_Z^T) as V_Z pinv(A_B A_B^T V_Z) b
+        rng = np.random.default_rng(1301)
+        A_dense = rng.standard_normal((4, 7))
+        B, Z, N = np.array([0, 1]), np.array([2]), np.array([3, 4, 5, 6])
+        R = 2.0
+        w = np.zeros(7)
+        w[B] = [0.7, 1.3]
+        z = np.zeros(7)
+        z[N] = [0.4, 0.9, 1.1, 0.6]
+        b = R * A_dense[:, B] @ w[B]
+        lp = LpProblem(SparseMatrix.from_dense(A_dense), b, rng.standard_normal(7))
+        state = SsepfState(
+            R=R, w=w, y=rng.standard_normal(4), z=z, bases=BasisPartition(B, N, Z)
+        )
+        step = next_stone(lp, state)
+
+        AB, AN = A_dense[:, B], A_dense[:, N]
+        Vz = scipy.linalg.null_space(A_dense[:, Z].T)
+        d = Vz @ (np.linalg.pinv(AB @ AB.T @ Vz) @ b)
+        bB, bN = AB.T @ d, AN.T @ d
+        e = np.concatenate([bB - R * w[B], -(bN + R * z[N])])
+        f = np.concatenate([R * bB, -R * bN])
+        eligible = (e > 0) & (f > 0)
+        assert eligible.any()
+        R_n = max(float(np.min(f[eligible] / e[eligible])), R)
+        factor = (R - R_n) / (R * R_n)
+
+        rel = lambda got, ref: np.linalg.norm(got - ref) / np.linalg.norm(ref)
+        assert abs(step.R_n - R_n) <= 1e-10 * R_n
+        assert rel(step.dy, factor * d) <= 1e-10
+        assert rel(step.dw_B, factor * bB) <= 1e-10
+        assert rel(step.dz_N, -factor * bN) <= 1e-10
+
 
 class TestLpBounds:
     def test_tiny_lp_certificate(self):
@@ -355,6 +394,16 @@ class TestBasisCertificate:
         cert = lp_bounds(lp, state, pin_basic=True)
         assert len(projections) >= 1
         assert cert.upper == res.certificate.upper
+
+    def test_singular_square_basis_has_no_closed_form(self):
+        # |B| = m = 2 but columns 0 and 1 are equal: A_B^T y = c_B is
+        # consistent yet leaves y free along (2, -1), so no unique dual
+        A = SparseMatrix.from_dense(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0]]))
+        lp = LpProblem(A, np.array([1.0, 2.0]), np.array([1.0, 1.0, 0.0]))
+        bases = BasisPartition(
+            B=np.array([0, 1]), N=np.array([2]), Z=np.empty(0, dtype=np.int64)
+        )
+        assert _basis_dual(lp, bases) is None
 
     def test_projection_runs_when_z_n_is_negative(self, monkeypatch):
         # square basis {0, 1}: y = A_B^{-T} c_B = (1, 1) gives

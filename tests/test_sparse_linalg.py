@@ -29,8 +29,6 @@ from polyproj.sparse_linalg import (
     cholesky_shifted,
     conjugate_gradient,
     independent_columns,
-    least_squares_solve,
-    nullspace_basis,
     read_matrix_market,
     write_matrix_market,
 )
@@ -328,46 +326,6 @@ class TestIndependentColumns:
         first = independent_columns(A, np.arange(9))
         again = independent_columns(A, np.arange(9))
         assert np.array_equal(first, again)
-
-
-class TestNullspaceBasis:
-    def test_single_row(self):
-        V = nullspace_basis(np.array([[1.0, 0.0]]))
-        assert V.shape == (2, 1)
-        assert abs(V[0, 0]) <= 1e-14
-        assert abs(abs(V[1, 0]) - 1.0) <= 1e-14
-
-    def test_zero_rows_gives_identity(self):
-        V = nullspace_basis(np.zeros((0, 3)))
-        assert np.array_equal(V, np.eye(3))
-
-    def test_random_vs_svd(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            r, q = int(rng.integers(1, 8)), int(rng.integers(2, 20))
-            B = rng.standard_normal((r, q))
-            V = nullspace_basis(B)
-            assert np.linalg.norm(B @ V) <= 1e-12 * max(1.0, np.linalg.norm(B))
-            assert V.shape[1] == q - np.linalg.matrix_rank(B)
-
-
-class TestLeastSquaresSolve:
-    def test_minimum_norm_on_singular(self):
-        M = np.array([[1.0, 1.0], [1.0, 1.0]])
-        x = least_squares_solve(M, np.array([2.0, 2.0]))
-        assert np.allclose(x, [1.0, 1.0])
-
-    def test_identity(self):
-        rhs = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(least_squares_solve(np.eye(3), rhs), rhs)
-
-    def test_rank_deficient_matches_pinv(self):
-        rng = np.random.default_rng(19)
-        M = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
-        rhs = rng.standard_normal(6)
-        x = least_squares_solve(M, rhs)
-        expected = np.linalg.pinv(M) @ rhs
-        assert np.linalg.norm(x - expected) <= 1e-10
 
 
 class TestMatrixMarket:
