@@ -174,6 +174,8 @@ class RnnmConfig:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.mode not in ("exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")
 

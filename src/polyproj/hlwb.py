@@ -4,10 +4,23 @@ One sweep projects the iterate onto each constraint hyperplane in turn
 and then onto the nonnegative orthant; after every projection the
 iterate is pulled back toward the anchor through the harmonic steering
 sequence, ``x <- sigma_k * v + (1 - sigma_k) * proj(x)`` with
-``sigma_k = 1/(k+1)`` (divergent sum, summable increments).  Each row
-projection reads the row straight from the CSR form of A, so it costs
-O(nnz(row)).  The method converges in the limit but only linearly, so
-it serves as the first-order reference point for the Newton solver.
+``sigma_k = 1/(k+1)`` (divergent sum, summable increments).  The method
+converges in the limit but only linearly, so it serves as the
+first-order reference point for the Newton solver.
+
+The m hyperplane steps of a sweep are computed together.  With
+``w_k = k x_k`` and ``s_k = k t_k``, where ``t_k`` is the multiple of
+row ``a_i`` that the projection adds, the step reads
+``w_{k+1} = w_k + v + s_k a_i``.  For a sweep that starts at global
+index k0 from x0, row i (step k = k0 + i) then satisfies
+
+    G_ii s_i = k0 (b_i - (A x0)_i) + i (b_i - (A v)_i) - sum_{j<i} G_ij s_j
+
+with ``G = A A^T``: one forward substitution with ``tril(G)``, which is
+the Gauss-Seidel sweep on ``A A^T`` of Bjorck and Elfving.  The point
+before the clamp is ``(k0 x0 + m v + A^T s) / (k0 + m)``.  G is built
+densely once per solve, O(m^2) memory, and a sweep costs one
+triangular solve, one ``A^T s`` and one ``A x`` product.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .bap import BapProblem
 
@@ -46,6 +60,8 @@ class HlwbConfig:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be at least 1")
 
 
 @dataclass
@@ -76,66 +92,63 @@ def project_hyperplane(
 def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbResult:
     """Run sweeps of cyclic projections with anchored harmonic steering.
 
-    The anchor is the problem's ``v``; the start point is ``max(v, 0)``.
-    A sweep is m hyperplane projections followed by one orthant clamp;
-    the steering index k is global and never resets.  The stopping test
-    runs once per completed sweep on the post-orthant iterate (which is
-    nonnegative): ``||A x_hat - b|| / (1 + ||b||) <= tol``.
+    The anchor is the problem's ``v``, and the first step (sigma_0 = 1)
+    lands on it.  A sweep is m hyperplane projections followed by one
+    orthant clamp; the steering index k is global and never resets.
+    The hyperplane steps of a sweep are one forward substitution with
+    ``tril(A A^T)`` on the scaled multipliers ``s = k t`` of the
+    recurrence ``w_{k+1} = w_k + v + s_k a_i``, ``w_k = k x_k`` (see the
+    module docstring); ``A A^T`` is held densely, O(m^2) memory.  The
+    stopping test runs once per completed sweep on the post-orthant
+    iterate (which is nonnegative): ``||A x_hat - b|| / (1 + ||b||) <= tol``.
     """
     cfg = config if config is not None else HlwbConfig()
     if problem.n_free:
         raise ValueError("free variables are out of scope for this baseline")
-    A = problem.A
-    m = A.nrows
-    csr = A.csc.tocsr()
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    # stored entries are nonzero, so an empty row is an all-zero row
-    if np.any(np.diff(indptr) == 0):
+    A = problem.A.csc
+    At = A.T
+    m = A.shape[0]
+    # only the lower triangle is read by the triangular solve
+    G = (A @ At).toarray()
+    if not np.all(np.diagonal(G) > 0.0):
         raise ZeroRowError("constraint matrix has an all-zero row")
 
     v = problem.v
     b = problem.b
     nb = 1.0 + float(np.linalg.norm(b))
+    rv = b - A @ v
+    ramp = np.arange(m) * rv
 
-    x = np.maximum(v, 0.0)
-    k = sweeps = 0
+    # k0 * x0 and k0 * (b - A x0) at the start of the sweep; k0 = 0 first
+    w0 = np.zeros_like(v)
+    r0 = np.zeros_like(b)
+    k0 = sweeps = 0
     trace: list[tuple[int, float, float]] = []
-    last_xhat = x
-    last_rel = float(np.linalg.norm(A.matvec(x) - b)) / nb
 
-    while sweeps < cfg.max_sweeps:
-        # global iteration k maps to hyperplane rows 0..m-1, then the orthant (m)
-        pos = k % (m + 1)
-        if pos < m:
-            lo, hi = indptr[pos], indptr[pos + 1]
-            xhat = project_hyperplane(x, indices[lo:hi], data[lo:hi], float(b[pos]))
-        else:
-            xhat = np.maximum(x, 0.0)
+    while True:
+        s = scipy.linalg.solve_triangular(G, r0 + ramp, lower=True, check_finite=False)
+        # global iteration k0 + i is row i; k is the orthant step
+        k = k0 + m
+        xhat = np.maximum((w0 + m * v + At @ s) / k, 0.0)
+        res = b - A @ xhat
         sigma = 1.0 / (k + 1)
-        x = sigma * v + (1.0 - sigma) * xhat
-        if pos == m:
-            sweeps += 1
-            last_xhat = xhat
-            last_rel = float(np.linalg.norm(A.matvec(xhat) - b)) / nb
-            if cfg.collect_trace:
-                trace.append((sweeps, last_rel, sigma))
-            if last_rel <= cfg.tol:
-                return HlwbResult(
-                    x=last_xhat,
-                    rel_residual=last_rel,
-                    sweeps=sweeps,
-                    iterations=k + 1,
-                    status="converged",
-                    trace=trace if cfg.collect_trace else None,
-                )
-        k += 1
+        sweeps += 1
+        rel = float(np.linalg.norm(res)) / nb
+        if cfg.collect_trace:
+            trace.append((sweeps, rel, sigma))
+        if rel <= cfg.tol or sweeps == cfg.max_sweeps:
+            break
+        # x0 = sigma v + (1 - sigma) xhat, scaled by k0 = k + 1
+        w0 = v + k * xhat
+        r0 = rv + k * res
+        k0 = k + 1
 
     return HlwbResult(
-        x=last_xhat,
-        rel_residual=last_rel,
+        x=xhat,
+        rel_residual=rel,
         sweeps=sweeps,
-        iterations=k,
-        status=MAX_SWEEPS,
+        iterations=k + 1,
+        status="converged" if rel <= cfg.tol else MAX_SWEEPS,
         trace=trace if cfg.collect_trace else None,
     )
 

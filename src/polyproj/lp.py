@@ -154,6 +154,8 @@ class LpConfig:
     def __post_init__(self):
         if self.max_stones < 1:
             raise ValueError("max_stones must be at least 1")
+        if self.subproblem_max_iter < 1:
+            raise ValueError("subproblem_max_iter must be at least 1")
 
 
 @dataclass

@@ -269,6 +269,9 @@ class TestRegularizationLambda:
                 RnnmConfig(tol=tol)
         with pytest.raises(ValueError, match="mode"):
             RnnmConfig(mode="fixed")
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter must be at least 1"):
+                RnnmConfig(max_iter=max_iter)
 
 
 class TestSolveRnnm:

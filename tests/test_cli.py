@@ -52,6 +52,17 @@ def test_bap_solve_rejects_nonpositive_tol(tmp_path, capsys):
         assert "error: tol must be positive" in capsys.readouterr().err
 
 
+def test_bap_solve_rejects_zero_iteration_budget(tmp_path, capsys):
+    out = str(tmp_path / "budget")
+    main(["gen", "--kind", "bap", "--m", "4", "--n", "16", "--density", "0.3",
+          "--seed", "2", "--out", out])
+    base = os.path.join(out, "bap_000002")
+    for method in ("rnnm-exact", "rnnm-inexact", "hlwb"):
+        capsys.readouterr()
+        assert main(["bap", "solve", base, "--method", method, "--max-iter", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: max_")
+
+
 def test_bap_solve_newton_trace(tmp_path, capsys):
     out = str(tmp_path / "nt")
     main(["gen", "--kind", "bap", "--m", "5", "--n", "20", "--density", "0.3",

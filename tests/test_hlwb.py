@@ -3,10 +3,10 @@ import io
 import numpy as np
 import pytest
 
-import polyproj.hlwb as hlwb_mod
 from polyproj.bap import BapProblem
-from polyproj.factory import GenSpec, gen_bap_with_known_vertex
+from polyproj.factory import DEGENERATE, GenSpec, gen_bap_with_known_vertex
 from polyproj.hlwb import (
+    MAX_SWEEPS,
     HlwbConfig,
     ZeroRowError,
     project_hyperplane,
@@ -89,43 +89,6 @@ class TestSolveHlwb:
         res = solve_hlwb(g.problem, HlwbConfig(tol=1e-16, max_sweeps=50))
         assert np.all(res.x >= 0.0)
 
-    def test_sweep_accounting(self, monkeypatch):
-        calls = {"hyperplane": 0}
-        original = hlwb_mod.project_hyperplane
-
-        def counting(x, cols, vals, beta):
-            calls["hyperplane"] += 1
-            return original(x, cols, vals, beta)
-
-        monkeypatch.setattr(hlwb_mod, "project_hyperplane", counting)
-        g = gen_bap_with_known_vertex(GenSpec(m=7, n=30, density=0.3, seed=9))
-        sweeps = 13
-        res = solve_hlwb(g.problem, HlwbConfig(tol=1e-18, max_sweeps=sweeps))
-        m = g.problem.m
-        assert res.sweeps == sweeps
-        assert calls["hyperplane"] == sweeps * m
-        assert res.iterations == sweeps * (m + 1)
-
-    def test_row_projection_exact_before_mixing(self, monkeypatch):
-        g = gen_bap_with_known_vertex(GenSpec(m=5, n=20, density=0.4, seed=1))
-        A = g.problem.A.toarray()
-        b = g.problem.b
-        m = g.problem.m
-        seen = []
-        original = hlwb_mod.project_hyperplane
-
-        def checking(x, cols, vals, beta):
-            # rows are visited in order 0..m-1 within each sweep
-            i = len(seen) % m
-            assert beta == b[i]
-            out = original(x, cols, vals, beta)
-            seen.append(abs(A[i] @ out - b[i]))
-            return out
-
-        monkeypatch.setattr(hlwb_mod, "project_hyperplane", checking)
-        solve_hlwb(g.problem, HlwbConfig(tol=1e-18, max_sweeps=3))
-        assert max(seen) <= 1e-12
-
     def test_random_feasible_plateau(self):
         # relative primal residual after 2000 sweeps at the 1e-3 level
         g = gen_bap_with_known_vertex(GenSpec(m=20, n=100, density=0.2, seed=33))
@@ -136,6 +99,17 @@ class TestSolveHlwb:
     def test_nonpositive_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             HlwbConfig(tol=tol)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -3])
+    def test_sweep_budget_below_one_rejected(self, max_sweeps):
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            HlwbConfig(max_sweeps=max_sweeps)
+
+    def test_zero_row_rejected(self):
+        A = SparseMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        prob = BapProblem(A, np.array([1.0, 0.0]), np.zeros(2))
+        with pytest.raises(ZeroRowError):
+            solve_hlwb(prob)
 
     def test_free_variables_rejected(self):
         A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
@@ -150,3 +124,66 @@ class TestSolveHlwb:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "sweep,rel_residual,sigma"
         assert len(lines) == 1 + res.sweeps
+
+
+def row_by_row_hlwb(problem, cfg):
+    """The sweep as m single-row steps: ``project_hyperplane`` on row i,
+    then the mix ``sigma_k v + (1 - sigma_k) x`` with sigma_k = 1/(k+1);
+    after row m-1 the orthant clamp, its mix, and the stopping test.
+    Returns ``(x, sweeps, iterations, status)``."""
+    csr = problem.A.csc.tocsr()
+    v, b, m = problem.v, problem.b, problem.m
+    nb = 1.0 + np.linalg.norm(b)
+    x = np.maximum(v, 0.0)
+    k = sweeps = 0
+    while True:
+        for i in range(m):
+            lo, hi = csr.indptr[i], csr.indptr[i + 1]
+            xhat = project_hyperplane(x, csr.indices[lo:hi], csr.data[lo:hi], b[i])
+            sigma = 1.0 / (k + 1)
+            x = sigma * v + (1.0 - sigma) * xhat
+            k += 1
+        xhat = np.maximum(x, 0.0)
+        sweeps += 1
+        rel = np.linalg.norm(csr @ xhat - b) / nb
+        if rel <= cfg.tol:
+            return xhat, sweeps, k + 1, "converged"
+        if sweeps == cfg.max_sweeps:
+            return xhat, sweeps, k + 1, MAX_SWEEPS
+        sigma = 1.0 / (k + 1)
+        x = sigma * v + (1.0 - sigma) * xhat
+        k += 1
+
+
+PARITY_CASES = [
+    # (GenSpec, tol, max_sweeps, expected status): m = 1, truncation at
+    # 1, 2 and 13 sweeps (the first sweep starts with sigma_0 = 1), a
+    # degenerate vertex, and runs that stop on the tolerance
+    pytest.param(GenSpec(m=1, n=6, density=0.5, seed=3), 1e-18, 13, MAX_SWEEPS,
+                 id="m1-13sweeps"),
+    pytest.param(GenSpec(m=5, n=20, density=0.4, seed=1), 1e-18, 1, MAX_SWEEPS,
+                 id="m5-1sweep"),
+    pytest.param(GenSpec(m=5, n=20, density=0.4, seed=1), 1e-18, 2, MAX_SWEEPS,
+                 id="m5-2sweeps"),
+    pytest.param(GenSpec(m=7, n=30, density=0.3, seed=9), 1e-18, 13, MAX_SWEEPS,
+                 id="m7-13sweeps"),
+    pytest.param(GenSpec(m=6, n=24, density=0.4, seed=5, degeneracy=DEGENERATE), 1e-18, 40,
+                 MAX_SWEEPS, id="degenerate-40sweeps"),
+    pytest.param(GenSpec(m=10, n=40, density=0.3, seed=4), 1e-3, 2000, "converged",
+                 id="m10-converged"),
+    pytest.param(GenSpec(m=20, n=100, density=0.2, seed=33), 1e-4, 2000, "converged",
+                 id="m20-converged"),
+]
+
+
+class TestSweepParity:
+    @pytest.mark.parametrize("spec,tol,max_sweeps,expected", PARITY_CASES)
+    def test_matches_row_by_row_sweeps(self, spec, tol, max_sweeps, expected):
+        problem = gen_bap_with_known_vertex(spec).problem
+        cfg = HlwbConfig(tol=tol, max_sweeps=max_sweeps)
+        res = solve_hlwb(problem, cfg)
+        x, sweeps, iterations, status = row_by_row_hlwb(problem, cfg)
+        assert (res.status, res.sweeps, res.iterations) == (status, sweeps, iterations)
+        assert res.status == expected
+        assert res.iterations == res.sweeps * (problem.m + 1)
+        assert np.linalg.norm(res.x - x) <= 1e-12 * np.linalg.norm(x)

@@ -503,6 +503,11 @@ class TestSolveLp:
         assert res.status == "stone_budget"
         assert len(res.stones) == 1
 
+    def test_subproblem_budget_below_one_rejected(self):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="subproblem_max_iter must be at least 1"):
+                LpConfig(subproblem_max_iter=bad)
+
 
 class TestDegeneracyEscape:
     # tiny_lp takes two stones undisturbed (R = 1/sqrt(2), then just past
