@@ -312,29 +312,39 @@ def _write_records_csv(records: list[BenchRecord], path: str) -> None:
 
 
 def _read_records_csv(path: str) -> list[BenchRecord]:
-    """Records from a file written by :func:`_write_records_csv`."""
+    """Records from a file written by :func:`_write_records_csv`.
+
+    Blank lines are skipped; any other malformed row is a ``ValueError``
+    naming its line.
+    """
     records = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < len(header):
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
                 continue
-            records.append(
-                BenchRecord(
-                    problem=parts[idx["problem"]],
-                    solver=parts[idx["solver"]],
-                    tol=float(parts[idx["tol"]]),
-                    m=int(parts[idx["m"]]),
-                    n=int(parts[idx["n"]]),
-                    density=float(parts[idx["density"]]),
-                    seed=int(parts[idx["seed"]]),
-                    time_s=float(parts[idx["time_s"]]),
-                    rel_residual=float(parts[idx["rel_residual"]]),
-                    status=parts[idx["status"]],
+            parts = line.split(",")
+            try:
+                if len(parts) != len(header):
+                    raise ValueError(f"{len(parts)} fields, expected {len(header)}")
+                records.append(
+                    BenchRecord(
+                        problem=parts[idx["problem"]],
+                        solver=parts[idx["solver"]],
+                        tol=float(parts[idx["tol"]]),
+                        m=int(parts[idx["m"]]),
+                        n=int(parts[idx["n"]]),
+                        density=float(parts[idx["density"]]),
+                        seed=int(parts[idx["seed"]]),
+                        time_s=float(parts[idx["time_s"]]),
+                        rel_residual=float(parts[idx["rel_residual"]]),
+                        status=parts[idx["status"]],
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return records
 
 

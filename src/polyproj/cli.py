@@ -66,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bs.add_argument("--max-iter", type=int, default=2000)
     bs.add_argument(
         "--trace",
-        help="write the convergence trace CSV: per sweep for hlwb, per Newton iteration otherwise",
+        help="write the convergence trace CSV of a single instance: per sweep for hlwb, "
+        "per Newton iteration otherwise",
     )
     bs.add_argument("--out", help="directory for solution files (default: beside input)")
 
@@ -155,6 +156,8 @@ def _solve_one_bap(base: str, args) -> tuple[str, int]:
 
 
 def _cmd_bap_solve(args) -> int:
+    if args.trace and len(args.files) > 1:
+        raise ValueError("--trace takes a single instance file")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     worst = 0

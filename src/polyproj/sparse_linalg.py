@@ -5,8 +5,9 @@ constraint matrices and their submatrices, plus the handful of dense and
 sparse kernels the Newton and path-following solvers are built from:
 weighted normal-matrix assembly, shifted Cholesky factorization,
 Jacobi-preconditioned conjugate gradients and rank-revealing selection
-of independent columns.  Matrix Market coordinate I/O lives here as
-well because it is the on-disk form of :class:`SparseMatrix`.
+of independent columns.  Matrix Market coordinate I/O, a thin wrapper
+over ``scipy.io.mmread``/``mmwrite``, lives here as well because it is
+the on-disk form of :class:`SparseMatrix`.
 
 The normal matrix ``V = sum w_i A_i A_i^T`` has one form per size
 regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
@@ -29,6 +30,7 @@ threads.
 from __future__ import annotations
 
 import numpy as np
+import scipy.io
 import scipy.linalg
 import scipy.linalg.blas as blas
 import scipy.sparse as sp
@@ -365,75 +367,34 @@ def independent_columns(A: SparseMatrix, candidate_cols, tol: float = 1e-10) -> 
     return np.sort(cand[piv[:rank]])
 
 
-def write_matrix_market(matrix: SparseMatrix, target) -> None:
-    """Write coordinate Matrix Market with exact round-trip float text.
+def write_matrix_market(matrix: SparseMatrix, path) -> None:
+    """Write ``matrix`` to ``path`` as a general coordinate Matrix Market file.
 
-    Values are emitted as shortest-representation decimals (Python
-    ``repr``), so read-after-write reproduces every stored value bit for
-    bit.  Entries are ordered column-major for deterministic output.
+    ``scipy.io.mmwrite`` emits shortest round-trip decimals, so
+    read-after-write reproduces every stored value bit for bit, and
+    entries in column-major order, so the file is deterministic.  The
+    open handle stops scipy from appending ``.mtx`` to ``path``.
     """
-    coo = matrix.csc.tocoo()
-    order = np.lexsort((coo.row, coo.col))
-    lines = ["%%MatrixMarket matrix coordinate real general"]
-    lines.append(f"{matrix.nrows} {matrix.ncols} {coo.nnz}")
-    rows, cols, data = coo.row[order], coo.col[order], coo.data[order]
-    for i, j, v in zip(rows, cols, data):
-        lines.append(f"{i + 1} {j + 1} {float(v)!r}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="ascii") as fh:
-            fh.write(text)
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, matrix.csc, symmetry="general")
 
 
-def read_matrix_market(source) -> SparseMatrix:
-    """Read a coordinate Matrix Market file written by this module.
+def read_matrix_market(path) -> SparseMatrix:
+    """Read a coordinate Matrix Market file through ``scipy.io.mmread``.
 
     Accepts real/integer general matrices plus symmetric storage (the
-    mirrored half is filled in).
+    mirrored half is filled in).  Any ``ValueError`` names ``path``.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ValueError("missing MatrixMarket header")
-    header = lines[0].split()
-    if len(header) < 5 or header[1] != "matrix" or header[2] != "coordinate":
-        raise ValueError(f"unsupported MatrixMarket header: {lines[0]}")
-    field, symmetry = header[3], header[4]
-    if field not in ("real", "integer"):
-        raise ValueError(f"unsupported field type: {field}")
-    if symmetry not in ("general", "symmetric"):
-        raise ValueError(f"unsupported symmetry: {symmetry}")
-    body = [ln for ln in lines[1:] if not ln.startswith("%")]
-    if not body:
-        raise ValueError("missing MatrixMarket size line")
-    dims = body[0].split()
-    if len(dims) < 3:
-        raise ValueError(f"malformed MatrixMarket size line: {body[0]}")
-    nrows, ncols, nnz = int(dims[0]), int(dims[1]), int(dims[2])
-    if len(body) - 1 != nnz:
-        raise ValueError(f"expected {nnz} entries, found {len(body) - 1}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
     try:
-        for k, ln in enumerate(body[1:]):
-            parts = ln.split()
-            rows[k] = int(parts[0]) - 1
-            cols[k] = int(parts[1]) - 1
-            vals[k] = float(parts[2])
-    except IndexError:  # an entry line with fewer than three fields
-        raise ValueError(f"malformed MatrixMarket entry line: {ln}") from None
-    if symmetry == "symmetric":
-        off = rows != cols
-        rows, cols, vals = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-            np.concatenate([vals, vals[off]]),
-        )
-    return SparseMatrix.from_coo(nrows, ncols, rows, cols, vals)
+        _, _, _, fmt, field, symmetry = scipy.io.mminfo(path)
+        if fmt != "coordinate":
+            raise ValueError(f"unsupported MatrixMarket format: {fmt}")
+        if field not in ("real", "integer"):
+            raise ValueError(f"unsupported field type: {field}")
+        if symmetry not in ("general", "symmetric"):
+            raise ValueError(f"unsupported symmetry: {symmetry}")
+        coo = scipy.io.mmread(path, spmatrix=False)
+        # from_coo widens mmread's int32 indices to int64 and rechecks values
+        return SparseMatrix.from_coo(*coo.shape, coo.row, coo.col, coo.data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

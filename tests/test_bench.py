@@ -158,6 +158,22 @@ class TestRunBenchmark:
         assert prof.value("b", 2.0) == pytest.approx(0.5)
         assert prof.value("b", 1e6) == pytest.approx(0.5)
 
+    def test_read_records_skips_blank_lines_only(self, tmp_path):
+        records = [
+            BenchRecord("p1", "a", 1e-10, 1, 1, 0.1, 0, 1.0, 1e-12, "converged"),
+            BenchRecord("p2", "a", 1e-10, 1, 1, 0.1, 0, 4.0, 1e-12, "converged"),
+        ]
+        path = str(tmp_path / "records.csv")
+        _write_records_csv(records, path)
+        lines = open(path).read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join([lines[0], lines[1], "", lines[2]]) + "\n\n")
+        assert [r.problem for r in _read_records_csv(path)] == ["p1", "p2"]
+        with open(path, "w") as fh:
+            fh.write("\n".join([lines[0], lines[1], lines[2].rsplit(",", 3)[0]]) + "\n")
+        with pytest.raises(ValueError, match="line 3: 7 fields, expected 10"):
+            _read_records_csv(path)
+
 
 class TestLpResidualColumn:
     def test_triplet_column_selectable(self, tmp_path):

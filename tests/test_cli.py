@@ -79,6 +79,18 @@ def test_bap_solve_newton_trace(tmp_path, capsys):
         assert all(len(row) == 4 and 0.0 < float(row[3]) <= 1.0 for row in rows)
 
 
+def test_bap_solve_trace_rejects_several_files(tmp_path, capsys):
+    out = str(tmp_path / "tm")
+    main(["gen", "--kind", "bap", "--m", "4", "--n", "16", "--density", "0.3",
+          "--seed", "2", "--count", "2", "--out", out])
+    bases = [os.path.join(out, f"bap_{seed:06d}") for seed in (2, 3)]
+    trace = str(tmp_path / "t.csv")
+    capsys.readouterr()
+    assert main(["bap", "solve", *bases, "--trace", trace]) == 1
+    assert capsys.readouterr().err.startswith("error: --trace")
+    assert not os.path.exists(trace)
+
+
 def test_bap_solve_accepts_mtx_path(tmp_path, capsys):
     out = str(tmp_path / "ii")
     main(["gen", "--kind", "bap", "--m", "4", "--n", "16", "--density", "0.3",
@@ -154,6 +166,17 @@ def test_bench_and_profile_commands(tmp_path, capsys):
     assert main(["profile", records, "--out", prof_out]) == 0
     header = open(prof_out).readline().strip()
     assert header.startswith("tau,rho_")
+
+
+def test_profile_rejects_truncated_records(tmp_path, capsys):
+    records = str(tmp_path / "records.csv")
+    with open(records, "w") as fh:
+        fh.write("problem,solver,tol,m,n,density,seed,time_s,rel_residual,status\n"
+                 "p1,a,1e-10,5,20,0.3,4,1.0,1e-12,converged\n"
+                 "p1,b,1e-10,5,20,0.3,4,2.0\n")
+    assert main(["profile", records, "--out", str(tmp_path / "prof.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {records}: line 3")
+    assert not os.path.exists(tmp_path / "prof.csv")
 
 
 def test_bench_rejects_unknown_row_kind(tmp_path, capsys):

@@ -1,4 +1,4 @@
-import io
+import re
 
 import numpy as np
 import pytest
@@ -328,38 +328,77 @@ class TestIndependentColumns:
         assert np.array_equal(first, again)
 
 
-class TestMatrixMarket:
-    def test_exact_round_trip(self):
-        rng = np.random.default_rng(101)
-        A = rand_sparse(rng, 7, 11, 0.4)
-        buf = io.StringIO()
-        write_matrix_market(A, buf)
-        back = read_matrix_market(io.StringIO(buf.getvalue()))
-        assert back.shape == A.shape
-        assert np.array_equal(back.csc.indptr, A.csc.indptr)
-        assert np.array_equal(back.csc.indices, A.csc.indices)
-        assert np.array_equal(back.csc.data, A.csc.data)  # bit identical
+def write_text(tmp_path, text):
+    path = str(tmp_path / "m.mtx")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+    return path
 
-    def test_symmetric_storage_expands(self):
+
+def assert_same_csc(got, want):
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got.csc, name), getattr(want.csc, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+class TestMatrixMarket:
+    def test_exact_round_trip(self, tmp_path):
+        rng = np.random.default_rng(101)
+        dense = rand_sparse(rng, 7, 11, 0.4).toarray()
+        rows, cols = np.nonzero(dense)
+        A = SparseMatrix.from_coo(7, 11, rows, cols, dense[rows, cols])
+        path = str(tmp_path / "a")  # written as named, no ".mtx" appended
+        write_matrix_market(A, path)
+        back = read_matrix_market(path)
+        assert back.shape == A.shape
+        assert_same_csc(back, A)  # int64 indices and bit-identical values
+
+    def test_reads_legacy_text_bit_exact(self, tmp_path):
+        # column-major, Python repr values, no comment line
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 2 4\n"
+            "1 1 0.1\n"
+            "3 1 -1.7976931348623157e+308\n"
+            "2 2 5e-324\n"
+            "3 2 0.3333333333333333\n"
+        )
+        A = read_matrix_market(write_text(tmp_path, text))
+        want = SparseMatrix.from_coo(
+            3, 2, [0, 2, 1, 2], [0, 0, 1, 1],
+            [0.1, -1.7976931348623157e308, 5e-324, 1.0 / 3.0],
+        )
+        assert_same_csc(A, want)
+
+    def test_symmetric_storage_expands(self, tmp_path):
         text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n2 1 3.0\n"
-        A = read_matrix_market(io.StringIO(text))
+        A = read_matrix_market(write_text(tmp_path, text))
         assert np.array_equal(A.toarray(), np.array([[2.0, 3.0], [3.0, 0.0]]))
 
-    def test_bad_header(self):
-        with pytest.raises(ValueError):
-            read_matrix_market(io.StringIO("not a matrix\n"))
-        with pytest.raises(ValueError):
-            read_matrix_market(io.StringIO("%%MatrixMarket matrix array real general\n1 1\n2.0\n"))
+    def test_bad_header(self, tmp_path):
+        for text in (
+            "not a matrix\n",
+            "%%MatrixMarket matrix array real general\n1 1\n2.0\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n",
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0 2.0\n",
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+        ):
+            path = write_text(tmp_path, text)
+            with pytest.raises(ValueError, match=re.escape(path + ": ")):
+                read_matrix_market(path)
 
-    def test_missing_size_line(self):
-        with pytest.raises(ValueError, match="size line"):
-            read_matrix_market(io.StringIO("%%MatrixMarket matrix coordinate real general\n%c\n"))
+    def test_missing_size_line(self, tmp_path):
+        path = write_text(tmp_path, "%%MatrixMarket matrix coordinate real general\n%c\n")
+        with pytest.raises(ValueError, match=re.escape(path + ": Line 3")):
+            read_matrix_market(path)
 
-    def test_short_size_line(self):
-        with pytest.raises(ValueError, match="size line: 2 2"):
-            read_matrix_market(io.StringIO("%%MatrixMarket matrix coordinate real general\n2 2\n"))
+    def test_short_size_line(self, tmp_path):
+        path = write_text(tmp_path, "%%MatrixMarket matrix coordinate real general\n2 2\n")
+        with pytest.raises(ValueError, match=re.escape(path + ": ")):
+            read_matrix_market(path)
 
-    def test_short_entry_line(self):
+    def test_short_entry_line(self, tmp_path):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 2.0\n2 1\n"
-        with pytest.raises(ValueError, match="entry line: 2 1"):
-            read_matrix_market(io.StringIO(text))
+        path = write_text(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(path + ": Line 4")):
+            read_matrix_market(path)
