@@ -203,7 +203,14 @@ def estimate_spectral_norm(A, rng=None, iters: int = 50, tol: float = 1e-6) -> f
     return sigma
 
 
-def _pick_basis(rng: np.random.Generator, A: SparseMatrix, m: int, n: int) -> np.ndarray:
+def _matrix_and_basis(rng: np.random.Generator, spec: GenSpec) -> tuple[SparseMatrix, np.ndarray]:
+    """Random matrix scaled to unit spectral norm, and m independent columns."""
+    m, n = spec.m, spec.n
+    A_raw = _random_sparse(rng, m, n, spec.density)
+    sigma = estimate_spectral_norm(A_raw, rng)
+    if sigma == 0.0:
+        raise GenerationError("sampled an all-zero matrix")
+    A = SparseMatrix(A_raw * (1.0 / sigma))
     # independent columns of a sampled pool; widen the pool on failure up
     # to the whole matrix (rank m holds generically after the row repair)
     for pool in (min(n, 4 * m), min(n, 16 * m), n):
@@ -213,7 +220,7 @@ def _pick_basis(rng: np.random.Generator, A: SparseMatrix, m: int, n: int) -> np
             cand = np.sort(rng.choice(n, size=pool, replace=False))
         basis = independent_columns(A, cand)
         if basis.size == m:
-            return basis
+            return A, basis
     raise GenerationError("constraint matrix has no full-rank basis")
 
 
@@ -228,13 +235,7 @@ def gen_bap_with_known_vertex(spec: GenSpec) -> GeneratedBap:
     """
     rng = np.random.default_rng(spec.seed)
     m, n = spec.m, spec.n
-    A_raw = _random_sparse(rng, m, n, spec.density)
-    sigma = estimate_spectral_norm(A_raw, rng)
-    if sigma == 0.0:
-        raise GenerationError("sampled an all-zero matrix")
-    A = SparseMatrix(A_raw * (1.0 / sigma))
-
-    basis = _pick_basis(rng, A, m, n)
+    A, basis = _matrix_and_basis(rng, spec)
     support = basis
     if spec.degeneracy == NON_VERTEX:
         off = np.setdiff1d(np.arange(n), basis)
@@ -285,13 +286,7 @@ def gen_lp(spec: GenSpec) -> GeneratedLp:
         raise ValueError("LP generation supports nondegenerate and degenerate modes")
     rng = np.random.default_rng(spec.seed)
     m, n = spec.m, spec.n
-    A_raw = _random_sparse(rng, m, n, spec.density)
-    sigma = estimate_spectral_norm(A_raw, rng)
-    if sigma == 0.0:
-        raise GenerationError("sampled an all-zero matrix")
-    A_csc = A_raw * (1.0 / sigma)
-
-    basis = _pick_basis(rng, SparseMatrix(A_csc), m, n)
+    A, basis = _matrix_and_basis(rng, spec)
     x = np.zeros(n)
     x[basis] = rng.uniform(1.0, 2.0, size=m)
     x /= np.linalg.norm(x)
@@ -300,16 +295,15 @@ def gen_lp(spec: GenSpec) -> GeneratedLp:
     z = np.zeros(n)
     z[off] = rng.uniform(0.5, 1.5, size=off.size)
     u = rng.standard_normal(m)
-    c = np.asarray(A_csc.T @ u) - z
+    c = A.rmatvec(u) - z
 
     if spec.degeneracy == DEGENERATE:
         dup = basis[: min(3, basis.size)]
-        A_csc = sp.hstack([A_csc, A_csc[:, dup]], format="csc")
+        A = SparseMatrix(sp.hstack([A.csc, A.csc[:, dup]], format="csc"))
         c = np.concatenate([c, c[dup]])
         x = np.concatenate([x, np.zeros(dup.size)])
         z = np.concatenate([z, np.zeros(dup.size)])
 
-    A = SparseMatrix(A_csc)
     b = A.matvec(x)
     problem = LpProblem(A, b, c)
     return GeneratedLp(problem, float(c @ x), x, u, z)

@@ -6,11 +6,14 @@ OBJSENSE, in the header or the section form, takes MIN, MINIMIZE, MAX
 or MAXIMIZE in any letter case and rejects any other word; without it
 the model is minimized.  The first N row is the objective; integer
 markers and integer bound types are rejected outright.  Only the first
-RHS, RANGES and BOUNDS set is read.  Conversion produces the
-maximization standard form ``max c^T x, A x = b, x >= 0``
-(minimization inputs are negated) together with an affine map back to
-the original variables, so objective values can be reported in
-original units.
+RHS, RANGES and BOUNDS set is read, and a row named twice in it is
+rejected.  Conversion produces the maximization standard form
+``max c^T x, A x = b, x >= 0`` (minimization inputs are negated)
+together with the affine map ``x = offset + T x_std`` back to the
+original variables, so objective values can be reported in original
+units.  The conversion is sparse algebra on that map: the substituted
+block of A is ``A_orig @ T``, and the slack and bound rows are built
+from index arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lp import LpProblem
 from .sparse_linalg import SparseMatrix
@@ -69,11 +73,11 @@ def parse_mps(text: str) -> MpsModel:
     """Parse MPS text into an :class:`MpsModel`.
 
     Sections must appear in standard order and the file must end with
-    ENDATA.  Duplicate row names, duplicate matrix entries, integer
-    markers, and unsupported bound types are rejected with the line
-    number.  A negative ``UP`` bound on a column given no ``LO``,
-    ``FX``, ``FR`` or ``MI`` bound before it sets the lower bound to
-    -inf, the usual MPS reading.
+    ENDATA.  Duplicate row names, duplicate matrix, RHS or RANGES
+    entries, integer markers, and unsupported bound types are rejected
+    with the line number.  A negative ``UP`` bound on a column given no
+    ``LO``, ``FX``, ``FR`` or ``MI`` bound before it sets the lower
+    bound to -inf, the usual MPS reading.
     """
     model = MpsModel()
     section = None
@@ -171,6 +175,8 @@ def parse_mps(text: str) -> MpsModel:
                 if rname not in model.row_types:
                     raise MpsParseError(f"{section} references unknown row {rname!r}", line_no)
                 target = model.rhs if section == "RHS" else model.ranges
+                if rname in target:
+                    raise MpsParseError(f"duplicate {section} entry for {rname!r}", line_no)
                 target[rname] = value
 
         elif section == "BOUNDS":
@@ -241,34 +247,37 @@ def _parse_float(token: str, line_no: int) -> float:
 
 @dataclass
 class StandardFormMap:
-    """Affine map between standard-form and original variables.
+    """Affine map ``x_orig = offset + T @ x_std`` back to the original variables.
 
-    Each original variable is ``offset + sum(coeff * x_std[col])``.
-    ``problem`` is the converted problem itself (shared, not copied);
-    ``to_standard`` reads the added columns off its rows.
-    ``original_objective`` evaluates the model's objective (in its own
-    min/max sense and units, including the constant) at a standard-form
-    point.
+    Row i of ``T`` holds +1 in the column of a shifted variable, -1 in
+    that of a mirrored one, +1 and -1 in the two columns of a split
+    free variable, and nothing once the variable is dropped at zero.
+    The columns the conversion added (slacks and bound columns) are
+    empty in ``T``.  ``problem`` is the converted problem itself
+    (shared, not copied); ``to_standard`` reads the added columns off
+    its rows.  ``original_objective`` evaluates the model's objective
+    (in its own min/max sense and units, including the constant) at a
+    standard-form point.
     """
 
     minimize: bool
     objective_constant: float
-    terms: list[tuple[float, list[tuple[int, float]]]]
+    offset: np.ndarray
+    T: SparseMatrix
     original_coefficients: np.ndarray
     problem: LpProblem
 
     def to_original(self, x_std: np.ndarray) -> np.ndarray:
         x_std = np.asarray(x_std, dtype=np.float64)
-        out = np.empty(len(self.terms))
-        for i, (offset, parts) in enumerate(self.terms):
-            out[i] = offset + sum(coef * x_std[col] for col, coef in parts)
-        return out
+        if x_std.shape != (self.T.ncols,):
+            raise ValueError(f"expected {self.T.ncols} standard-form values")
+        return self.offset + self.T.matvec(x_std)
 
     def to_standard(self, x_orig: np.ndarray) -> np.ndarray:
         """Standard-form point of an original point, in two passes.
 
-        Substituted columns invert ``terms``: a shifted or mirrored
-        column is ``(x - offset)/coef`` and a free pair is
+        Substituted columns invert ``T``: a shifted or mirrored column
+        is ``(x - offset) * T_ij`` and a free pair is
         ``(max(x, 0), max(-x, 0))``.  Every other column was added by
         the conversion (a slack or a bound column); in ascending index
         order each is solved from the first row it appears in,
@@ -280,19 +289,15 @@ class StandardFormMap:
         with a negative entry.
         """
         x_orig = np.asarray(x_orig, dtype=np.float64)
-        if x_orig.shape != (len(self.terms),):
-            raise ValueError(f"expected {len(self.terms)} original values")
-        A, b = self.problem.A.csc, self.problem.b
+        if x_orig.shape != (self.T.nrows,):
+            raise ValueError(f"expected {self.T.nrows} original values")
+        A, b, T = self.problem.A.csc, self.problem.b, self.T.csc
+        var, sign = T.indices, T.data  # one entry per substituted column
+        sub = (x_orig[var] - self.offset[var]) * sign
+        pair = np.bincount(var, minlength=T.shape[0])[var] == 2
+        added = np.diff(T.indptr) == 0
         x_std = np.zeros(A.shape[1])
-        added = np.ones(A.shape[1], dtype=bool)
-        for value, (offset, parts) in zip(x_orig, self.terms):
-            if len(parts) == 2:
-                (p, _), (q, _) = parts
-                x_std[p], x_std[q] = max(value, 0.0), max(-value, 0.0)
-            elif parts:
-                ((j, coef),) = parts
-                x_std[j] = (value - offset) / coef
-            added[[col for col, _ in parts]] = False
+        x_std[~added] = np.where(pair, np.maximum(sub, 0.0), sub)
         rows = A.tocsr()
         for j in np.flatnonzero(added):
             k = A.indptr[j]
@@ -309,133 +314,105 @@ class StandardFormMap:
 def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
     """Convert a parsed model to ``max c^T x, A x = b, x >= 0``.
 
-    Inequalities gain slacks, ranged rows gain bounded slacks, bounded
-    variables are shifted (with an extra bound row when two-sided), and
-    free variables are split into differences of nonnegatives.  Columns
-    that end up absent from every constraint are fixed at zero and
-    dropped (they cannot carry a bounded optimum in max form unless
-    their reduced objective is nonpositive, which is verified).
+    Each variable is shifted by its lower bound, mirrored below its
+    upper bound when it has no lower one, or split into a difference of
+    nonnegatives when free; this is the map ``x = offset + T x_std`` of
+    :class:`StandardFormMap`, and the substituted block of A is
+    ``A_orig @ T`` with right-hand side ``rhs - A_orig @ offset``.
+    Inequalities gain slacks, ranged rows gain bounded slacks, and a
+    two-sided variable or ranged row gains a bound row.  Columns that
+    end up absent from every constraint are fixed at zero and dropped
+    (they cannot carry a bounded optimum in max form unless their
+    reduced objective is nonpositive, which is verified).
 
     Rows are the constraint rows in model order, then one bound row per
-    two-sided variable or ranged row.  Columns are the substituted
-    variables, then the slacks, then the bound columns.
-    :meth:`StandardFormMap.to_standard` relies on this order.
+    two-sided variable (in column order), then one per ranged row.
+    Columns are the substituted variables, then the slacks, then the
+    bound columns.  :meth:`StandardFormMap.to_standard` relies on this
+    order.
     """
-    col_obj: list[float] = []
-    orig_coeffs = np.array([model.objective.get(c, 0.0) for c in model.columns])
+    names, row_order = model.columns, model.row_order
+    n, m = len(names), len(row_order)
+    obj = np.array([model.objective.get(c, 0.0) for c in names])
+    lo, up = np.array([model.bounds.get(c, (0.0, math.inf)) for c in names]).reshape(n, 2).T
+    shifted = lo > -math.inf
+    bad = np.flatnonzero(shifted & (up < lo))
+    if bad.size:
+        raise MpsParseError(f"variable {names[bad[0]]!r} has upper bound below lower")
+
+    # substituted columns: one per variable, a +/- pair per free variable
+    free = ~shifted & (up == math.inf)
+    mirrored = ~shifted & ~free
+    offset = np.where(shifted, lo, np.where(free, 0.0, up))
+    width = 1 + free
+    var = np.repeat(np.arange(n), width)
+    first = np.cumsum(width) - width
+    sign = np.where(mirrored, -1.0, 1.0)[var]
+    sign[first[free] + 1] = -1.0
+
+    # a slack per inequality or ranged row; a bound row x_j + t = width
+    # per two-sided variable, then per ranged row
+    lo_r, hi_r = np.array([
+        _row_interval(model.row_types[r], model.rhs.get(r, 0.0), model.ranges.get(r))
+        for r in row_order
+    ]).reshape(m, 2).T
+    eq = lo_r == hi_r
+    lower_only = (lo_r > -math.inf) & (hi_r == math.inf)
+    two_sided = ~eq & (lo_r > -math.inf) & (hi_r < math.inf)
+    slack_rows = np.flatnonzero(~eq)
+    bounded_vars = np.flatnonzero(shifted & (up < math.inf))
+    n_sub, n_slack = var.size, slack_rows.size
+    bounded = np.concatenate([first[bounded_vars], n_sub + np.flatnonzero(two_sided[slack_rows])])
+    k = bounded.size
+    n_std = n_sub + n_slack + k
+
+    indptr = np.concatenate([np.arange(n_sub + 1), np.full(n_slack + k, n_sub)])
+    T = SparseMatrix._trusted(sp.csc_array((sign, var, indptr), shape=(n, n_std)))
+    row_index = {name: i for i, name in enumerate(row_order)}
+    entries = [model.entries[c] for c in names]
+    A_orig = SparseMatrix.from_coo(
+        m, n,
+        [row_index[r] for e in entries for r in e],
+        np.repeat(np.arange(n), np.array([len(e) for e in entries], dtype=np.int64)),
+        [v for e in entries for v in e.values()],
+    )
+    sub = (A_orig.csc @ T.csc).tocoo()
+    bound_rows = m + np.arange(k)
+    A = SparseMatrix.from_coo(
+        m + k, n_std,
+        np.concatenate([sub.row, slack_rows, bound_rows, bound_rows]),
+        np.concatenate([sub.col, n_sub + np.arange(n_slack), bounded, n_std - k + np.arange(k)]),
+        np.concatenate([sub.data, np.where(lower_only, -1.0, 1.0)[slack_rows], np.ones(2 * k)]),
+    )
+    # rhs - A_orig @ offset as one product with rhs as the leading column:
+    # each row then starts from rhs and subtracts its terms one at a time
+    # in column order, so b does not depend on how a separate sum rounds
+    rhs = np.where(lower_only | eq, lo_r, hi_r)
+    b = np.concatenate([
+        sp.hstack([sp.csc_array(rhs[:, None]), A_orig.csc], format="csc")
+        @ np.concatenate([[1.0], -offset]),
+        up[bounded_vars] - lo[bounded_vars],
+        (hi_r - lo_r)[two_sided],
+    ])
     sense = -1.0 if model.minimize else 1.0
-
-    # matrix assembled as (row, col, value) triplets over expanded rows
-    tri_rows: list[int] = []
-    tri_cols: list[int] = []
-    tri_vals: list[float] = []
-
-    n_rows = len(model.row_order)
-    row_index = {name: i for i, name in enumerate(model.row_order)}
-    rhs_vals = [0.0] * n_rows
-
-    def new_col(obj_coef: float) -> int:
-        col_obj.append(obj_coef)
-        return len(col_obj) - 1
-
-    # variable substitutions
-    var_cols: dict[str, list[tuple[int, float]]] = {}
-    var_offsets: dict[str, float] = {}
-    bound_rows: list[tuple[int, float]] = []  # (std col, width); rows added later
-    for name in model.columns:
-        lo, up = model.bounds.get(name, (0.0, math.inf))
-        c_orig = sense * model.objective.get(name, 0.0)
-        if lo == -math.inf and up == math.inf:
-            p = new_col(c_orig)
-            q = new_col(-c_orig)
-            var_cols[name] = [(p, 1.0), (q, -1.0)]
-            var_offsets[name] = 0.0
-        elif lo == -math.inf:
-            j = new_col(-c_orig)
-            var_cols[name] = [(j, -1.0)]
-            var_offsets[name] = up
-        else:
-            j = new_col(c_orig)
-            var_cols[name] = [(j, 1.0)]
-            var_offsets[name] = lo
-            if up != math.inf:
-                if up < lo:
-                    raise MpsParseError(f"variable {name!r} has upper bound below lower")
-                bound_rows.append((j, up - lo))
-
-    terms = [(var_offsets[name], var_cols[name]) for name in model.columns]
-
-    # constraint rows with slacks
-    for rname in model.row_order:
-        rtype = model.row_types[rname]
-        rhs = model.rhs.get(rname, 0.0)
-        rng = model.ranges.get(rname)
-        lo, hi = _row_interval(rtype, rhs, rng)
-        r = row_index[rname]
-        if lo == hi:
-            rhs_vals[r] = lo
-        elif hi < math.inf and lo == -math.inf:
-            s = new_col(0.0)
-            tri_rows.append(r), tri_cols.append(s), tri_vals.append(1.0)
-            rhs_vals[r] = hi
-        elif lo > -math.inf and hi == math.inf:
-            s = new_col(0.0)
-            tri_rows.append(r), tri_cols.append(s), tri_vals.append(-1.0)
-            rhs_vals[r] = lo
-        else:
-            s = new_col(0.0)
-            tri_rows.append(r), tri_cols.append(s), tri_vals.append(1.0)
-            rhs_vals[r] = hi
-            bound_rows.append((s, hi - lo))
-
-    # matrix entries of original variables, shifted through substitutions
-    for name in model.columns:
-        offset = var_offsets[name]
-        for rname, coef in model.entries[name].items():
-            r = row_index[rname]
-            for col, factor in var_cols[name]:
-                tri_rows.append(r), tri_cols.append(col), tri_vals.append(coef * factor)
-            if offset != 0.0:
-                rhs_vals[r] -= coef * offset
-
-    # bound rows x_j + t = width
-    for col, width in bound_rows:
-        r = len(rhs_vals)
-        rhs_vals.append(width)
-        t = new_col(0.0)
-        tri_rows += [r, r]
-        tri_cols += [col, t]
-        tri_vals += [1.0, 1.0]
-
-    n_std = len(col_obj)
-    m_std = len(rhs_vals)
-    A = SparseMatrix.from_coo(m_std, n_std, tri_rows, tri_cols, tri_vals)
-    b = np.asarray(rhs_vals)
-    c = np.asarray(col_obj)
+    c = np.concatenate([sign * (sense * obj)[var], np.zeros(n_slack + k)])
 
     # drop columns that touch no constraint; a positive objective there
     # would make the problem unbounded
-    counts = np.diff(A.csc.indptr)
-    empty = np.where(counts == 0)[0]
-    kept = np.where(counts > 0)[0]
-    if empty.size:
-        if np.any(c[empty] > 0.0):
-            raise MpsParseError("unconstrained column with positive objective (unbounded)")
-        remap = -np.ones(n_std, dtype=np.int64)
-        remap[kept] = np.arange(kept.size)
-        A = A.cols(kept)
-        c = c[kept]
-        terms = [
-            (off, [(int(remap[col]), coef) for col, coef in parts if remap[col] >= 0])
-            for off, parts in terms
-        ]
+    empty = np.diff(A.csc.indptr) == 0
+    if np.any(c[empty] > 0.0):
+        raise MpsParseError("unconstrained column with positive objective (unbounded)")
+    if empty.any():
+        kept = np.flatnonzero(~empty)
+        A, c, T = A.cols(kept), c[kept], T.cols(kept)
 
     problem = LpProblem(A, b, c)
     fmap = StandardFormMap(
         minimize=model.minimize,
         objective_constant=model.objective_constant,
-        terms=terms,
-        original_coefficients=orig_coeffs,
+        offset=offset,
+        T=T,
+        original_coefficients=obj,
         problem=problem,
     )
     return problem, fmap

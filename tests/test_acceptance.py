@@ -348,8 +348,9 @@ def test_criterion_10_triangle_projection():
         prob = build_triangle_bap(tri, xbar)
         sol = solve_rnnm(prob, config=RnnmConfig(tol=1e-14))
         assert sol.status == CONVERGED
-        n_e, n_t = len(tri.edges), len(tri.triples)
-        start = np.concatenate([np.zeros(n_e), np.zeros(3 * n_t), np.ones(n_e)])
+        # x = 1/2 is strictly inside every triangle system (s = t = 1/2),
+        # so the active-set oracle starts with no bound active
+        start = np.full(prob.n, 0.5)
         ref = oracle_polyhedron_projection(prob.A.toarray(), prob.b, prob.v, start)
         err = np.linalg.norm(sol.x - ref) / (1.0 + np.linalg.norm(ref))
         worst = max(worst, err)

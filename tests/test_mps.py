@@ -88,6 +88,16 @@ class TestParse:
         with pytest.raises(MpsParseError, match=f"line {2 if header else 3}: .*MAXIMUM"):
             parse_mps(TINY_MPS.replace("OBJSENSE\n    MAX\n", sense))
 
+    def test_duplicate_rhs_rejected(self):
+        text = TINY_MPS.replace("R1              1.\nENDATA", "R1  1.   R1  5.\nENDATA")
+        with pytest.raises(MpsParseError, match="line 11: duplicate RHS entry for 'R1'"):
+            parse_mps(text)
+
+    def test_duplicate_ranges_rejected(self):
+        text = TINY_MPS.replace("ENDATA", "RANGES\n    RNG  R1  2.\n    RNG  R1  3.\nENDATA")
+        with pytest.raises(MpsParseError, match="line 14: duplicate RANGES entry for 'R1'"):
+            parse_mps(text)
+
     def test_error_carries_line_number(self):
         text = TINY_MPS.replace("X2        R1              1.", "X2        R1        oops")
         with pytest.raises(MpsParseError, match="line 9"):
@@ -195,6 +205,81 @@ ENDATA
         assert model.bounds["X1"] == (0.0, -1.0)
         with pytest.raises(MpsParseError, match="upper bound below lower"):
             to_standard_form(model)
+
+    def test_to_original_checks_length(self):
+        lp, fmap = to_standard_form(parse_mps(TINY_MPS))
+        for size in (lp.n - 1, lp.n + 1):
+            with pytest.raises(ValueError, match="standard-form values"):
+                fmap.to_original(np.zeros(size))
+
+    def test_golden_standard_form(self):
+        # every bound kind and a ranged row of every type; pins the row
+        # and column order that to_standard relies on
+        text = """NAME GOLD
+ROWS
+ N  COST
+ E  RE1
+ E  RE2
+ L  RL
+ G  RG
+ G  RG0
+COLUMNS
+    X1  COST  1.   RE1  1.
+    X1  RL    2.
+    X2  COST  2.   RE1  1.
+    X2  RG    1.
+    X3  COST  -1.  RE2  1.
+    X3  RG0   2.
+    X4  COST  1.   RE2  1.
+    X4  RG    -1.
+    X5  COST  1.   RL   1.
+    X6  COST  -1.  RE1  1.
+    X6  RG    2.
+    X7  COST  3.   RL   1.
+    X7  RG0   -1.
+    X8  COST  1.
+RHS
+    B  RE1  4.   RE2  5.
+    B  RL   6.   RG   1.
+    B  RG0  3.
+RANGES
+    R  RE1  2.   RE2  -3.
+    R  RL   4.   RG   5.
+BOUNDS
+ LO BND  X1  1.
+ UP BND  X2  4.
+ LO BND  X3  -1.
+ UP BND  X3  2.
+ MI BND  X4
+ MI BND  X5
+ UP BND  X5  3.
+ FR BND  X6
+ UP BND  X7  -2.
+ENDATA
+"""
+        lp, fmap = to_standard_form(parse_mps(text))
+        # columns: X1+ X2+ X3+ X4+ X4- X5- X6+ X6- X7- (X8 is dropped),
+        # slacks of RE1 RE2 RL RG RG0, bound columns of X2 X3 RE1 RE2 RL RG
+        rows = [
+            {0: 1, 1: 1, 6: 1, 7: -1, 9: 1},            # RE1 in [4, 6]
+            {2: 1, 3: 1, 4: -1, 10: 1},                 # RE2 in [2, 5]
+            {0: 2, 5: -1, 8: -1, 11: 1},                # RL in [2, 6]
+            {1: 1, 3: -1, 4: 1, 6: 2, 7: -2, 12: 1},    # RG in [1, 6]
+            {2: 2, 8: 1, 13: -1},                       # RG0 >= 3
+            {1: 1, 14: 1}, {2: 1, 15: 1},               # X2 <= 4, X3 in [-1, 2]
+            {9: 1, 16: 1}, {10: 1, 17: 1}, {11: 1, 18: 1}, {12: 1, 19: 1},
+        ]
+        A = np.zeros((11, 20))
+        for r, row in enumerate(rows):
+            for j, v in row.items():
+                A[r, j] = v
+        assert np.array_equal(lp.A.toarray(), A)
+        assert np.array_equal(lp.b, [5, 6, 3, 6, 3, 4, 3, 2, 3, 4, 5])
+        assert np.array_equal(lp.c, [-1, -2, 1, -1, 1, 1, 1, -1, 3] + [0] * 11)
+        assert np.array_equal(fmap.offset, [1, 0, -1, 0, 3, 0, -2, 0])
+        T = np.zeros((8, 20))
+        T[[0, 1, 2, 3, 3, 4, 5, 5, 6], range(9)] = [1, 1, 1, 1, -1, -1, 1, -1, -1]
+        assert np.array_equal(fmap.T.toarray(), T)
 
     def test_round_trip_objective(self):
         rng = np.random.default_rng(0)
