@@ -51,7 +51,6 @@ from .sparse_linalg import (
     SparseMatrix,
     assemble_normal_matrix,
     cholesky_shifted,
-    conjugate_gradient,
     independent_columns,
     read_matrix_market,
     write_matrix_market,

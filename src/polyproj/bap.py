@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .sparse_linalg import (
     SparseMatrix,
     as_vector,
     assemble_normal_matrix,
     cholesky_shifted,
-    conjugate_gradient,
     independent_columns,
 )
 
@@ -154,8 +154,9 @@ class RnnmConfig:
     """Newton solver parameters.
 
     ``mode`` selects the linear solve: "exact" factors the shifted
-    Jacobian with Cholesky, "inexact" runs preconditioned CG, at most
-    ``max(10*m, 50)`` iterations, to the residual bound
+    Jacobian with Cholesky, "inexact" runs ``scipy.sparse.linalg.cg``
+    with a Jacobi preconditioner, at most ``max(10*m, 50)`` iterations,
+    to the absolute residual bound
     ``0.5 * min(||F_k||, ||F_k||^2)``, the paper's forcing term
     ``theta * ||F_k||^nu`` with theta = 0.5 and nu = 2 for
     ``||F_k|| <= 1``.  The cap keeps the bound below ``||F_k||``:
@@ -273,13 +274,14 @@ def solve_rnnm(
     """Run the regularized nonsmooth Newton iteration from ``y0``.
 
     Each step solves ``(V_k + lambda I) d = -F_k`` (Cholesky in exact
-    mode, dense LAPACK or SuperLU by the size of ``V_k``;
-    Jacobi-preconditioned CG to ``0.5*min(||F_k||, ||F_k||^2)`` in
-    inexact mode), with ``lambda`` from :func:`regularization_lambda`,
-    floored at ``1e-14 * max diag(V_k)`` so that the shift stays above
-    the rounding error of a singular ``V_k``.  Either solve gives
-    ``F_k^T d < 0`` (a CG iterate started from zero too), so ``d``
-    descends on the dual function
+    mode, dense LAPACK or SuperLU by the size of ``V_k``; in inexact
+    mode ``scipy.sparse.linalg.cg`` from zero, preconditioned by
+    ``1 / diag(V_k + lambda I)``, to ``0.5*min(||F_k||, ||F_k||^2)``
+    or its iteration cap), with ``lambda`` from
+    :func:`regularization_lambda`, floored at ``1e-14 * max diag(V_k)``
+    so that the shift stays above the rounding error of a singular
+    ``V_k``.  Either solve gives ``F_k^T d < 0`` (a CG iterate started
+    from zero too), so ``d`` descends on the dual function
     ``theta(y) = 0.5*||pi(v + A^T y)||^2 - b^T y``, whose gradient is F.
     The new iterate is ``y + t*d``, with ``t = 1, 1/2, 1/4, ...`` until
     the trial point, with Moreau split ``x_+`` and residual ``F_+``,
@@ -338,12 +340,20 @@ def solve_rnnm(
             f_norm = float(np.linalg.norm(F))
             tol_cg = 0.5 * min(f_norm, f_norm**2.0)  # theta = 0.5, nu = 2
             op = getattr(V, "csc", V)
-            d, _ = conjugate_gradient(
-                lambda q, _op=op, _lam=lam: _op @ q + _lam * q,
+            inv = 1.0 / (diag + lam)
+            shape = (problem.m, problem.m)
+            shifted = LinearOperator(
+                shape, matvec=lambda q, _op=op, _lam=lam: _op @ q + _lam * q, dtype=np.float64
+            )
+            jacobi = LinearOperator(shape, matvec=lambda r, _inv=inv: _inv * r, dtype=np.float64)
+            d, _ = cg(
+                shifted,
                 -F,
-                tol_cg,
-                max(10 * problem.m, 50),
-                diag=diag + lam,
+                x0=None,
+                rtol=0.0,
+                atol=tol_cg,
+                maxiter=max(10 * problem.m, 50),
+                M=jacobi,
             )
         t = 1.0
         while True:

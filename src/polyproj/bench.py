@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import math
 import time
+import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,18 +78,14 @@ class PerfProfile:
             return 0.0
         return float(self.rho[idx, j])
 
-    def to_csv(self, target) -> None:
+    def to_csv(self, path: str) -> None:
         header = "tau," + ",".join(f"rho_{s}" for s in self.solvers)
         lines = [header]
         for i, tau in enumerate(self.taus):
             row = ",".join(f"{v:.5e}" for v in self.rho[i])
             lines.append(f"{tau:.5e},{row}")
-        text = "\n".join(lines) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w", encoding="ascii") as fh:
-                fh.write(text)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def performance_ratio(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,12 +297,20 @@ def profile_from_records(records: list[BenchRecord]) -> PerfProfile | None:
     return performance_profile(ratios, solvers)
 
 
+# (name, type) of each BenchRecord field, in the column order of records.csv;
+# float columns are written as %.5e, the others with str
+_RECORD_TYPES = typing.get_type_hints(BenchRecord)
+_RECORD_FIELDS = [(f.name, _RECORD_TYPES[f.name]) for f in fields(BenchRecord)]
+
+
 def _write_records_csv(records: list[BenchRecord], path: str) -> None:
-    lines = ["problem,solver,tol,m,n,density,seed,time_s,rel_residual,status"]
+    lines = [",".join(name for name, _ in _RECORD_FIELDS)]
     for r in records:
         lines.append(
-            f"{r.problem},{r.solver},{r.tol:.5e},{r.m},{r.n},{r.density:.5e},"
-            f"{r.seed},{r.time_s:.5e},{r.rel_residual:.5e},{r.status}"
+            ",".join(
+                f"{getattr(r, name):.5e}" if kind is float else str(getattr(r, name))
+                for name, kind in _RECORD_FIELDS
+            )
         )
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -330,18 +335,7 @@ def _read_records_csv(path: str) -> list[BenchRecord]:
                 if len(parts) != len(header):
                     raise ValueError(f"{len(parts)} fields, expected {len(header)}")
                 records.append(
-                    BenchRecord(
-                        problem=parts[idx["problem"]],
-                        solver=parts[idx["solver"]],
-                        tol=float(parts[idx["tol"]]),
-                        m=int(parts[idx["m"]]),
-                        n=int(parts[idx["n"]]),
-                        density=float(parts[idx["density"]]),
-                        seed=int(parts[idx["seed"]]),
-                        time_s=float(parts[idx["time_s"]]),
-                        rel_residual=float(parts[idx["rel_residual"]]),
-                        status=parts[idx["status"]],
-                    )
+                    BenchRecord(**{name: kind(parts[idx[name]]) for name, kind in _RECORD_FIELDS})
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None

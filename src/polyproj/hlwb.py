@@ -153,8 +153,8 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     )
 
 
-def write_trace_csv(result, target, header: str = "sweep,rel_residual,sigma") -> None:
-    """Convergence trace of a solve as CSV rows under ``header``.
+def write_trace_csv(result, path: str, header: str = "sweep,rel_residual,sigma") -> None:
+    """Write the convergence trace of a solve to ``path`` as CSV under ``header``.
 
     ``result.trace`` holds ``(count, value, ...)`` rows:
     ``(sweep, rel_residual, sigma)`` for HLWB, ``(iteration,
@@ -166,9 +166,5 @@ def write_trace_csv(result, target, header: str = "sweep,rel_residual,sigma") ->
     lines = [header]
     for count, *values in result.trace:
         lines.append(",".join([str(count)] + [f"{v:.5e}" for v in values]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="ascii") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -86,6 +86,7 @@ def parse_mps(text: str) -> MpsModel:
     set_names: dict[str, str] = {}  # section -> first set name; later sets are skipped
     ignored_free_rows: set[str] = set()
     explicit_lower: set[str] = set()  # columns given a LO, FX, FR or MI bound
+    objective_rhs_seen = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
@@ -168,6 +169,9 @@ def parse_mps(text: str) -> MpsModel:
                 value = _parse_float(val, line_no)
                 if rname == model.objective_name:
                     if section == "RHS":
+                        if objective_rhs_seen:
+                            raise MpsParseError(f"duplicate RHS entry for {rname!r}", line_no)
+                        objective_rhs_seen = True
                         model.objective_constant = -value
                     continue
                 if rname in ignored_free_rows:

@@ -3,11 +3,11 @@
 The module owns the compressed-sparse-column matrix type used for
 constraint matrices and their submatrices, plus the handful of dense and
 sparse kernels the Newton and path-following solvers are built from:
-weighted normal-matrix assembly, shifted Cholesky factorization,
-Jacobi-preconditioned conjugate gradients and rank-revealing selection
-of independent columns.  Matrix Market coordinate I/O, a thin wrapper
-over ``scipy.io.mmread``/``mmwrite``, lives here as well because it is
-the on-disk form of :class:`SparseMatrix`.
+weighted normal-matrix assembly, shifted Cholesky factorization and
+rank-revealing selection of independent columns.  Matrix Market
+coordinate I/O, a thin wrapper over ``scipy.io.mmread``/``mmwrite``,
+lives here as well because it is the on-disk form of
+:class:`SparseMatrix`.
 
 The normal matrix ``V = sum w_i A_i A_i^T`` has one form per size
 regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
@@ -44,7 +44,6 @@ __all__ = [
     "as_vector",
     "assemble_normal_matrix",
     "cholesky_shifted",
-    "conjugate_gradient",
     "independent_columns",
     "read_matrix_market",
     "write_matrix_market",
@@ -306,44 +305,6 @@ def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
     if np.any(diag_u <= 0.0) or not np.all(np.isfinite(diag_u)):
         raise NotPositiveDefiniteError("non-positive pivot in sparse factorization")
     return CholFactor(n, splu=lu)
-
-
-def conjugate_gradient(matvec, rhs, tol_abs: float, max_iter: int, diag):
-    """Jacobi-preconditioned CG for a symmetric positive definite operator.
-
-    ``matvec`` applies the operator and ``diag`` is its diagonal, the
-    preconditioner.  Returns ``(d, residual_norm)`` where the norm is the
-    true final ``||matvec(d) - rhs||``; non-convergence is reported
-    through it, never raised.
-    """
-    rhs = as_vector(rhs, name="rhs")
-    n = rhs.shape[0]
-    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-
-    x = np.zeros(n)
-    r = rhs.copy()
-    rnorm = np.linalg.norm(r)
-    if rnorm <= tol_abs:
-        return x, rnorm
-    s = inv_diag * r
-    p = s.copy()
-    rs = float(r @ s)
-    for _ in range(max_iter):
-        Ap = matvec(p)
-        denom = float(p @ Ap)
-        if denom <= 0.0:
-            break
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= tol_abs:
-            break
-        s = inv_diag * r
-        rs_new = float(r @ s)
-        p = s + (rs_new / rs) * p
-        rs = rs_new
-    true_res = rhs - matvec(x)
-    return x, float(np.linalg.norm(true_res))
 
 
 def independent_columns(A: SparseMatrix, candidate_cols, tol: float = 1e-10) -> np.ndarray:

@@ -52,7 +52,7 @@ def replay_search(monkeypatch, problem, mode, tol):
     trials, directions = [], []
     real_split = bap_mod.moreau_split
     real_chol = bap_mod.cholesky_shifted
-    real_cg = bap_mod.conjugate_gradient
+    real_cg = bap_mod.cg
 
     def split(prob, y):
         out = real_split(prob, y)
@@ -69,15 +69,15 @@ def replay_search(monkeypatch, problem, mode, tol):
             return d
 
     def cg(*args, **kwargs):
-        d, res = real_cg(*args, **kwargs)
+        d, info = real_cg(*args, **kwargs)
         directions.append(d)
-        return d, res
+        return d, info
 
     monkeypatch.setattr(bap_mod, "moreau_split", split)
     monkeypatch.setattr(
         bap_mod, "cholesky_shifted", lambda V, lam: Recorded(real_chol(V, lam))
     )
-    monkeypatch.setattr(bap_mod, "conjugate_gradient", cg)
+    monkeypatch.setattr(bap_mod, "cg", cg)
     sol = solve_rnnm(problem, config=RnnmConfig(tol=tol, mode=mode, collect_trace=True))
 
     A, b = problem.A, problem.b
@@ -355,6 +355,39 @@ class TestSolveRnnm:
         assert rules.count("tol") <= 1 and "tol" not in rules[:-1]
         if mode == "exact":
             assert halvings >= 1
+
+    @pytest.mark.parametrize("source", ["vertex", "lp"])
+    def test_inexact_steps_meet_the_forcing_term(self, monkeypatch, source):
+        # each step's CG solve ends within 0.5*min(||F||, ||F||^2) of
+        # -F, or after its whole budget of max(10m, 50) iterations; the
+        # iterates are replayed to rebuild V, lambda and F of each step
+        if source == "vertex":
+            problem = gen_bap_with_known_vertex(GenSpec(m=25, n=150, density=0.12, seed=5)).problem
+        else:
+            g = gen_lp(GenSpec(m=20, n=120, density=0.1, seed=45, degeneracy="degenerate"))
+            problem = scaled_subproblem(g.problem, initial_radius(g.problem))
+        solves = []
+        real_cg = bap_mod.cg
+
+        def cg(*args, **kwargs):
+            d, info = real_cg(*args, **kwargs)
+            solves.append((d, info))
+            return d, info
+
+        monkeypatch.setattr(bap_mod, "cg", cg)
+        sol = solve_rnnm(problem, config=RnnmConfig(mode="inexact", collect_trace=True))
+        assert sol.status == CONVERGED and len(solves) == sol.iterations
+        budget = max(10 * problem.m, 50)
+        y = np.zeros(problem.m)
+        for (_, _, lam, t), (d, info) in zip(sol.trace, solves):
+            _, _, p = moreau_split(problem, y)
+            F = residual(problem, y)
+            V = generalized_jacobian(problem, classify_indices(problem, p))
+            f_norm = np.linalg.norm(F)
+            cg_res = np.linalg.norm(V @ d + lam * d + F)
+            assert cg_res <= 0.5 * min(f_norm, f_norm**2) or info == budget
+            y = y + t * d
+        assert np.array_equal(y, sol.y)
 
     def test_unreachable_tol_ends_stalled_at_the_rounding_floor(self):
         # below rounding no trial meets a rule; the search ends the

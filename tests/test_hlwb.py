@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -117,11 +115,11 @@ class TestSolveHlwb:
         with pytest.raises(ValueError):
             solve_hlwb(prob)
 
-    def test_trace_csv(self):
+    def test_trace_csv(self, tmp_path):
         res = solve_hlwb(tiny_problem(), HlwbConfig(tol=1e-14, max_sweeps=5, collect_trace=True))
-        buf = io.StringIO()
-        write_trace_csv(res, buf)
-        lines = buf.getvalue().strip().splitlines()
+        path = tmp_path / "trace.csv"
+        write_trace_csv(res, str(path))
+        lines = path.read_text().strip().splitlines()
         assert lines[0] == "sweep,rel_residual,sigma"
         assert len(lines) == 1 + res.sweeps
 

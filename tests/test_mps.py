@@ -93,6 +93,11 @@ class TestParse:
         with pytest.raises(MpsParseError, match="line 11: duplicate RHS entry for 'R1'"):
             parse_mps(text)
 
+    def test_duplicate_objective_rhs_rejected(self):
+        text = TINY_MPS.replace("R1              1.\nENDATA", "R1  1.   OBJ  1.   OBJ  5.\nENDATA")
+        with pytest.raises(MpsParseError, match="line 11: duplicate RHS entry for 'OBJ'"):
+            parse_mps(text)
+
     def test_duplicate_ranges_rejected(self):
         text = TINY_MPS.replace("ENDATA", "RANGES\n    RNG  R1  2.\n    RNG  R1  3.\nENDATA")
         with pytest.raises(MpsParseError, match="line 14: duplicate RANGES entry for 'R1'"):

@@ -27,7 +27,6 @@ from polyproj.sparse_linalg import (
     SparseMatrix,
     assemble_normal_matrix,
     cholesky_shifted,
-    conjugate_gradient,
     independent_columns,
     read_matrix_market,
     write_matrix_market,
@@ -238,42 +237,6 @@ class TestCholeskyShifted:
     def test_shift_must_be_positive(self):
         with pytest.raises(ValueError):
             cholesky_shifted(SparseMatrix.identity(2), 0.0)
-
-
-class TestConjugateGradient:
-    def test_identity(self):
-        M = np.eye(3)
-        d, res = conjugate_gradient(
-            lambda q: M @ q, np.array([1.0, 2.0, 3.0]), 1e-14, 10, diag=np.diag(M)
-        )
-        assert np.allclose(d, [1.0, 2.0, 3.0])
-        assert res <= 1e-12
-
-    def test_diagonal(self):
-        M = np.diag([1.0, 10.0])
-        d, res = conjugate_gradient(
-            lambda q: M @ q, np.array([1.0, 10.0]), 1e-12, 10, diag=np.diag(M)
-        )
-        assert np.allclose(d, [1.0, 1.0], atol=1e-10)
-
-    def test_matches_direct_solve(self):
-        rng = np.random.default_rng(17)
-        B = rng.standard_normal((30, 30))
-        M = B @ B.T + np.eye(30)
-        rhs = rng.standard_normal(30)
-        tol = 1e-11
-        d, res = conjugate_gradient(lambda q: M @ q, rhs, tol, 500, diag=np.diag(M))
-        assert res <= tol
-        direct = cholesky_shifted(SparseMatrix.from_dense(M - 1e-9 * np.eye(30)), 1e-9)
-        assert np.linalg.norm(d - direct.solve(rhs)) <= 1e-8
-
-    def test_reports_nonconvergence_via_residual(self):
-        rng = np.random.default_rng(2)
-        B = rng.standard_normal((40, 40))
-        M = B @ B.T + 1e-8 * np.eye(40)
-        rhs = rng.standard_normal(40)
-        _, res = conjugate_gradient(lambda q: M @ q, rhs, 1e-16, 2, diag=np.diag(M))
-        assert res > 1e-16  # caller decides what to do
 
 
 class TestIndependentColumns:
