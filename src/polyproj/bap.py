@@ -98,7 +98,6 @@ class BapProblem:
         object.__setattr__(self, "free", free)
         if self.A.has_zero_column():
             raise ValueError("constraint matrix has an all-zero column")
-        object.__setattr__(self, "_col_norms", self.A.column_norms())
 
     @property
     def m(self) -> int:
@@ -112,23 +111,18 @@ class BapProblem:
     def n_free(self) -> int:
         return int(np.count_nonzero(self.free))
 
-    @property
-    def column_norms(self) -> np.ndarray:
-        return self._col_norms
-
 
 @dataclass(frozen=True)
 class IndexSets:
-    """Sign partition of the constrained coordinates of ``v + A^T y``.
+    """Active and boundary sets of the constrained coordinates of ``v + A^T y``.
 
     ``i_zero_bar`` is a maximal linearly independent subset of the
-    columns indexed by ``i_zero``.  Free coordinates are not listed;
-    they always count as active for Jacobian purposes.
+    columns indexed by ``i_zero``; constrained coordinates in neither set
+    are inactive.  Free coordinates count as active and are not listed.
     """
 
     i_plus: np.ndarray
     i_zero: np.ndarray
-    i_minus: np.ndarray
     i_zero_bar: np.ndarray
 
 
@@ -173,7 +167,7 @@ class RnnmConfig:
     collect_trace: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -209,7 +203,7 @@ def default_zero_tol(p: np.ndarray) -> float:
 
 
 def classify_indices(problem: BapProblem, p) -> IndexSets:
-    """Partition constrained coordinates by the sign of ``p = v + A^T y``.
+    """Classify constrained coordinates by the sign of ``p = v + A^T y``.
 
     ``p`` is the inner point that :func:`moreau_split` returns.  Entries
     within :func:`default_zero_tol` of zero land in the boundary set
@@ -219,12 +213,10 @@ def classify_indices(problem: BapProblem, p) -> IndexSets:
     p = as_vector(p, problem.n, "p")
     zero_tol = default_zero_tol(p)
     constrained = ~problem.free
-    zero = constrained & (np.abs(p) <= zero_tol)
-    plus = constrained & (p > zero_tol)
-    minus = constrained & ~zero & ~plus
-    i_zero = np.where(zero)[0]
+    i_zero = np.where(constrained & (np.abs(p) <= zero_tol))[0]
+    i_plus = np.where(constrained & (p > zero_tol))[0]
     i_zero_bar = independent_columns(problem.A, i_zero) if i_zero.size else i_zero
-    return IndexSets(np.where(plus)[0], i_zero, np.where(minus)[0], i_zero_bar)
+    return IndexSets(i_plus, i_zero, i_zero_bar)
 
 
 def generalized_jacobian(
@@ -242,7 +234,7 @@ def generalized_jacobian(
     support = np.concatenate([sets.i_plus, free_idx, sets.i_zero_bar])
     weights = np.ones(problem.n)
     if sets.i_zero_bar.size:
-        norms = problem.column_norms[sets.i_zero_bar]
+        norms = problem.A.cols(sets.i_zero_bar).column_norms()
         weights[sets.i_zero_bar] = np.minimum(1.0, 1.0 / norms**2)
     return assemble_normal_matrix(problem.A, weights, support)
 

@@ -112,12 +112,10 @@ def performance_ratio(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ratios, keep
 
 
-def performance_profile(ratios: np.ndarray, solvers: list[str] | None = None) -> PerfProfile:
-    """Empirical CDF of performance ratios on a log grid plus breakpoints."""
+def performance_profile(ratios: np.ndarray, solvers: list[str]) -> PerfProfile:
+    """Empirical CDF per solver (the columns of ``ratios``) on a log grid plus breakpoints."""
     ratios = np.asarray(ratios, dtype=np.float64)
     n_problems, n_solvers = ratios.shape
-    if solvers is None:
-        solvers = [f"s{j}" for j in range(n_solvers)]
     finite = ratios[np.isfinite(ratios)]
     top = float(finite.max()) if finite.size else 1.0
     grid = np.geomspace(1.0, max(top * 1.05, 1.0 + 1e-12), num=64)

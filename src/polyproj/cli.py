@@ -57,11 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bap_sub = bap.add_subparsers(dest="bap_command", required=True)
     bs = bap_sub.add_parser("solve", help="solve instance files")
     bs.add_argument("files", nargs="+", help="instance base paths (or .mtx paths)")
-    bs.add_argument(
-        "--method",
-        choices=["rnnm-exact", "rnnm-inexact", "hlwb"],
-        default="rnnm-exact",
-    )
+    bs.add_argument("--method", choices=bench.BAP_SOLVERS, default="rnnm-exact")
     bs.add_argument("--tol", type=float, default=1e-14)
     bs.add_argument("--max-iter", type=int, default=2000)
     bs.add_argument(

@@ -182,14 +182,12 @@ def _random_sparse(rng: np.random.Generator, m: int, n: int, density: float) -> 
     return A.tocsc()
 
 
-def estimate_spectral_norm(A, rng=None, iters: int = 50, tol: float = 1e-6) -> float:
-    """Power iteration on A^T A; returns the sigma_max estimate."""
-    n = A.shape[1]
-    rng = rng if rng is not None else np.random.default_rng(0)
-    u = rng.standard_normal(n)
+def estimate_spectral_norm(A, rng: np.random.Generator) -> float:
+    """Power iteration on A^T A from a random start: sigma_max to a relative 1e-6, or 50 steps."""
+    u = rng.standard_normal(A.shape[1])
     u /= np.linalg.norm(u)
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(50):
         w = A @ u
         u_next = A.T @ w
         norm_next = float(np.linalg.norm(u_next))
@@ -197,7 +195,7 @@ def estimate_spectral_norm(A, rng=None, iters: int = 50, tol: float = 1e-6) -> f
             return 0.0
         sigma_next = float(np.linalg.norm(w))
         u = u_next / norm_next
-        if abs(sigma_next - sigma) <= tol * max(1.0, sigma_next):
+        if abs(sigma_next - sigma) <= 1e-6 * max(1.0, sigma_next):
             return sigma_next
         sigma = sigma_next
     return sigma
@@ -347,12 +345,13 @@ def build_triangle_bap(spec: TriangleSpec, xbar) -> BapProblem:
     return BapProblem(A, b, anchor)
 
 
-def oracle_lp_vertex_enumeration(problem: LpProblem, tol: float = 1e-9) -> float:
+def oracle_lp_vertex_enumeration(problem: LpProblem) -> float:
     """Exhaustive basic-solution scan; exact up to linear-solve roundoff.
 
-    Enumerates all m-column subsets, keeps consistent nonnegative basic
-    solutions, and returns the best objective.  Infeasible instances
-    return the INFEASIBLE sentinel.  Intended for n <= 20.
+    Enumerates all m-column subsets, keeps basic solutions that are
+    consistent and nonnegative to a tolerance of 1e-9, and returns the
+    best objective.  Infeasible instances return the INFEASIBLE
+    sentinel.  Intended for n <= 20.
     """
     n, m = problem.n, problem.m
     if n > 20:
@@ -360,6 +359,7 @@ def oracle_lp_vertex_enumeration(problem: LpProblem, tol: float = 1e-9) -> float
     A = problem.A.toarray()
     b = problem.b
     c = problem.c
+    tol = 1e-9
     scale = 1.0 + float(np.linalg.norm(b))
     best = INFEASIBLE
     for subset in itertools.combinations(range(n), min(m, n)):
@@ -376,15 +376,15 @@ def oracle_lp_vertex_enumeration(problem: LpProblem, tol: float = 1e-9) -> float
     return best
 
 
-def reference_simplex(
-    A, b, c, tol: float = 1e-9, max_iter: int = 100_000
-) -> tuple[float, np.ndarray]:
+def reference_simplex(A, b, c) -> tuple[float, np.ndarray]:
     """Dense two-phase simplex with Bland's rule for ``max c^T x``.
 
-    Anti-cycling but slow; an oracle, not a production solver.  Raises
-    on infeasible or unbounded input (the generators only produce
-    bounded instances).
+    Anti-cycling but slow; an oracle, not a production solver.  Pivot
+    and ratio ties use a tolerance of 1e-9; each phase stops after
+    100,000 pivots.  Raises on infeasible or unbounded input (the
+    generators only produce bounded instances).
     """
+    tol = 1e-9
     A = np.atleast_2d(np.asarray(A, dtype=np.float64)).copy()
     b = np.asarray(b, dtype=np.float64).copy()
     c = np.asarray(c, dtype=np.float64)
@@ -400,7 +400,7 @@ def reference_simplex(
     def run(obj: np.ndarray, basis: np.ndarray, entering_limit: int):
         # Bland: lowest-index entering among profitable, lowest basis
         # index among min-ratio ties; finite termination guaranteed
-        for _ in range(max_iter):
+        for _ in range(100_000):
             B = tab[:, basis]
             try:
                 xb = np.linalg.solve(B, b)
@@ -463,16 +463,16 @@ def reference_simplex(
     return float(c @ x), x
 
 
-def oracle_polyhedron_projection(
-    A, b, v, x_feasible, tol: float = 1e-10, max_iter: int | None = None
-) -> np.ndarray:
+def oracle_polyhedron_projection(A, b, v, x_feasible) -> np.ndarray:
     """Primal active-set solver for ``min 0.5||x - v||^2, Ax=b, x>=0``.
 
     Needs a feasible start.  Lowest-index rules are used for both the
     blocking bound and the dropped multiplier, so the iteration cannot
-    cycle; optimality is certified by an explicit KKT check before
-    returning.  Dense; intended as an oracle on small instances.
+    cycle; optimality is certified by an explicit KKT check, to a
+    relative 1e-10, before returning.  Gives up after ``100*(n + 1)``
+    steps.  Dense; intended as an oracle on small instances.
     """
+    tol = 1e-10
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -482,9 +482,8 @@ def oracle_polyhedron_projection(
         raise ValueError("starting point is not feasible")
     x = np.maximum(x, 0.0)
     active = x <= 0.0
-    limit = max_iter if max_iter is not None else 100 * (n + 1)
 
-    for _ in range(limit):
+    for _ in range(100 * (n + 1)):
         free = ~active
         Af = A[:, free]
         vf = v[free]

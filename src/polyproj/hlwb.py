@@ -58,7 +58,7 @@ class HlwbConfig:
     collect_trace: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")

@@ -136,26 +136,30 @@ class LpCertificate:
     warning: str | None = None
 
 
+# Newton iteration budget of every projection subproblem solve.
+SUBPROBLEM_MAX_ITER = 2000
+
+
 @dataclass(frozen=True)
 class LpConfig:
     """Path-following controls.
 
-    ``subproblem_tols`` is the retry ladder for each projection solve.
-    The nudge past a stone is relative, ``max(1e-8, 1e-2/stone)``.  The
-    degeneracy escape that multiplies R by ten is described in
-    :func:`solve_lp`.
+    ``tol_gap >= 0`` is the relative gap that ends the solve.
+    ``subproblem_tols`` is the retry ladder for each projection solve,
+    ``SUBPROBLEM_MAX_ITER`` Newton iterations per rung.  The nudge past
+    a stone is relative, ``max(1e-8, 1e-2/stone)``.  The degeneracy
+    escape that multiplies R by ten is described in :func:`solve_lp`.
     """
 
     tol_gap: float = 1e-8
     max_stones: int = 100
     subproblem_tols: tuple[float, ...] = (1e-14, 1e-13)
-    subproblem_max_iter: int = 2000
 
     def __post_init__(self):
+        if not self.tol_gap >= 0.0:  # NaN fails too
+            raise ValueError("tol_gap must be nonnegative")
         if self.max_stones < 1:
             raise ValueError("max_stones must be at least 1")
-        if self.subproblem_max_iter < 1:
-            raise ValueError("subproblem_max_iter must be at least 1")
 
 
 @dataclass
@@ -256,16 +260,14 @@ def classify_bases(w, z, zero_tol: float) -> BasisPartition:
 _RATIO_EPS = 1e-9
 
 
-def ratio_test(e: np.ndarray, f: np.ndarray, scale: np.ndarray | None = None) -> float:
-    """``min f_i/e_i`` over entries with e_i > 0 and f_i > 0 (inf if none).
+def ratio_test(e: np.ndarray, f: np.ndarray, scale: np.ndarray) -> float:
+    """``min f_i/e_i`` over entries with e_i > _RATIO_EPS*scale_i and f_i > 0 (inf if none).
 
-    ``scale`` supplies the cancellation floor below which an e entry is
-    treated as zero; omit it for the bare rule.
+    ``scale_i`` is the summand scale of e_i; below the floor e_i is cancellation noise.
     """
     e = np.asarray(e, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    floor = _RATIO_EPS * scale if scale is not None else 0.0
-    eligible = (e > floor) & (f > 0.0)
+    eligible = (e > _RATIO_EPS * scale) & (f > 0.0)
     if not np.any(eligible):
         return math.inf
     return float(np.min(f[eligible] / e[eligible]))
@@ -460,7 +462,7 @@ def lp_bounds(
 def _solve_with_ladder(sub: BapProblem, y0, cfg: LpConfig) -> BapSolution:
     sol = None
     for tol in cfg.subproblem_tols:
-        rc = RnnmConfig(tol=tol, max_iter=cfg.subproblem_max_iter)
+        rc = RnnmConfig(tol=tol, max_iter=SUBPROBLEM_MAX_ITER)
         sol = solve_rnnm(sub, y0, rc)
         if sol.status == CONVERGED:
             return sol

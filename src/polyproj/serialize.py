@@ -65,12 +65,16 @@ def write_bap_instance(problem: BapProblem, base: str) -> tuple[str, str]:
 
 
 def _read_sidecar(path: str, magic: str, shape: tuple[int, int], keys: tuple[str, ...]) -> dict:
-    """Fields of a sidecar after its magic line; ``m``/``n`` must match ``shape``."""
+    """Fields of a sidecar after its magic line, none repeated; ``m``/``n`` must match ``shape``."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != magic:
         raise ValueError(f"{path}: not a {magic!r} sidecar")
-    fields = {key: rest for key, _, rest in (ln.partition(" ") for ln in lines[1:])}
+    fields = {}
+    for key, _, rest in (ln.partition(" ") for ln in lines[1:]):
+        if key in fields:
+            raise ValueError(f"{path}: repeated field {key!r}")
+        fields[key] = rest
     missing = [key for key in ("m", "n") + keys if key not in fields]
     if missing:
         raise ValueError(f"{path}: missing field {missing[0]!r}")

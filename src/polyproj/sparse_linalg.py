@@ -71,12 +71,12 @@ class NotPositiveDefiniteError(ValueError):
     """
 
 
-def as_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate and return a finite 1-D float64 array."""
+def as_vector(values, length: int, name: str = "vector") -> np.ndarray:
+    """Validate and return a finite 1-D float64 array of ``length`` entries."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
+    if arr.shape[0] != length:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {length}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -307,11 +307,11 @@ def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
     return CholFactor(n, splu=lu)
 
 
-def independent_columns(A: SparseMatrix, candidate_cols, tol: float = 1e-10) -> np.ndarray:
+def independent_columns(A: SparseMatrix, candidate_cols) -> np.ndarray:
     """Maximal linearly independent subset of the candidate columns.
 
     Rank-revealing QR with column pivoting; a diagonal R entry below
-    ``tol`` times the largest one marks dependence.  The returned index
+    1e-10 times the largest one marks dependence.  The returned index
     array is sorted ascending and deterministic for fixed input.
     """
     cand = np.unique(np.asarray(candidate_cols, dtype=np.int64))
@@ -324,7 +324,7 @@ def independent_columns(A: SparseMatrix, candidate_cols, tol: float = 1e-10) -> 
     diag = np.abs(np.diag(r_mat))
     if diag.size == 0 or diag[0] == 0.0:
         return np.empty(0, dtype=np.int64)
-    rank = int(np.count_nonzero(diag >= tol * diag[0]))
+    rank = int(np.count_nonzero(diag >= 1e-10 * diag[0]))
     return np.sort(cand[piv[:rank]])
 
 

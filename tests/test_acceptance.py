@@ -384,7 +384,7 @@ def test_criterion_11_performance_profile_math():
                     assert ratios[i, j] == sub[i, j] / best
         if ratios.shape[0] == 0:
             continue
-        prof = performance_profile(ratios)
+        prof = performance_profile(ratios, [f"s{j}" for j in range(s)])
         for tau in (1.0, 2.0, 10.0, float(np.nanmax(sub) + 1.0)):
             for j in range(s):
                 expected = np.count_nonzero(ratios[:, j] <= tau) / ratios.shape[0]

@@ -166,6 +166,12 @@ class TestMoreauIdentities:
             assert np.all(z >= 0.0)
 
 
+def inactive(prob, sets):
+    """Constrained coordinates outside the active and boundary sets."""
+    constrained = np.where(~prob.free)[0]
+    return np.setdiff1d(constrained, np.union1d(sets.i_plus, sets.i_zero))
+
+
 class TestClassifyIndices:
     def test_signs(self):
         A = SparseMatrix.identity(3)
@@ -173,13 +179,13 @@ class TestClassifyIndices:
         sets = classify_indices(prob, moreau_split(prob, np.zeros(3))[2])
         assert list(sets.i_plus) == [0]
         assert list(sets.i_zero) == [1]
-        assert list(sets.i_minus) == [2]
+        assert list(inactive(prob, sets)) == [2]
 
     def test_all_positive(self):
         A = SparseMatrix.identity(2)
         prob = BapProblem(A, np.zeros(2), np.array([1.0, 2.0]))
         sets = classify_indices(prob, moreau_split(prob, np.zeros(2))[2])
-        assert sets.i_zero.size == 0 and sets.i_minus.size == 0
+        assert sets.i_zero.size == 0 and inactive(prob, sets).size == 0
 
     def test_duplicate_columns_reduced(self):
         prob = simplex_problem()  # v + A^T*0 = (0, 0)
@@ -217,6 +223,22 @@ class TestGeneralizedJacobian:
         V = generalized_jacobian(prob, sets)
         # 0.25 * (2)(2)^T from the boundary column + 1*(1)(1)^T active
         assert np.allclose(V, [[0.25 * 4.0 + 1.0]])
+
+    def test_boundary_weight_clamped_at_one(self):
+        # boundary columns of norm 2 and 0.5 carry 1/4 and min(1, 1/0.25) = 1;
+        # the free column carries 1
+        A = SparseMatrix.from_dense(np.array([[2.0, 0.0, 1.0], [0.0, 0.5, 1.0]]))
+        free = np.array([False, False, True])
+        prob = BapProblem(A, np.zeros(2), np.array([0.0, 0.0, 1.0]), free)
+        sets = classify_indices(prob, moreau_split(prob, np.zeros(2))[2])
+        assert list(sets.i_zero_bar) == [0, 1] and sets.i_plus.size == 0
+        V = generalized_jacobian(prob, sets)
+        expected = (
+            0.25 * np.outer([2.0, 0.0], [2.0, 0.0])
+            + 1.0 * np.outer([0.0, 0.5], [0.0, 0.5])
+            + np.outer([1.0, 1.0], [1.0, 1.0])
+        )
+        assert np.array_equal(V, expected)
 
     def test_rank_matches_support(self):
         rng = np.random.default_rng(8)
@@ -264,7 +286,7 @@ class TestRegularizationLambda:
         assert lam0 == lam1 > 0.0
 
     def test_config_validation(self):
-        for tol in (0.0, -1e-14):
+        for tol in (0.0, -1e-14, float("nan")):
             with pytest.raises(ValueError, match="tol"):
                 RnnmConfig(tol=tol)
         with pytest.raises(ValueError, match="mode"):

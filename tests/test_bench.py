@@ -54,7 +54,7 @@ class TestPerformanceProfile:
         ratios = 1.0 + np.abs(rng.standard_normal((30, 3)))
         ratios[rng.random((30, 3)) < 0.2] = np.inf
         ratios[np.arange(30), np.argmin(np.where(np.isfinite(ratios), ratios, np.inf), axis=1)] = 1.0
-        prof = performance_profile(ratios)
+        prof = performance_profile(ratios, ["a", "b", "c"])
         assert np.all(np.diff(prof.rho, axis=0) >= -1e-15)
         assert np.all(prof.rho >= 0.0) and np.all(prof.rho <= 1.0)
 
@@ -66,7 +66,7 @@ class TestPerformanceProfile:
             times[rng.random((p, s)) < 0.25] = np.nan
             times[:, 0] = rng.uniform(0.1, 10.0, p)  # one solver always succeeds
             ratios, kept = performance_ratio(times)
-            prof = performance_profile(ratios)
+            prof = performance_profile(ratios, [f"s{j}" for j in range(s)])
             for tau in [1.0, 1.5, 2.0, 5.0, 100.0]:
                 for j in range(s):
                     expected = np.count_nonzero(ratios[:, j] <= tau) / ratios.shape[0]

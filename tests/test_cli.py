@@ -140,6 +140,14 @@ def test_lp_solve_rejects_zero_stone_budget(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_lp_solve_rejects_negative_tol_gap(tmp_path, capsys):
+    gl = gen_lp(GenSpec(m=4, n=12, density=0.5, seed=9))
+    base = str(tmp_path / "lpinst")
+    write_lp_instance(gl.problem, base)
+    assert main(["lp", "solve", base, "--tol-gap", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: tol_gap must be nonnegative")
+
+
 def test_lp_solve_mps(tmp_path, capsys, monkeypatch):
     data = os.path.join(os.path.dirname(__file__), "data", "afiro.mps")
     code = main(["lp", "solve", data])

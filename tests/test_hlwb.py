@@ -93,7 +93,7 @@ class TestSolveHlwb:
         res = solve_hlwb(g.problem, HlwbConfig(tol=1e-16, max_sweeps=2000))
         assert res.rel_residual <= 1e-3
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_nonpositive_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             HlwbConfig(tol=tol)

@@ -144,11 +144,18 @@ class TestRatioTest:
     def test_hand_example(self):
         e = np.array([1.0, -1.0, 2.0])
         f = np.array([3.0, -2.0, 1.0])
-        assert ratio_test(e, f) == pytest.approx(0.5)
+        assert ratio_test(e, f, np.ones(3)) == pytest.approx(0.5)
 
     def test_empty_is_infinite(self):
-        assert math.isinf(ratio_test(np.array([-1.0]), np.array([1.0])))
-        assert math.isinf(ratio_test(np.zeros(0), np.zeros(0)))
+        assert math.isinf(ratio_test(np.array([-1.0]), np.array([1.0]), np.ones(1)))
+        assert math.isinf(ratio_test(np.zeros(0), np.zeros(0), np.zeros(0)))
+
+    def test_cancellation_floor(self):
+        # e_0 = 1e-10 sits below 1e-9 times its summand scale of one
+        e = np.array([1e-10, -2.0])
+        f = np.array([1.0, 1.0])
+        assert math.isinf(ratio_test(e, f, np.ones(2)))
+        assert ratio_test(e, f, np.full(2, 1e-3)) == pytest.approx(1e10)
 
 
 class TestNextStone:
@@ -417,7 +424,10 @@ class TestBasisCertificate:
             R=1.0, w=np.array([1.0, 1.0, 0.0]), y=np.zeros(2),
             z=np.array([0.0, 0.0, 1.0]), bases=bases,
         )
-        cfg = LpConfig(subproblem_max_iter=30)
+        import polyproj.lp as lp_mod
+
+        monkeypatch.setattr(lp_mod, "SUBPROBLEM_MAX_ITER", 30)
+        cfg = LpConfig()
         sub, _, _ = _dual_feasibility_bap(lp, state, pin_basic=True)
         ref = _solve_with_ladder(sub, None, cfg)
         projections = count_projections(monkeypatch)
@@ -503,10 +513,12 @@ class TestSolveLp:
         assert res.status == "stone_budget"
         assert len(res.stones) == 1
 
-    def test_subproblem_budget_below_one_rejected(self):
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="subproblem_max_iter must be at least 1"):
-                LpConfig(subproblem_max_iter=bad)
+    def test_negative_or_nan_tol_gap_rejected(self):
+        for bad in (-1.0, -1e-12, float("nan")):
+            with pytest.raises(ValueError, match="tol_gap must be nonnegative"):
+                LpConfig(tol_gap=bad)
+        # a zero gap is a valid request
+        assert solve_lp(tiny_lp(), LpConfig(tol_gap=0.0)).status == "solved"
 
 
 class TestDegeneracyEscape:
@@ -594,14 +606,16 @@ class TestGlobalizedSubproblem:
 
 
 class TestSubproblemFailure:
-    def test_infeasible_lp_raises_with_stone_index(self):
+    def test_infeasible_lp_raises_with_stone_index(self, monkeypatch):
+        import polyproj.lp as lp_mod
         from polyproj.lp import SubproblemFailureError
 
         A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
         infeasible = LpProblem(A, np.array([-1.0]), np.array([1.0, 0.0]))
-        cfg = LpConfig(subproblem_max_iter=60)
+        # a short budget: the full one spends 2 x 2000 iterations to fail
+        monkeypatch.setattr(lp_mod, "SUBPROBLEM_MAX_ITER", 60)
         with pytest.raises(SubproblemFailureError) as err:
-            solve_lp(infeasible, cfg)
+            solve_lp(infeasible)
         assert err.value.stone == 1
 
 

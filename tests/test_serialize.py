@@ -76,6 +76,16 @@ def test_sidecar_missing_field_is_named(tmp_path):
         read_lp_instance(base)
 
 
+def test_sidecar_repeated_field_is_named(tmp_path):
+    gl = gen_lp(GenSpec(m=3, n=14, density=0.4, seed=3))
+    base = str(tmp_path / "lpinst")
+    write_lp_instance(gl.problem, base)
+    with open(base + ".lp", "a") as fh:
+        fh.write("b 9 9 9\n")
+    with pytest.raises(ValueError, match="lpinst.lp: repeated field 'b'"):
+        read_lp_instance(base)
+
+
 def test_solution_round_trip(tmp_path):
     g = gen_bap_with_known_vertex(GenSpec(m=5, n=20, density=0.3, seed=1))
     sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-13))
