@@ -80,12 +80,7 @@ class PerfProfile:
 
     def to_csv(self, path: str) -> None:
         header = "tau," + ",".join(f"rho_{s}" for s in self.solvers)
-        lines = [header]
-        for i, tau in enumerate(self.taus):
-            row = ",".join(f"{v:.5e}" for v in self.rho[i])
-            lines.append(f"{tau:.5e},{row}")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        serialize.write_csv(path, header, ([tau, *row] for tau, row in zip(self.taus, self.rho)))
 
 
 def performance_ratio(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,22 +291,18 @@ def profile_from_records(records: list[BenchRecord]) -> PerfProfile | None:
 
 
 # (name, type) of each BenchRecord field, in the column order of records.csv;
-# float columns are written as %.5e, the others with str
+# values are coerced to the declared type, so float columns are written as %.5e
+# even when a suite gives an integer (``"density": 1``)
 _RECORD_TYPES = typing.get_type_hints(BenchRecord)
 _RECORD_FIELDS = [(f.name, _RECORD_TYPES[f.name]) for f in fields(BenchRecord)]
 
 
 def _write_records_csv(records: list[BenchRecord], path: str) -> None:
-    lines = [",".join(name for name, _ in _RECORD_FIELDS)]
-    for r in records:
-        lines.append(
-            ",".join(
-                f"{getattr(r, name):.5e}" if kind is float else str(getattr(r, name))
-                for name, kind in _RECORD_FIELDS
-            )
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    serialize.write_csv(
+        path,
+        ",".join(name for name, _ in _RECORD_FIELDS),
+        ([kind(getattr(r, name)) for name, kind in _RECORD_FIELDS] for r in records),
+    )
 
 
 def _read_records_csv(path: str) -> list[BenchRecord]:
@@ -346,7 +337,7 @@ def _write_results_csv(records: list[BenchRecord], path: str) -> None:
     for r in records:
         key = (r.problem.split("/")[0], r.m, r.n, r.solver, r.tol)
         groups.setdefault(key, []).append(r)
-    lines = ["row,m,n,density,solver,tol,mean_time_s,mean_rel_residual,failures"]
+    rows = []
     for key in sorted(groups, key=str):
         rs = groups[key]
         row, m, n, solver, tol = key
@@ -354,9 +345,6 @@ def _write_results_csv(records: list[BenchRecord], path: str) -> None:
         finite = [r.rel_residual for r in rs if not math.isnan(r.rel_residual)]
         mean_res = sum(finite) / len(finite) if finite else math.nan
         fails = sum(0 if r.converged else 1 for r in rs)
-        lines.append(
-            f"{row},{m},{n},{rs[0].density:.5e},{solver},{tol:.5e},"
-            f"{mean_t:.5e},{mean_res:.5e},{fails}"
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append([row, m, n, float(rs[0].density), solver, tol, mean_t, mean_res, fails])
+    header = "row,m,n,density,solver,tol,mean_time_s,mean_rel_residual,failures"
+    serialize.write_csv(path, header, rows)

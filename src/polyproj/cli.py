@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench, factory, serialize
 from .bap import CONVERGED, RnnmConfig, solve_rnnm
-from .hlwb import HlwbConfig, solve_hlwb, write_trace_csv
+from .hlwb import HlwbConfig, solve_hlwb
 from .lp import LpConfig, solve_lp
 from .mps import parse_mps, to_standard_form
 
@@ -127,7 +127,7 @@ def _solve_one_bap(base: str, args) -> tuple[str, int]:
         )
         res = solve_hlwb(problem, cfg)
         if args.trace:
-            write_trace_csv(res, args.trace)
+            serialize.write_trace_csv(res, args.trace)
         status = res.status
         print(
             f"{base}: method=hlwb status={status} sweeps={res.sweeps} "
@@ -140,7 +140,7 @@ def _solve_one_bap(base: str, args) -> tuple[str, int]:
     )
     sol = solve_rnnm(problem, config=cfg)
     if args.trace:
-        write_trace_csv(sol, args.trace, "iteration,rel_residual,lambda,step")
+        serialize.write_trace_csv(sol, args.trace)
     out_dir = args.out if args.out else os.path.dirname(base) or "."
     sol_path = os.path.join(out_dir, os.path.basename(base) + ".sol")
     serialize.write_solution(problem, sol, sol_path)
@@ -183,8 +183,7 @@ def _cmd_lp_solve(args) -> int:
     text = json.dumps(report, indent=2)
     print(text)
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        serialize.write_lines(args.report, [text])
     return 0 if res.status == "solved" else 2
 
 

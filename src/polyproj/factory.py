@@ -137,11 +137,12 @@ class TriangleSpec:
             edges.append((min(u, v), max(u, v)))
             top = max(top, u, v)
         edge_set = set(edges)
-        triples = tuple(
-            t for t in itertools.combinations(range(top + 1), 3)
-            if (t[0], t[1]) in edge_set and (t[0], t[2]) in edge_set
-            and (t[1], t[2]) in edge_set
-        )
+        later = {x: set() for x in range(top + 1)}  # neighbours with a larger id
+        for u, v in edge_set:
+            later[u].add(v)
+        # each triple u < v < w comes once, from its edge (u, v); sorting
+        # restores the lexicographic order of itertools.combinations
+        triples = tuple(sorted((u, v, w) for u, v in edge_set for w in later[u] & later[v]))
         return cls(top + 1, tuple(sorted(edge_set)), triples)
 
 

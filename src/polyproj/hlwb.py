@@ -21,6 +21,9 @@ the Gauss-Seidel sweep on ``A A^T`` of Bjorck and Elfving.  The point
 before the clamp is ``(k0 x0 + m v + A^T s) / (k0 + m)``.  G is built
 densely once per solve, O(m^2) memory, and a sweep costs one
 triangular solve, one ``A^T s`` and one ``A x`` product.
+
+The module does no file I/O: ``serialize.write_trace_csv`` writes the
+per-sweep trace that ``HlwbConfig.collect_trace`` records.
 """
 
 from __future__ import annotations
@@ -151,20 +154,3 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
         status="converged" if rel <= cfg.tol else MAX_SWEEPS,
         trace=trace if cfg.collect_trace else None,
     )
-
-
-def write_trace_csv(result, path: str, header: str = "sweep,rel_residual,sigma") -> None:
-    """Write the convergence trace of a solve to ``path`` as CSV under ``header``.
-
-    ``result.trace`` holds ``(count, value, ...)`` rows:
-    ``(sweep, rel_residual, sigma)`` for HLWB, ``(iteration,
-    rel_residual, lambda, step)`` for the Newton solver.  The count is
-    written as an integer and every other field as ``%.5e``.
-    """
-    if result.trace is None:
-        raise ValueError("result carries no trace; solve with collect_trace=True")
-    lines = [header]
-    for count, *values in result.trace:
-        lines.append(",".join([str(count)] + [f"{v:.5e}" for v in values]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

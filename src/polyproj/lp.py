@@ -117,12 +117,10 @@ class SsepfState:
 
 @dataclass
 class NextStone:
-    """Ratio-test output: next stone and warm-start steps (zero on Z)."""
+    """Ratio-test output: next stone and the warm-start step in y."""
 
     R_n: float
     dy: np.ndarray
-    dw_B: np.ndarray
-    dz_N: np.ndarray
 
 
 @dataclass
@@ -281,7 +279,7 @@ def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
     factorization; the A_Z^T rows vanish when strict complementarity
     holds), forms the bound vectors e, f on the B and N blocks, and
     returns ``R_n = min f_i/e_i`` over entries with both positive
-    (infinite over the empty set) together with the warm-start steps.
+    (infinite over the empty set) together with the warm-start step in y.
     """
     A = problem.A
     R = state.R
@@ -319,10 +317,7 @@ def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
         R_n = max(R_n, R)
 
     factor = ((R - R_n) / (R * R_n)) if math.isfinite(R_n) else (-1.0 / R)
-    dy = factor * dyp
-    dw_B = factor * bB
-    dz_N = -factor * bN
-    return NextStone(R_n=R_n, dy=dy, dw_B=dw_B, dz_N=dz_N)
+    return NextStone(R_n=R_n, dy=factor * dyp)
 
 
 def _dual_feasibility_bap(

@@ -26,6 +26,7 @@ from polyproj.bap import (
     solve_rnnm,
 )
 from polyproj.factory import GenSpec, gen_bap_with_known_vertex, gen_lp
+from polyproj import sparse_linalg
 from polyproj.lp import initial_radius, scaled_subproblem
 from polyproj.sparse_linalg import SparseMatrix
 
@@ -323,6 +324,31 @@ class TestSolveRnnm:
         si = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-14, mode="inexact"))
         assert si.status == CONVERGED
         assert np.max(np.abs(se.x - si.x)) <= 1e-8 * (1 + np.max(np.abs(se.x)))
+
+    @pytest.mark.parametrize("mode", ["exact", "inexact"])
+    def test_sparse_jacobian_path_matches_dense(self, monkeypatch, mode):
+        # above DENSE_FACTOR_MAX_DIM the Jacobian is a SparseMatrix: its
+        # diagonal sets the shift floor and the Jacobi preconditioner, and
+        # exact mode factors it with SuperLU
+        jacobian_types = set()
+
+        def spy(problem, sets):
+            V = generalized_jacobian(problem, sets)
+            jacobian_types.add(type(V))
+            return V
+
+        cfg = RnnmConfig(tol=1e-14, mode=mode)
+        for seed in range(100, 106):
+            problem = gen_bap_with_known_vertex(GenSpec(40, 400, 0.05, seed=seed)).problem
+            dense = solve_rnnm(problem, config=cfg)
+            with monkeypatch.context() as mp:
+                mp.setattr(sparse_linalg, "DENSE_FACTOR_MAX_DIM", 0)
+                mp.setattr(bap_mod, "generalized_jacobian", spy)
+                sparse = solve_rnnm(problem, config=cfg)
+            assert sparse.status == CONVERGED
+            assert sparse.iterations == dense.iterations
+            assert np.max(np.abs(sparse.x - dense.x)) <= 1e-15 * (1 + np.max(np.abs(dense.x)))
+        assert jacobian_types == {SparseMatrix}
 
     def test_inexact_converges_after_residual_jump(self):
         # ||F|| jumps to about 96 after the first step; an uncapped CG

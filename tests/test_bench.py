@@ -13,6 +13,8 @@ from polyproj.bench import (
     profile_from_records,
     run_benchmark,
 )
+from polyproj.factory import GenSpec, gen_bap_with_known_vertex, gen_lp
+from polyproj.serialize import write_bap_instance, write_lp_instance
 
 
 class TestPerformanceRatio:
@@ -127,6 +129,42 @@ class TestRunBenchmark:
         records = run_benchmark(cfg, out)
         assert {r.solver for r in records} == {"ssepf"}
         assert all(r.status == "converged" for r in records)
+
+    def test_file_and_mps_rows(self, tmp_path):
+        bap_base, lp_base = str(tmp_path / "bap"), str(tmp_path / "lp")
+        write_bap_instance(gen_bap_with_known_vertex(GenSpec(5, 20, 0.3, seed=4)).problem, bap_base)
+        write_lp_instance(gen_lp(GenSpec(4, 12, 0.5, seed=3)).problem, lp_base)
+        afiro = os.path.join(os.path.dirname(__file__), "data", "afiro.mps")
+        cfg = {
+            "tols": [1e-10],
+            "solvers": ["rnnm-exact", "ssepf"],
+            "rows": [
+                {"kind": "bap_file", "path": bap_base},
+                {"kind": "lp_file", "path": lp_base},
+                {"kind": "mps", "path": afiro},
+            ],
+        }
+        records = run_benchmark(cfg, str(tmp_path / "files"))
+        got = [(r.problem, r.solver, r.m, r.n, r.seed, r.status) for r in records]
+        assert got == [
+            ("row0/bap_file", "rnnm-exact", 5, 20, -1, "converged"),
+            ("row1/lp_file", "ssepf", 4, 12, -1, "converged"),
+            ("row2/mps", "ssepf", 27, 51, -1, "converged"),
+        ]
+        assert all(math.isnan(r.density) for r in records)
+
+    def test_float_columns_keep_their_format_for_integer_input(self, tmp_path):
+        cfg = {
+            "tols": [1e-10],
+            "solvers": ["rnnm-exact"],
+            "rows": [{"kind": "bap", "m": 5, "n": 20, "density": 1, "seed": 3}],
+        }
+        out = str(tmp_path / "int")
+        run_benchmark(cfg, out)
+        for name, column in (("records.csv", 5), ("results.csv", 3)):
+            lines = open(os.path.join(out, name)).read().splitlines()
+            assert lines[0].split(",")[column] == "density"
+            assert lines[1].split(",")[column] == "1.00000e+00"
 
     def test_deterministic_non_timing_columns(self, tmp_path):
         cfg = smoke_config(tmp_path)

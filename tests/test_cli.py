@@ -79,6 +79,23 @@ def test_bap_solve_newton_trace(tmp_path, capsys):
         assert all(len(row) == 4 and 0.0 < float(row[3]) <= 1.0 for row in rows)
 
 
+def test_bap_solve_hlwb_trace(tmp_path, capsys):
+    out = str(tmp_path / "ht")
+    main(["gen", "--kind", "bap", "--m", "5", "--n", "20", "--density", "0.3",
+          "--seed", "1", "--out", out])
+    trace = str(tmp_path / "hlwb.csv")
+    capsys.readouterr()
+    assert main(["bap", "solve", os.path.join(out, "bap_000001"), "--method", "hlwb",
+                 "--tol", "1e-3", "--trace", trace]) == 0
+    sweeps = int(capsys.readouterr().out.split("sweeps=")[1].split()[0])
+    lines = open(trace).read().splitlines()
+    assert lines[0] == "sweep,rel_residual,sigma"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, sweeps + 1))
+    assert all(len(row) == 3 for row in rows)
+    assert float(rows[-1][1]) <= 1e-3
+
+
 def test_bap_solve_trace_rejects_several_files(tmp_path, capsys):
     out = str(tmp_path / "tm")
     main(["gen", "--kind", "bap", "--m", "4", "--n", "16", "--density", "0.3",

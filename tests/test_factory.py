@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,42 @@ class TestTriangle:
     def test_missing_edge_rejected(self):
         with pytest.raises(TriangleSpecError):
             TriangleSpec(3, ((0, 1), (0, 2)), ((0, 1, 2),))
+
+    def test_edge_list_triples_match_brute_force(self):
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            nv = int(rng.integers(3, 30))
+            pairs = list(itertools.combinations(range(nv), 2))
+            keep = rng.permutation(len(pairs))[: rng.integers(1, len(pairs) + 1)]
+            picked = [pairs[i] for i in keep]
+            # reversed pairs and repeats are the same undirected edge;
+            # ids below the top one that no edge uses are isolated vertices
+            picked += picked[: 3]
+            lines = ["# random graph", ""]
+            for k, (u, v) in enumerate(picked):
+                lines.append(f"{v} {u}  # reversed" if k % 3 else f"{u} {v}")
+            tri = TriangleSpec.from_edge_list_text("\n".join(lines))
+            edges = set(picked)
+            brute = tuple(
+                t for t in itertools.combinations(range(tri.num_vertices), 3)
+                if {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])} <= edges
+            )
+            assert tri.num_vertices == 1 + max(v for _, v in picked)
+            assert tri.edges == tuple(sorted(edges))
+            assert tri.triples == brute
+
+    def test_edge_list_triples_not_cubic(self):
+        # 400 vertices and 1200 edges: a filter over all C(400, 3) vertex
+        # triples takes about a second, the common-neighbour walk milliseconds
+        rng = np.random.default_rng(5)
+        edges = set()
+        while len(edges) < 1200:
+            u, v = sorted(rng.choice(400, size=2, replace=False))
+            edges.add((int(u), int(v)))
+        text = "\n".join(f"{u} {v}" for u, v in edges)
+        start = time.perf_counter()
+        TriangleSpec.from_edge_list_text(text)
+        assert time.perf_counter() - start < 0.25
 
     def test_structure_is_sign_blocks(self):
         tri = TriangleSpec.complete(4)

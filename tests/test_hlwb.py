@@ -9,8 +9,8 @@ from polyproj.hlwb import (
     ZeroRowError,
     project_hyperplane,
     solve_hlwb,
-    write_trace_csv,
 )
+from polyproj.serialize import write_trace_csv
 from polyproj.sparse_linalg import SparseMatrix
 
 

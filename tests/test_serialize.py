@@ -100,6 +100,38 @@ def test_solution_round_trip(tmp_path):
     assert back["dual_feas"] == 0.0
 
 
+def written_solution(tmp_path):
+    g = gen_bap_with_known_vertex(GenSpec(4, 12, 0.5, seed=1))
+    path = str(tmp_path / "sol.sol")
+    write_solution(g.problem, solve_rnnm(g.problem), path)
+    with open(path) as fh:
+        return path, fh.read().splitlines()
+
+
+def test_solution_repeated_key_rejected(tmp_path):
+    path, lines = written_solution(tmp_path)
+    with open(path, "a") as fh:
+        fh.write("status max_iter\nx 9 9\n")
+    with pytest.raises(ValueError, match="sol.sol: repeated field 'status'"):
+        read_solution(path)
+
+
+def test_solution_missing_key_rejected(tmp_path):
+    path, lines = written_solution(tmp_path)
+    with open(path, "w") as fh:
+        fh.write("\n".join(ln for ln in lines if not ln.startswith("z ")) + "\n")
+    with pytest.raises(ValueError, match="sol.sol: missing field 'z'"):
+        read_solution(path)
+
+
+def test_solution_vector_lengths_must_agree(tmp_path):
+    path, lines = written_solution(tmp_path)
+    with open(path, "w") as fh:
+        fh.write("\n".join(ln + " 0.5" if ln.startswith("x ") else ln for ln in lines) + "\n")
+    with pytest.raises(ValueError, match="sol.sol: z has 12 values, expected 13"):
+        read_solution(path)
+
+
 def test_solution_summary_formatting(tmp_path):
     g = gen_bap_with_known_vertex(GenSpec(m=5, n=20, density=0.3, seed=2))
     sol = solve_rnnm(g.problem)
