@@ -188,9 +188,10 @@ def estimate_spectral_norm(A, rng: np.random.Generator) -> float:
     u = rng.standard_normal(A.shape[1])
     u /= np.linalg.norm(u)
     sigma = 0.0
+    At = A.T
     for _ in range(50):
         w = A @ u
-        u_next = A.T @ w
+        u_next = At @ w
         norm_next = float(np.linalg.norm(u_next))
         if norm_next == 0.0:
             return 0.0

@@ -19,8 +19,10 @@ index k0 from x0, row i (step k = k0 + i) then satisfies
 with ``G = A A^T``: one forward substitution with ``tril(G)``, which is
 the Gauss-Seidel sweep on ``A A^T`` of Bjorck and Elfving.  The point
 before the clamp is ``(k0 x0 + m v + A^T s) / (k0 + m)``.  G is built
-densely once per solve, O(m^2) memory, and a sweep costs one
-triangular solve, one ``A^T s`` and one ``A x`` product.
+densely and F-ordered once per solve, O(m^2) memory, and a sweep costs
+one LAPACK ``dtrtrs`` call on G (the call ``scipy.linalg.solve_triangular``
+makes for F-ordered input, without its argument handling), one
+``A^T s`` and one ``A x`` product.
 
 The module does no file I/O: ``serialize.write_trace_csv`` writes the
 per-sweep trace that ``HlwbConfig.collect_trace`` records.
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from .bap import BapProblem
 
@@ -111,8 +113,9 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     A = problem.A.csc
     At = A.T
     m = A.shape[0]
-    # only the lower triangle is read by the triangular solve
-    G = (A @ At).toarray()
+    # only the lower triangle is read by the triangular solve; G is
+    # F-ordered already, so dtrtrs reads it without a copy
+    G = np.asfortranarray((A @ At).toarray())
     if not np.all(np.diagonal(G) > 0.0):
         raise ZeroRowError("constraint matrix has an all-zero row")
 
@@ -129,7 +132,9 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     trace: list[tuple[int, float, float]] = []
 
     while True:
-        s = scipy.linalg.solve_triangular(G, r0 + ramp, lower=True, check_finite=False)
+        s, info = dtrtrs(G, r0 + ramp, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dtrtrs returned info {info}")
         # global iteration k0 + i is row i; k is the orthant step
         k = k0 + m
         xhat = np.maximum((w0 + m * v + At @ s) / k, 0.0)

@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .bap import BapProblem, BapSolution, CONVERGED, RnnmConfig, solve_rnnm
-from .sparse_linalg import SparseMatrix, as_vector
+from .sparse_linalg import SparseMatrix, _gather_columns, as_vector
 
 __all__ = [
     "LpProblem",
@@ -285,8 +285,8 @@ def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
     R = state.R
     B, N, Z = state.bases.B, state.bases.N, state.bases.Z
 
-    AB = A.cols(B)
-    system = np.vstack([(AB.csc @ AB.csc.T).toarray(), A.cols(Z).toarray().T])
+    AB = A.cols(B).csc
+    system = np.vstack([(AB @ AB.T).toarray(), _gather_columns(A.csc, Z).T])
     rhs = np.concatenate([problem.b, np.zeros(Z.size)])
     # cond = eps * max(shape) is numpy's rcond=None cutoff
     dyp, _, _, _ = scipy.linalg.lstsq(
@@ -299,8 +299,9 @@ def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
             f"sensitivity system inconsistent (residual {res:.3e})"
         )
 
-    bB = AB.rmatvec(dyp)
-    bN = A.cols(N).rmatvec(dyp)
+    Atd = A.rmatvec(dyp)
+    bB = Atd[B]
+    bN = Atd[N]
     wB = state.w[B]
     zN = state.z[N]
 
@@ -373,7 +374,7 @@ def _basis_dual(
     negative.
     """
     B, N = bases.B, bases.N
-    ABt = problem.A.cols(B).toarray().T
+    ABt = _gather_columns(problem.A.csc, B).T
     cB = problem.c[B]
     y, _, rank, _ = scipy.linalg.lstsq(
         ABt, cB, cond=1e-10, lapack_driver="gelsy", check_finite=False
@@ -383,7 +384,7 @@ def _basis_dual(
     res = float(np.linalg.norm(ABt @ y - cB))
     if not res <= 1e-12 * (1.0 + float(np.linalg.norm(cB))):  # NaN fails too
         return None
-    zN = problem.A.cols(N).rmatvec(y) - problem.c[N]
+    zN = problem.A.rmatvec(y)[N] - problem.c[N]
     if not np.all(zN >= 0.0):
         return None
     return y, zN
@@ -431,15 +432,16 @@ def lp_bounds(
         y_lp = full[:m]
         z_lp[B] = full[m : m + B.size]
         z_lp[N] = full[m + B.size :]
+    Aty = problem.A.rmatvec(y_lp)
     if Z.size:
-        z_lp[Z] = np.maximum(problem.A.cols(Z).rmatvec(y_lp) - problem.c[Z], 0.0)
+        z_lp[Z] = np.maximum(Aty[Z] - problem.c[Z], 0.0)
 
     upper = math.inf if warning else float(problem.b @ y_lp)
 
     nb = 1.0 + float(np.linalg.norm(problem.b))
     nc = 1.0 + float(np.linalg.norm(problem.c))
     primal = float(np.linalg.norm(problem.A.matvec(x) - problem.b)) / nb
-    dual = float(np.linalg.norm(z_lp - problem.A.rmatvec(y_lp) + problem.c)) / nc
+    dual = float(np.linalg.norm(z_lp - Aty + problem.c)) / nc
     comp = abs(float(x @ z_lp)) / (
         1.0 + max(float(np.linalg.norm(x)), float(np.linalg.norm(z_lp)))
     )

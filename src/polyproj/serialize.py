@@ -12,7 +12,7 @@ the three KKT residuals in 6-significant-digit scientific notation)
 followed by the x, y, z vectors in the sidecar vector format.
 
 Sidecars and solutions share one reader, which names the file when the
-magic line is wrong or a key is repeated or missing.  Every file goes
+magic line is wrong or a key is unknown, repeated or missing.  Every file goes
 through :func:`write_lines`; CSV tables (traces, benchmark records and
 results, profiles) through :func:`write_csv`, floats as ``%.5e``.
 """
@@ -80,13 +80,15 @@ def _parse_vector(path: str, fields: dict, name: str, length: int | None = None)
 
 
 def _read_fields(path: str, magic: str, keys: tuple[str, ...]) -> dict:
-    """Fields of a ``magic line + key value`` file: each of ``keys`` present, none repeated."""
+    """Fields of a ``magic line + key value`` file: exactly ``keys``, each once."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != magic:
         raise ValueError(f"{path}: not a {magic!r} file")
     fields = {}
     for key, _, rest in (ln.partition(" ") for ln in lines[1:]):
+        if key not in keys:
+            raise ValueError(f"{path}: unknown field {key!r}")
         if key in fields:
             raise ValueError(f"{path}: repeated field {key!r}")
         fields[key] = rest

@@ -12,8 +12,13 @@ lives here as well because it is the on-disk form of
 The normal matrix ``V = sum w_i A_i A_i^T`` has one form per size
 regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
 it is assembled as a dense ``np.ndarray`` with one BLAS rank-k update
-and factored by LAPACK; above it, it is a :class:`SparseMatrix` built
-from sparse products and factored by SuperLU.
+and factored by LAPACK ``dpotrf``, whose factor ``dpotrs`` applies;
+above it, it is a :class:`SparseMatrix` built from sparse products and
+factored by SuperLU.  The per-iteration kernels call the LAPACK and BLAS
+wrappers directly, without the argument handling of ``scipy.linalg``'s
+``cho_factor``/``cho_solve``, and dense copies of column subsets are
+gathered straight from the CSC arrays (:func:`_gather_columns`) instead
+of slicing the sparse matrix.
 
 Validation happens at the boundary only.  Matrices that come from
 outside (the public constructor, ``from_coo``, ``from_dense``,
@@ -24,7 +29,8 @@ the LP dual-feasibility system) keep those invariants by construction
 and are wrapped through :meth:`SparseMatrix._trusted` without a recheck.
 
 Everything is immutable after construction and safe to share across
-threads.
+threads; the one slot filled on first use, the view of ``A^T`` that
+:meth:`SparseMatrix.rmatvec` keeps, is a benign race (see the class).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.linalg.blas as blas
+from scipy.linalg.lapack import dpotrf, dpotrs
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -89,9 +96,14 @@ class SparseMatrix:
     Invariants: row indices strictly increasing within each column, no
     explicitly stored zeros, all values finite.  The public constructors
     enforce them; :meth:`_trusted` assumes them.
+
+    :meth:`rmatvec` applies a CSR view of ``A^T`` built on its first call
+    and kept in a slot.  ``csc.T`` shares the data, indices and indptr
+    arrays, so the view costs no memory.  Filling the slot is a benign
+    race: threads that fill it at once build equal views.
     """
 
-    __slots__ = ("_csc",)
+    __slots__ = ("_csc", "_csr_t")
 
     def __init__(self, matrix):
         if isinstance(matrix, np.ndarray) or sp.issparse(matrix):
@@ -105,6 +117,7 @@ class SparseMatrix:
         if csc.nnz and not np.all(np.isfinite(csc.data)):
             raise ValueError("matrix contains non-finite entries")
         self._csc = csc
+        self._csr_t = None
 
     @classmethod
     def _trusted(cls, csc: sp.csc_array) -> "SparseMatrix":
@@ -114,6 +127,7 @@ class SparseMatrix:
         """
         matrix = object.__new__(cls)
         matrix._csc = csc
+        matrix._csr_t = None
         return matrix
 
     @classmethod
@@ -163,7 +177,9 @@ class SparseMatrix:
         return self._csc @ np.asarray(x, dtype=np.float64)
 
     def rmatvec(self, y) -> np.ndarray:
-        return self._csc.T @ np.asarray(y, dtype=np.float64)
+        if self._csr_t is None:
+            self._csr_t = self._csc.T
+        return self._csr_t @ np.asarray(y, dtype=np.float64)
 
     def cols(self, idx) -> "SparseMatrix":
         idx = np.asarray(idx, dtype=np.int64)
@@ -190,8 +206,10 @@ class CholFactor:
     """Cholesky-type factorization of ``M + shift*I``; ``solve`` applies
     the inverse.
 
-    It holds only what ``solve`` reads: the LAPACK ``cho_factor`` pair on
-    the dense path, or the SuperLU object on the sparse path.
+    It holds only what ``solve`` reads: on the dense path the F-ordered
+    array that LAPACK ``dpotrf`` returned, whose lower triangle is the
+    Cholesky factor (the upper one holds leftovers that ``dpotrs`` does
+    not read), or the SuperLU object on the sparse path.
     """
 
     __slots__ = ("n", "_dense", "_splu")
@@ -204,7 +222,10 @@ class CholFactor:
     def solve(self, rhs) -> np.ndarray:
         rhs = as_vector(rhs, self.n, "rhs")
         if self._dense is not None:
-            return scipy.linalg.cho_solve(self._dense, rhs, check_finite=False)
+            x, info = dpotrs(self._dense, rhs, lower=1)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+            return x
         return self._splu.solve(rhs)
 
 
@@ -228,7 +249,9 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
         return SparseMatrix._trusted(sp.csc_array((m, m)))
     if support.min() < 0 or support.max() >= A.ncols:
         raise InvalidSupportError("support index out of range")
-    if np.unique(support).size != support.size:
+    seen = np.zeros(A.ncols, dtype=bool)
+    seen[support] = True
+    if np.count_nonzero(seen) != support.size:
         raise InvalidSupportError("support contains duplicate indices")
     weights = np.asarray(weights, dtype=np.float64)
     w = weights[support]
@@ -245,18 +268,32 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
     return SparseMatrix._trusted(mirrored)
 
 
+def _gather_columns(csc: sp.csc_array, cols: np.ndarray, scale=None) -> np.ndarray:
+    """Dense F-ordered ``(m, cols.size)`` copy of the columns ``cols`` of ``csc``.
+
+    Column j of the result is column ``cols[j]``, times ``scale[j]`` when
+    ``scale`` is given.  The entries are read straight from the CSC
+    arrays, so the values equal those of ``csc[:, cols].toarray()``
+    without building the slice.  ``cols`` must be in range; it is not
+    checked.
+    """
+    starts = csc.indptr[cols]
+    counts = csc.indptr[cols + 1] - starts
+    which = np.repeat(np.arange(cols.size), counts)
+    offsets = np.cumsum(counts) - counts
+    pos = np.arange(which.size) + np.repeat(starts - offsets, counts)
+    dense = np.zeros((csc.shape[0], cols.size), order="F")
+    vals = csc.data[pos]
+    dense[csc.indices[pos], which] = vals if scale is None else vals * scale[which]
+    return dense
+
+
 def _dense_normal_matrix(csc: sp.csc_array, scale, support) -> np.ndarray:
     m = csc.shape[0]
     V = np.zeros((m, m), order="F")
     for lo in range(0, support.size, _GATHER_COLS):
-        cols = support[lo : lo + _GATHER_COLS]
-        starts = csc.indptr[cols]
-        counts = csc.indptr[cols + 1] - starts
-        which = np.repeat(np.arange(cols.size), counts)
-        offsets = np.cumsum(counts) - counts
-        pos = np.arange(which.size) + np.repeat(starts - offsets, counts)
-        G = np.zeros((m, cols.size), order="F")
-        G[csc.indices[pos], which] = csc.data[pos] * scale[lo + which]
+        hi = lo + _GATHER_COLS
+        G = _gather_columns(csc, support[lo:hi], scale[lo:hi])
         # updates the lower triangle only; the upper one stays zero
         V = blas.dsyrk(1.0, G, beta=1.0, c=V, lower=1, overwrite_c=1)
     # adding zeros mirrors the lower triangle exactly; the diagonal is
@@ -272,7 +309,8 @@ def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
     The path follows the type of ``M``, which
     :func:`assemble_normal_matrix` chooses by size.  A dense
     ``np.ndarray`` is left unchanged: the shift goes on the diagonal of
-    a private copy, which LAPACK Cholesky factors in place.  A
+    a private F-ordered copy, which LAPACK ``dpotrf`` factors in place
+    (the call ``scipy.linalg.cho_factor`` makes).  A
     :class:`SparseMatrix` goes to SuperLU in symmetric mode with a
     minimum-degree ordering and diagonal pivoting, which reduces to a
     Cholesky-like LDL^T for positive definite input.
@@ -285,14 +323,15 @@ def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
     if isinstance(M, np.ndarray):
         dense = np.array(M, dtype=np.float64, order="F")  # a private copy
         dense[np.diag_indices(n)] += shift
-        try:
-            # normal matrices are built from validated (finite) matrices,
-            # so the finiteness scan is skipped
-            factor = scipy.linalg.cho_factor(
-                dense, lower=True, overwrite_a=True, check_finite=False
+        # normal matrices are built from validated (finite) matrices, so
+        # no finiteness scan; clean=0 leaves the unread upper triangle
+        factor, info = dpotrf(dense, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
+            raise NotPositiveDefiniteError(
+                f"{info}-th leading minor of the array is not positive definite"
             )
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from None
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
         return CholFactor(n, dense=factor)
     shifted = (M.csc + shift * sp.eye_array(n, format="csc")).tocsc()
     lu = spla.splu(
@@ -319,7 +358,7 @@ def independent_columns(A: SparseMatrix, candidate_cols) -> np.ndarray:
         return cand
     if cand.min() < 0 or cand.max() >= A.ncols:
         raise InvalidSupportError("candidate column out of range")
-    dense = A.cols(cand).toarray()
+    dense = _gather_columns(A.csc, cand)
     r_mat, piv = scipy.linalg.qr(dense, mode="r", pivoting=True)
     diag = np.abs(np.diag(r_mat))
     if diag.size == 0 or diag[0] == 0.0:

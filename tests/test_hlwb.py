@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polyproj.bap import BapProblem
 from polyproj.factory import DEGENERATE, GenSpec, gen_bap_with_known_vertex
 from polyproj.hlwb import (
     MAX_SWEEPS,
     HlwbConfig,
+    HlwbResult,
     ZeroRowError,
     project_hyperplane,
     solve_hlwb,
@@ -185,3 +187,46 @@ class TestSweepParity:
         assert res.status == expected
         assert res.iterations == res.sweeps * (problem.m + 1)
         assert np.linalg.norm(res.x - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def triangular_solve_hlwb(problem, cfg):
+    """The sweep loop with each forward substitution run through
+    ``scipy.linalg.solve_triangular`` instead of LAPACK ``dtrtrs``
+    directly.  Returns an ``HlwbResult``."""
+    A = problem.A.csc
+    At = A.T
+    m = A.shape[0]
+    G = (A @ At).toarray()
+    v, b = problem.v, problem.b
+    nb = 1.0 + float(np.linalg.norm(b))
+    rv = b - A @ v
+    ramp = np.arange(m) * rv
+    w0, r0 = np.zeros_like(v), np.zeros_like(b)
+    k0 = sweeps = 0
+    trace = []
+    while True:
+        s = scipy.linalg.solve_triangular(G, r0 + ramp, lower=True, check_finite=False)
+        k = k0 + m
+        xhat = np.maximum((w0 + m * v + At @ s) / k, 0.0)
+        res = b - A @ xhat
+        sweeps += 1
+        rel = float(np.linalg.norm(res)) / nb
+        trace.append((sweeps, rel, 1.0 / (k + 1)))
+        if rel <= cfg.tol or sweeps == cfg.max_sweeps:
+            break
+        w0, r0, k0 = v + k * xhat, rv + k * res, k + 1
+    status = "converged" if rel <= cfg.tol else MAX_SWEEPS
+    return HlwbResult(xhat, rel, sweeps, k + 1, status, trace)
+
+
+@pytest.mark.parametrize("m", [20, 50, 120])
+@pytest.mark.parametrize("seed", [101, 102, 103, 104])
+def test_lapack_sweep_is_bit_identical_to_solve_triangular(m, seed):
+    problem = gen_bap_with_known_vertex(GenSpec(m, 10 * m, 0.05, seed=seed)).problem
+    cfg = HlwbConfig(tol=1e-4, max_sweeps=400, collect_trace=True)
+    got, want = solve_hlwb(problem, cfg), triangular_solve_hlwb(problem, cfg)
+    assert np.array_equal(got.x, want.x)
+    assert (got.rel_residual, got.sweeps, got.iterations, got.status) == (
+        want.rel_residual, want.sweeps, want.iterations, want.status
+    )
+    assert got.trace == want.trace

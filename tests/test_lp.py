@@ -608,3 +608,91 @@ def test_sensitivity_failure_on_inconsistent_state():
     )
     with pytest.raises(SensitivityFailureError):
         next_stone(lp, state)
+
+
+def sliced_next_stone(problem, state):
+    """``next_stone`` with every product formed on ``A.cols(...)`` slices."""
+    A, R = problem.A, state.R
+    B, N, Z = state.bases.B, state.bases.N, state.bases.Z
+    AB = A.cols(B)
+    system = np.vstack([(AB.csc @ AB.csc.T).toarray(), A.cols(Z).toarray().T])
+    rhs = np.concatenate([problem.b, np.zeros(Z.size)])
+    dyp, _, _, _ = scipy.linalg.lstsq(
+        system, rhs, cond=np.finfo(np.float64).eps * max(system.shape),
+        lapack_driver="gelsy", check_finite=False,
+    )
+    bB, bN = AB.rmatvec(dyp), A.cols(N).rmatvec(dyp)
+    wB, zN = state.w[B], state.z[N]
+    e = np.concatenate([bB - R * wB, -(bN + R * zN)])
+    f = np.concatenate([R * bB, -R * bN])
+    scale = np.concatenate([np.abs(bB) + R * np.abs(wB), np.abs(bN) + R * np.abs(zN)])
+    R_n = ratio_test(e, f, scale)
+    if math.isfinite(R_n):
+        R_n = max(R_n, R)
+    factor = ((R - R_n) / (R * R_n)) if math.isfinite(R_n) else (-1.0 / R)
+    return R_n, factor * dyp
+
+
+def sliced_basis_dual(problem, bases):
+    """``_basis_dual`` with A_B and A_N^T y formed on ``A.cols(...)`` slices."""
+    B, N = bases.B, bases.N
+    ABt = problem.A.cols(B).toarray().T
+    cB = problem.c[B]
+    y, _, rank, _ = scipy.linalg.lstsq(ABt, cB, cond=1e-10, lapack_driver="gelsy",
+                                       check_finite=False)
+    if rank < problem.m:
+        return None
+    res = float(np.linalg.norm(ABt @ y - cB))
+    if not res <= 1e-12 * (1.0 + float(np.linalg.norm(cB))):
+        return None
+    zN = problem.A.cols(N).rmatvec(y) - problem.c[N]
+    return (y, zN) if np.all(zN >= 0.0) else None
+
+
+def sliced_bounds(problem, state, pin_basic):
+    """``(y_lp, z_lp, dual residual)`` of ``lp_bounds``, with z_lp on Z and
+    the dual residual formed on ``A.cols(Z)`` and the full transpose."""
+    m, (B, N, Z) = problem.m, (state.bases.B, state.bases.N, state.bases.Z)
+    closed = sliced_basis_dual(problem, state.bases) if pin_basic else None
+    z_lp = np.zeros(problem.n)
+    if closed is not None:
+        y_lp, z_lp[N] = closed
+    else:
+        sub, keep, full = _dual_feasibility_bap(problem, state, pin_basic)
+        full[keep] = _solve_with_ladder(sub, None, LpConfig()).x
+        y_lp = full[:m]
+        z_lp[B], z_lp[N] = full[m : m + B.size], full[m + B.size :]
+    if Z.size:
+        z_lp[Z] = np.maximum(problem.A.cols(Z).rmatvec(y_lp) - problem.c[Z], 0.0)
+    dual = np.linalg.norm(z_lp - problem.A.csc.T @ y_lp + problem.c)
+    return y_lp, z_lp, float(dual) / (1.0 + float(np.linalg.norm(problem.c)))
+
+
+class TestColumnSliceParity:
+    """The stone and bound code reads columns through one gather and one
+    kept A^T product; its outputs equal the column-slice formulas bit for bit."""
+
+    def test_stones_and_bounds_match_the_sliced_formulas(self, monkeypatch, data_dir):
+        with open(os.path.join(data_dir, "afiro.mps")) as fh:
+            problems = [to_standard_form(parse_mps(fh.read()))[0]]
+        problems += [
+            gen_lp(GenSpec(m, n, d, seed=seed, degeneracy=deg)).problem
+            for m, n, d, seed, deg in [(3, 9, 0.5, 5, "nondegenerate"),
+                                       (8, 30, 0.3, 10, "nondegenerate"),
+                                       (10, 40, 0.3, 5009, "degenerate"),
+                                       (5, 20, 0.5, 5009, "degenerate")]
+        ]
+        seen_Z = seen_closed = 0
+        for problem in problems:
+            # the states and bound modes that solve_lp runs into
+            for state, pin_basic in bound_calls(monkeypatch, problem)[1]:
+                seen_Z += state.bases.Z.size > 0
+                step, (R_n, dy) = next_stone(problem, state), sliced_next_stone(problem, state)
+                assert step.R_n == R_n and np.array_equal(step.dy, dy)
+                seen_closed += pin_basic and _basis_dual(problem, state.bases) is not None
+                cert = lp_bounds(problem, state, pin_basic=pin_basic)
+                y_lp, z_lp, dual = sliced_bounds(problem, state, pin_basic)
+                assert np.array_equal(cert.y_lp, y_lp)
+                assert np.array_equal(cert.z_lp, z_lp)
+                assert cert.rel_residual_triplet[1] == dual
+        assert seen_Z and seen_closed

@@ -132,6 +132,44 @@ def test_solution_vector_lengths_must_agree(tmp_path):
         read_solution(path)
 
 
+def written_file(tmp_path, kind):
+    """A freshly written ``.bap``, ``.lp`` or ``.sol`` file and the call that reads it."""
+    base = str(tmp_path / "inst")
+    if kind == "bap":
+        write_bap_instance(gen_bap_with_known_vertex(GenSpec(4, 12, 0.5, seed=3)).problem, base)
+        return base + ".bap", lambda: read_bap_instance(base)
+    if kind == "lp":
+        write_lp_instance(gen_lp(GenSpec(4, 12, 0.5, seed=3)).problem, base)
+        return base + ".lp", lambda: read_lp_instance(base)
+    path, _ = written_solution(tmp_path)
+    return path, lambda: read_solution(path)
+
+
+@pytest.mark.parametrize("kind", ["bap", "lp", "sol"])
+@pytest.mark.parametrize("extra", ["foo bar", "cc 1 2 3"])
+def test_extra_field_rejected(tmp_path, kind, extra):
+    path, read = written_file(tmp_path, kind)
+    with open(path, "a") as fh:
+        fh.write(extra + "\n")
+    key = extra.split()[0]
+    with pytest.raises(ValueError, match=rf"\.{kind}: unknown field '{key}'"):
+        read()
+
+
+@pytest.mark.parametrize(
+    "kind, key, typo", [("bap", "signs", "sign"), ("lp", "c", "cc"), ("sol", "iterations", "iters")]
+)
+def test_misspelt_field_rejected(tmp_path, kind, key, typo):
+    path, read = written_file(tmp_path, kind)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(typo + ln[len(key):] if ln.startswith(key + " ") else ln
+                           for ln in lines) + "\n")
+    with pytest.raises(ValueError, match=rf"\.{kind}: unknown field '{typo}'"):
+        read()
+
+
 def test_solution_summary_formatting(tmp_path):
     g = gen_bap_with_known_vertex(GenSpec(m=5, n=20, density=0.3, seed=2))
     sol = solve_rnnm(g.problem)

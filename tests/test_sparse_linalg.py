@@ -1,9 +1,14 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from polyproj.bap import (
+    BapProblem,
     RnnmConfig,
     classify_indices,
     generalized_jacobian,
@@ -11,6 +16,7 @@ from polyproj.bap import (
     solve_rnnm,
 )
 from polyproj.factory import GenSpec, gen_bap_with_known_vertex, gen_lp
+from polyproj.hlwb import HlwbConfig, solve_hlwb
 from polyproj.lp import (
     SsepfState,
     _basis_zero_tol,
@@ -25,6 +31,7 @@ from polyproj.sparse_linalg import (
     InvalidSupportError,
     NotPositiveDefiniteError,
     SparseMatrix,
+    _gather_columns,
     assemble_normal_matrix,
     cholesky_shifted,
     independent_columns,
@@ -98,6 +105,29 @@ class TestSparseMatrix:
             state = SsepfState(R=R, w=sub.x, y=sub.y, z=sub.z, bases=bases)
             for pin_basic in (False, True):
                 assert_canonical(_dual_feasibility_bap(lp, state, pin_basic)[0].A)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rmatvec_is_bit_identical_to_the_transpose_product(self, seed):
+        rng = np.random.default_rng(seed)
+        A = gen_bap_with_known_vertex(GenSpec(30, 300, 0.1, seed=seed)).problem.A
+        for M in (A, A.cols(rng.choice(300, size=40, replace=False)), rand_sparse(rng, 9, 14)):
+            for _ in range(3):  # the first call builds the kept view, later ones reuse it
+                y = rng.standard_normal(M.nrows)
+                assert np.array_equal(M.rmatvec(y), M.csc.T @ y)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gathered_columns_equal_the_sliced_array(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rand_sparse(rng, 12, 40)
+        for idx in (np.arange(40), np.sort(rng.choice(40, 15, replace=False)),
+                    rng.permutation(40)[:9], np.empty(0, dtype=np.int64)):
+            dense = _gather_columns(A.csc, idx)
+            assert dense.flags.f_contiguous and dense.shape == (12, idx.size)
+            assert np.array_equal(dense, A.cols(idx).toarray())
+            scale = rng.random(idx.size)
+            assert np.array_equal(_gather_columns(A.csc, idx, scale),
+                                  A.cols(idx).toarray() * scale)
 
 
 class TestAssembleNormalMatrix:
@@ -228,6 +258,28 @@ class TestCholeskyShifted:
             expected = np.linalg.solve(before + 0.25 * np.eye(30), rhs)
             err = np.linalg.norm(fac.solve(rhs) - expected)
             assert err <= 1e-10 * (1 + np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_path_is_bit_identical_to_cho_solve(self, seed):
+        # PSD matrices of full rank and of rank n // 3 (singular, so the
+        # shift alone makes them definite), against scipy's wrappers
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        for k in (n, max(1, n // 3)):
+            B = rng.standard_normal((n, k))
+            V = B @ B.T
+            lam = 10.0 ** rng.uniform(-10, -2) * float(np.max(np.diagonal(V)))
+            shifted = V.copy()
+            shifted[np.diag_indices(n)] += lam
+            oracle = scipy.linalg.cho_factor(shifted, lower=True)
+            fac = cholesky_shifted(V, lam)
+            for _ in range(3):
+                r = rng.standard_normal(n)
+                assert np.array_equal(fac.solve(r), scipy.linalg.cho_solve(oracle, r))
+
+    def test_dense_not_positive_definite_raises(self):
+        with pytest.raises(NotPositiveDefiniteError, match="2-th leading minor"):
+            cholesky_shifted(np.array([[1.0, 0.0], [0.0, -5.0]]), 1e-8)
 
     def test_not_psd_raises(self):
         M = SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, -5.0]]))
@@ -365,3 +417,55 @@ class TestMatrixMarket:
         path = write_text(tmp_path, text)
         with pytest.raises(ValueError, match=re.escape(path + ": Line 4")):
             read_matrix_market(path)
+
+
+def test_solves_transpose_the_matrix_at_most_once(monkeypatch):
+    """A multi-step Newton solve and an HLWB solve each build A^T once."""
+    g = gen_bap_with_known_vertex(GenSpec(50, 500, 0.05, seed=8))
+    calls = []
+    real = sp.csc_array.transpose
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.shape)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csc_array, "transpose", counting)
+    for solve in (solve_rnnm, lambda p: solve_hlwb(p, HlwbConfig(tol=1e-4))):
+        # a fresh matrix, so no view of A^T is kept from the generator
+        problem = BapProblem(SparseMatrix(g.problem.A.csc), g.problem.b, g.problem.v)
+        calls.clear()
+        result = solve(problem)
+        assert getattr(result, "iterations", 0) > 1
+        assert len(calls) <= 1, calls
+
+
+def test_concurrent_first_rmatvec_calls_agree():
+    """Threads racing to fill the kept A^T view all get the exact product."""
+    rng = np.random.default_rng(21)
+    A = rand_sparse(rng, 15, 60)
+    ys = rng.standard_normal((4, 15))
+    want = [A.csc.T @ y for y in ys]
+    rounds = 40
+    barrier = threading.Barrier(len(ys))
+    results = [[] for _ in ys]
+    fresh = [SparseMatrix(A.csc) for _ in range(rounds)]
+
+    def work(k):
+        for M in fresh:
+            barrier.wait(timeout=10)
+            results[k].append(M.rmatvec(ys[k]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(ys))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for k, got in enumerate(results):
+        assert len(got) == rounds
+        assert all(np.array_equal(g, want[k]) for g in got)
