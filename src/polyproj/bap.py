@@ -27,6 +27,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .sparse_linalg import (
     SparseMatrix,
+    _column_entries,
     as_vector,
     assemble_normal_matrix,
     cholesky_shifted,
@@ -234,8 +235,12 @@ def generalized_jacobian(
     support = np.concatenate([sets.i_plus, free_idx, sets.i_zero_bar])
     weights = np.ones(problem.n)
     if sets.i_zero_bar.size:
-        norms = problem.A.cols(sets.i_zero_bar).column_norms()
-        weights[sets.i_zero_bar] = np.minimum(1.0, 1.0 / norms**2)
+        # squared norms summed column by column from the CSC arrays (no
+        # column is empty); the weight squares the rounded norm
+        csc = problem.A.csc
+        pos, _, first = _column_entries(csc, sets.i_zero_bar)
+        sq_norms = np.add.reduceat(np.square(csc.data[pos]), first)
+        weights[sets.i_zero_bar] = np.minimum(1.0, 1.0 / np.sqrt(sq_norms) ** 2)
     return assemble_normal_matrix(problem.A, weights, support)
 
 

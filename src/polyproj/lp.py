@@ -10,10 +10,12 @@ past these stepping stones, with warm-started multipliers, walks the
 path in a handful of projection solves.  ``R_n = inf`` certifies LP
 optimality.  Each stone carries one primal/dual bound certificate.  At
 a final stone whose basis spans R^m the dual optimum, the solution of
-``A_B^T y = c_B``, is read off from one dense least-squares solve;
-everywhere else it comes from a companion free-variable projection onto
-the nearest dual-feasible point.  The sensitivity system of each stone
-is one dense least-squares solve as well.
+``A_B^T y = c_B``, is read off directly; everywhere else it comes from a
+companion free-variable projection onto the nearest dual-feasible
+point.  A square, well-conditioned basis (|B| = m) is LU-factored once
+per stone, and that factor gives both the dual optimum and, under
+strict complementarity, the sensitivity step; every other basis goes
+through dense least-squares solves (complete orthogonal factorization).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 import scipy.sparse as sp
 
 from .bap import BapProblem, BapSolution, CONVERGED, RnnmConfig, solve_rnnm
@@ -74,11 +77,15 @@ class LpProblem:
     """Maximization LP data ``max c^T x  s.t.  A x = b, x >= 0``.
 
     Full row rank and a finite optimal value are assumed, not verified.
+    The CSR form of ``[A^T | -I_n]``, whose rows the dual-feasibility
+    system selects, is built on first use and kept in a slot; filling it
+    is a benign race, as for :class:`SparseMatrix`'s view of ``A^T``.
     """
 
     A: SparseMatrix
     b: np.ndarray
     c: np.ndarray
+    _dual_csr: sp.csr_array | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b", as_vector(self.b, self.A.nrows, "b"))
@@ -94,6 +101,15 @@ class LpProblem:
     def n(self) -> int:
         return self.A.ncols
 
+    def _dual_rows(self) -> sp.csr_array:
+        """``[A^T | -I_n]`` in CSR form, built once."""
+        if self._dual_csr is None:
+            rows = sp.hstack(
+                [self.A.csc.T, -sp.eye_array(self.n, format="csr")], format="csr"
+            )
+            object.__setattr__(self, "_dual_csr", rows)
+        return self._dual_csr
+
 
 @dataclass(frozen=True)
 class BasisPartition:
@@ -106,13 +122,21 @@ class BasisPartition:
 
 @dataclass
 class SsepfState:
-    """Converged scaled-subproblem certificate at the current stone."""
+    """Converged scaled-subproblem certificate at the current stone.
+
+    ``basis_lu`` is the ``(lu, piv)`` pair of LAPACK ``dgetrf`` for a
+    square basis matrix A_B, as :func:`_factor_basis` returns it, or None
+    (the basis is not square, is ill-conditioned, or was not factored).
+    :func:`solve_lp` fills it once per stone; :func:`next_stone` and the
+    pinned bound of :func:`lp_bounds` solve with it when it is there.
+    """
 
     R: float
     w: np.ndarray
     y: np.ndarray
     z: np.ndarray
     bases: BasisPartition
+    basis_lu: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -271,35 +295,85 @@ def ratio_test(e: np.ndarray, f: np.ndarray, scale: np.ndarray) -> float:
     return float(np.min(f[eligible] / e[eligible]))
 
 
+# A square basis matrix is solved through its LU factor only when its
+# reciprocal 1-norm condition number reaches this; below it the
+# least-squares solves, whose rank cutoffs lie far lower, take over.
+_BASIS_RCOND_MIN = 1e-6
+
+
+def _factor_basis(problem: LpProblem, B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """LU factor ``(lu, piv)`` of A_B from LAPACK ``dgetrf``, or None.
+
+    None when |B| differs from m, when A_B is exactly singular, or when
+    the reciprocal condition number that ``dgecon`` estimates from the
+    factor and the 1-norm of A_B falls below ``_BASIS_RCOND_MIN``.
+    """
+    if B.size != problem.m or B.size == 0:  # LAPACK rejects a 0 x 0 matrix
+        return None
+    AB = _gather_columns(problem.A.csc, B)
+    anorm = float(np.max(np.sum(np.abs(AB), axis=0)))
+    lu, piv, info = dgetrf(AB, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
+    if info > 0:  # an exactly zero pivot
+        return None
+    rcond, info = dgecon(lu, anorm, norm="1")
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgecon")
+    if not rcond >= _BASIS_RCOND_MIN:  # NaN fails too
+        return None
+    return lu, piv
+
+
+def _lu_solve(basis_lu: tuple[np.ndarray, np.ndarray], rhs: np.ndarray, trans: int) -> np.ndarray:
+    """``A_B^{-1} rhs`` (``trans=0``) or ``A_B^{-T} rhs`` (``trans=1``)."""
+    x, info = dgetrs(*basis_lu, rhs, trans=trans)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
+    return x
+
+
 def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
     """Sensitivity ratio test for the largest R preserving the bases.
 
     Takes the minimum-norm least-squares solution d of the stacked
-    system ``[A_B A_B^T; A_Z^T] d = [b; 0]`` (one complete orthogonal
-    factorization; the A_Z^T rows vanish when strict complementarity
-    holds), forms the bound vectors e, f on the B and N blocks, and
-    returns ``R_n = min f_i/e_i`` over entries with both positive
-    (infinite over the empty set) together with the warm-start step in y.
+    system ``[A_B A_B^T; A_Z^T] d = [b; 0]`` (the A_Z^T rows vanish when
+    strict complementarity holds), forms the bound vectors e, f on the B
+    and N blocks, and returns ``R_n = min f_i/e_i`` over entries with
+    both positive (infinite over the empty set) together with the
+    warm-start step in y.  With Z empty and ``state.basis_lu`` set, d is
+    ``A_B^{-T} A_B^{-1} b``, two solves with the factor, and the residual
+    ``A_B (A_B^T d) - b`` takes two sparse products; otherwise one
+    complete orthogonal factorization of the dense stacked system gives
+    d.  A residual above ``1e-6 * (1 + ||b||)`` raises
+    :class:`SensitivityFailureError`.
     """
     A = problem.A
     R = state.R
     B, N, Z = state.bases.B, state.bases.N, state.bases.Z
 
-    AB = A.cols(B).csc
-    system = np.vstack([(AB @ AB.T).toarray(), _gather_columns(A.csc, Z).T])
-    rhs = np.concatenate([problem.b, np.zeros(Z.size)])
-    # cond = eps * max(shape) is numpy's rcond=None cutoff
-    dyp, _, _, _ = scipy.linalg.lstsq(
-        system, rhs, cond=np.finfo(np.float64).eps * max(system.shape),
-        lapack_driver="gelsy", check_finite=False,
-    )
-    res = float(np.linalg.norm(system @ dyp - rhs))
+    if state.basis_lu is not None and Z.size == 0:
+        dyp = _lu_solve(state.basis_lu, _lu_solve(state.basis_lu, problem.b, 0), 1)
+        Atd = A.rmatvec(dyp)
+        xB = np.zeros(problem.n)
+        xB[B] = Atd[B]
+        res = float(np.linalg.norm(A.matvec(xB) - problem.b))
+    else:
+        AB = A.cols(B).csc
+        system = np.vstack([(AB @ AB.T).toarray(), _gather_columns(A.csc, Z).T])
+        rhs = np.concatenate([problem.b, np.zeros(Z.size)])
+        # cond = eps * max(shape) is numpy's rcond=None cutoff
+        dyp, _, _, _ = scipy.linalg.lstsq(
+            system, rhs, cond=np.finfo(np.float64).eps * max(system.shape),
+            lapack_driver="gelsy", check_finite=False,
+        )
+        res = float(np.linalg.norm(system @ dyp - rhs))
+        Atd = A.rmatvec(dyp)
     if res > 1e-6 * (1.0 + float(np.linalg.norm(problem.b))):
         raise SensitivityFailureError(
             f"sensitivity system inconsistent (residual {res:.3e})"
         )
 
-    Atd = A.rmatvec(dyp)
     bB = Atd[B]
     bN = Atd[N]
     wB = state.w[B]
@@ -337,54 +411,62 @@ def _dual_feasibility_bap(
     """
     B, N = state.bases.B, state.bases.N
     m = problem.m
-    M = sp.bmat(
-        [
-            [problem.A.cols(B).csc.T.tocsc(), -sp.eye_array(B.size, format="csc"), None],
-            [problem.A.cols(N).csc.T.tocsc(), None, -sp.eye_array(N.size, format="csc")],
-        ],
-        format="csc",
-    )
+    # rows B and N of [A^T | -I_n]; the -1 of row j sits in column m + j
+    rows = problem._dual_rows()[np.concatenate([B, N])]
     rhs = np.concatenate([problem.c[B], problem.c[N]])
     anchor = np.concatenate([-state.y, np.zeros(B.size), state.z[N]])
     free = np.arange(anchor.size) < m
 
-    keep = np.diff(M.indptr) > 0  # only y-block columns can be empty
+    keep = np.ones(anchor.size, dtype=bool)
+    y_used = np.zeros(m + problem.n, dtype=bool)
+    y_used[rows.indices] = True
+    keep[:m] = y_used[:m]  # only y-block columns can be empty
     if pin_basic:
         keep[m : m + B.size] = False
-    if not keep.all():
-        M = M[:, np.where(keep)[0]]
-    # blocks of the validated A and unit diagonals; bmat's CSC output is
-    # canonical, so the matrix goes on the trusted path
+    cols = np.concatenate([np.arange(m), m + B, m + N])[keep]
+    # rows of the validated A^T and a unit diagonal; the CSR-to-CSC
+    # conversion sorts the row indices, so the matrix is canonical and
+    # goes on the trusted path
+    M = rows[:, cols].tocsc()
     return BapProblem(SparseMatrix._trusted(M), rhs, anchor[keep], free[keep]), keep, anchor
 
 
 def _basis_dual(
-    problem: LpProblem, bases: BasisPartition
+    problem: LpProblem,
+    bases: BasisPartition,
+    basis_lu: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Closed-form answer of the z_B = 0 projection at a basis spanning R^m.
 
     When the columns of B span R^m, the pinned dual-feasible set holds
     at most the one point ``y`` solving ``A_B^T y = c_B``, ``z_N =
     A_N^T y - c_N``; when it exists and ``z_N >= 0`` it is the
-    projection's answer.  One least-squares solve of ``A_B^T y = c_B``
-    (complete orthogonal factorization, rank cutoff 1e-10) covers every
-    |B|.  Returns ``(y, z_N)``, or None when the numerical rank of A_B
-    is below m (|B| < m included), ``A_B^T y = c_B`` leaves a relative
-    residual above 1e-12 on any row of B, or some ``z_N`` entry is
-    negative.
+    projection's answer.  With ``basis_lu``, the factor of a square A_B
+    from :func:`_factor_basis`, y is one transposed LU solve; otherwise
+    one least-squares solve of ``A_B^T y = c_B`` (complete orthogonal
+    factorization, rank cutoff 1e-10) covers every |B|.  Returns
+    ``(y, z_N)``, or None when the numerical rank of A_B is below m
+    (|B| < m included), ``A_B^T y = c_B`` leaves a relative residual
+    above 1e-12 on any row of B, or some ``z_N`` entry is negative.
     """
     B, N = bases.B, bases.N
-    ABt = _gather_columns(problem.A.csc, B).T
     cB = problem.c[B]
-    y, _, rank, _ = scipy.linalg.lstsq(
-        ABt, cB, cond=1e-10, lapack_driver="gelsy", check_finite=False
-    )
-    if rank < problem.m:
-        return None
-    res = float(np.linalg.norm(ABt @ y - cB))
+    if basis_lu is not None:
+        y = _lu_solve(basis_lu, cB, 1)
+        Aty = problem.A.rmatvec(y)
+        res = float(np.linalg.norm(Aty[B] - cB))
+    else:
+        ABt = _gather_columns(problem.A.csc, B).T
+        y, _, rank, _ = scipy.linalg.lstsq(
+            ABt, cB, cond=1e-10, lapack_driver="gelsy", check_finite=False
+        )
+        if rank < problem.m:
+            return None
+        res = float(np.linalg.norm(ABt @ y - cB))
+        Aty = problem.A.rmatvec(y)
     if not res <= 1e-12 * (1.0 + float(np.linalg.norm(cB))):  # NaN fails too
         return None
-    zN = problem.A.rmatvec(y)[N] - problem.c[N]
+    zN = Aty[N] - problem.c[N]
     if not np.all(zN >= 0.0):
         return None
     return y, zN
@@ -404,8 +486,9 @@ def lp_bounds(
     the projected ``z_lp`` vanishes on B.  ``pin_basic`` requests the
     z_B = 0 equality case directly (used once the basis is final).
     There the closed form of :func:`_basis_dual` is tried first, one
-    dense least-squares solve; the projection runs only when it does not
-    apply (A_B of rank below m, rows of ``A_B^T y = c_B`` left
+    solve with ``state.basis_lu`` when the stone has it and one dense
+    least-squares solve otherwise; the projection runs only when it
+    does not apply (A_B of rank below m, rows of ``A_B^T y = c_B`` left
     unsatisfied, or a negative ``z_N``).  Columns that
     :func:`_dual_feasibility_bap` drops keep their anchor values, and
     ``z_lp`` on Z is ``max(A_Z^T y_lp - c_Z, 0)``.  A failed dual
@@ -419,7 +502,7 @@ def lp_bounds(
     m = problem.m
     B, N, Z = state.bases.B, state.bases.N, state.bases.Z
     warning = None
-    closed = _basis_dual(problem, state.bases) if pin_basic else None
+    closed = _basis_dual(problem, state.bases, state.basis_lu) if pin_basic else None
     z_lp = np.zeros(problem.n)
     if closed is not None:
         y_lp, z_lp[N] = closed
@@ -480,8 +563,9 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
 
     Starting from the radius estimate, each round solves the scaled
     projection subproblem (warm-started from the previous multipliers
-    plus the sensitivity step), classifies the supports, runs the ratio
-    test, and computes one bound certificate for the stone: the pinned
+    plus the sensitivity step), classifies the supports, LU-factors a
+    square basis matrix (:func:`_factor_basis`), runs the ratio test,
+    and computes one bound certificate for the stone: the pinned
     ``z_B = 0`` bound once the ratio test finds the basis final, the
     loose bound otherwise.  Stops when the relative gap meets
     ``tol_gap``; otherwise advances R just past the next stone.  Every
@@ -508,7 +592,9 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
         bases = classify_bases(w, z, _basis_zero_tol(w, z))
         if bases.Z.size:
             degenerate = True
-        state = SsepfState(R=R, w=w, y=sol.y, z=z, bases=bases)
+        state = SsepfState(
+            R=R, w=w, y=sol.y, z=z, bases=bases, basis_lu=_factor_basis(problem, bases.B)
+        )
         try:
             step = next_stone(problem, state)
         except SensitivityFailureError:

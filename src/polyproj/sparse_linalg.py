@@ -11,11 +11,14 @@ lives here as well because it is the on-disk form of
 
 The normal matrix ``V = sum w_i A_i A_i^T`` has one form per size
 regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
-it is assembled as a dense ``np.ndarray`` with one BLAS rank-k update
-and factored by LAPACK ``dpotrf``, whose factor ``dpotrs`` applies;
-above it, it is a :class:`SparseMatrix` built from sparse products and
-factored by SuperLU.  The per-iteration kernels call the LAPACK and BLAS
-wrappers directly, without the argument handling of ``scipy.linalg``'s
+it is a dense ``np.ndarray``, factored by LAPACK ``dpotrf``, whose
+factor ``dpotrs`` applies; above it, it is a :class:`SparseMatrix` built
+from sparse products and factored by SuperLU.  The dense form has two
+assembly kernels, chosen per block of support columns by the work rule
+of ``PAIR_WORK_FACTOR``: one BLAS rank-k update of the gathered columns,
+or, for sparse columns, the products of the pairs of entries within each
+column, summed into their bins.  The per-iteration kernels call the
+LAPACK and BLAS wrappers directly, without the argument handling of ``scipy.linalg``'s
 ``cho_factor``/``cho_solve``, and dense copies of column subsets are
 gathered straight from the CSC arrays (:func:`_gather_columns`) instead
 of slicing the sparse matrix.
@@ -63,6 +66,19 @@ DENSE_FACTOR_MAX_DIM = 256
 # Dense assembly gathers the support columns in blocks of at most this
 # many, so the gathered block stays small however large the support.
 _GATHER_COLS = 2048
+# Dense assembly takes a block of support columns through pair products
+# when (P + PAIR_FIXED_COST) * PAIR_WORK_FACTOR < m^2 * (columns in the
+# block).  P counts the pairs (e, f) of entries of one column with f at
+# or above e, and m^2 per column is the work of the dense rank-k update.
+# PAIR_WORK_FACTOR is the cost of one pair in multiply-adds of that
+# update, PAIR_FIXED_COST the fixed cost of the pair kernel's extra
+# numpy calls, in pairs (about 15 us).  Both were measured with one BLAS
+# thread, |S| = m and 2m, m = 50 to 256: the kernels broke even near
+# P * 500 = m^2 * |S| at m >= 100, and at m = 50 the rank-k update won at
+# every density.  As m <= DENSE_FACTOR_MAX_DIM < PAIR_WORK_FACTOR, the
+# pair arrays of a block stay smaller than its gathered dense copy.
+PAIR_WORK_FACTOR = 500
+PAIR_FIXED_COST = 1000
 
 
 class InvalidSupportError(ValueError):
@@ -187,10 +203,6 @@ class SparseMatrix:
             raise InvalidSupportError("column index out of range")
         return SparseMatrix._trusted(self._csc[:, idx])
 
-    def column_norms(self) -> np.ndarray:
-        sq = self._csc.multiply(self._csc).sum(axis=0)
-        return np.sqrt(np.asarray(sq, dtype=np.float64).ravel())
-
     def diagonal(self) -> np.ndarray:
         return np.asarray(self._csc.diagonal(), dtype=np.float64)
 
@@ -236,10 +248,14 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
     ``support`` are read and they must lie in [0, 1].  The result is
     symmetric to the bit: the lower triangle is computed and mirrored.
     With at most ``DENSE_FACTOR_MAX_DIM`` rows it is a dense
-    ``np.ndarray``: the support columns, scaled by ``sqrt(w)``, are
-    gathered from the CSC arrays into a dense block ``G`` and the lower
-    triangle is one BLAS update ``G G^T``.  Above that it is a
-    :class:`SparseMatrix`.
+    ``np.ndarray``, summed over blocks of support columns read from the
+    CSC arrays and scaled by ``sqrt(w)``.  A block with P pairs (e, f) of
+    entries of one column, f at or above e, and ``(P + PAIR_FIXED_COST)
+    * PAIR_WORK_FACTOR < m^2 * (columns in the block)`` adds each pair's
+    product to its bin of the lower triangle (one ``np.bincount``); any
+    other block is gathered into a dense ``G`` and added by one BLAS
+    update ``G G^T``.
+    Above ``DENSE_FACTOR_MAX_DIM`` rows it is a :class:`SparseMatrix`.
     """
     m = A.nrows
     support = np.asarray(support, dtype=np.int64)
@@ -268,6 +284,23 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
     return SparseMatrix._trusted(mirrored)
 
 
+def _column_entries(csc: sp.csc_array, cols: np.ndarray):
+    """Where the entries of the columns ``cols`` of ``csc`` lie, column by column.
+
+    Returns ``(pos, which, first)``: ``pos`` lists the positions of the
+    entries in the CSC arrays, ``which[k]`` is the place in ``cols`` of
+    the column of entry ``k``, and ``first[j]`` is the place in ``pos``
+    of the first entry of column ``cols[j]``.  ``cols`` must be in
+    range; it is not checked.
+    """
+    starts = csc.indptr[cols]
+    counts = csc.indptr[cols + 1] - starts
+    which = np.repeat(np.arange(cols.size), counts)
+    first = np.cumsum(counts) - counts
+    pos = np.arange(which.size) + np.repeat(starts - first, counts)
+    return pos, which, first
+
+
 def _gather_columns(csc: sp.csc_array, cols: np.ndarray, scale=None) -> np.ndarray:
     """Dense F-ordered ``(m, cols.size)`` copy of the columns ``cols`` of ``csc``.
 
@@ -277,25 +310,47 @@ def _gather_columns(csc: sp.csc_array, cols: np.ndarray, scale=None) -> np.ndarr
     without building the slice.  ``cols`` must be in range; it is not
     checked.
     """
-    starts = csc.indptr[cols]
-    counts = csc.indptr[cols + 1] - starts
-    which = np.repeat(np.arange(cols.size), counts)
-    offsets = np.cumsum(counts) - counts
-    pos = np.arange(which.size) + np.repeat(starts - offsets, counts)
+    pos, which, _ = _column_entries(csc, cols)
     dense = np.zeros((csc.shape[0], cols.size), order="F")
     vals = csc.data[pos]
     dense[csc.indices[pos], which] = vals if scale is None else vals * scale[which]
     return dense
 
 
+def _add_pair_products(csc: sp.csc_array, cols: np.ndarray, scale, V: np.ndarray) -> None:
+    """Add the lower triangle of ``sum_j scale_j^2 a_j a_j^T`` over ``cols`` to ``V``.
+
+    ``V`` is F-ordered and updated in place.  Each entry e of a column is
+    paired with the entries f at or above it, f = e included; as the row
+    indices of a column ascend, the product lands at (row e, row f) in
+    the lower triangle.  ``np.bincount`` sums the products bin by bin in
+    column order.
+    """
+    m = V.shape[0]
+    pos, which, first = _column_entries(csc, cols)
+    rows = csc.indices[pos]
+    vals = csc.data[pos] * scale[which]
+    reps = np.arange(pos.size) - first[which] + 1  # place in its column, plus one
+    e = np.repeat(np.arange(pos.size), reps)
+    # the pairs of entry k run over the entries first[which[k]], ..., k
+    f = np.arange(e.size) - np.repeat(np.cumsum(reps) - reps - first[which], reps)
+    bins = np.bincount(rows[e] + m * rows[f], weights=vals[e] * vals[f], minlength=m * m)
+    V += bins.reshape(m, m, order="F")
+
+
 def _dense_normal_matrix(csc: sp.csc_array, scale, support) -> np.ndarray:
     m = csc.shape[0]
     V = np.zeros((m, m), order="F")
     for lo in range(0, support.size, _GATHER_COLS):
-        hi = lo + _GATHER_COLS
-        G = _gather_columns(csc, support[lo:hi], scale[lo:hi])
-        # updates the lower triangle only; the upper one stays zero
-        V = blas.dsyrk(1.0, G, beta=1.0, c=V, lower=1, overwrite_c=1)
+        cols, s = support[lo : lo + _GATHER_COLS], scale[lo : lo + _GATHER_COLS]
+        counts = csc.indptr[cols + 1] - csc.indptr[cols]
+        pairs = int(counts @ (counts + 1)) // 2
+        # both kernels update the lower triangle only; the upper one stays zero
+        if (pairs + PAIR_FIXED_COST) * PAIR_WORK_FACTOR < m * m * cols.size:
+            _add_pair_products(csc, cols, s, V)
+        else:
+            G = _gather_columns(csc, cols, s)
+            V = blas.dsyrk(1.0, G, beta=1.0, c=V, lower=1, overwrite_c=1)
     # adding zeros mirrors the lower triangle exactly; the diagonal is
     # doubled and halved, both exact
     V = V + V.T

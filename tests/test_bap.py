@@ -13,6 +13,7 @@ from polyproj.bap import (
     STALLED,
     BapProblem,
     BapSolution,
+    IndexSets,
     InvalidStateError,
     RnnmConfig,
     classify_indices,
@@ -274,6 +275,33 @@ class TestGeneralizedJacobian:
                 fd[:, j] = (residual(prob, y + e) - residual(prob, y - e)) / (2 * h)
             denom = 1.0 + np.abs(fd)
             assert np.max(np.abs(V - fd) / denom) <= 1e-5
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_boundary_weights_equal_the_sliced_column_sums(self, monkeypatch, seed):
+        # the norms come straight from the CSC arrays; the weights equal
+        # those of scipy's column sums over the sliced columns bit for bit,
+        # from one-entry columns to columns longer than a summation block
+        rng = np.random.default_rng(seed)
+        m, n = 200, 300
+        dense = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, n))
+        keep = rng.random((m, n)) < rng.choice([0.005, 0.05, 0.5, 1.0], n)
+        keep[rng.integers(0, m, n), np.arange(n)] = True
+        prob = BapProblem(SparseMatrix.from_dense(dense * keep), np.zeros(m), np.zeros(n))
+        perm = rng.permutation(n)
+        sets = IndexSets(np.sort(perm[:100]), np.sort(perm[100:]), np.sort(perm[100:250]))
+        seen = []
+        real = bap_mod.assemble_normal_matrix
+
+        def spy(A, weights, support):
+            seen.append(weights)
+            return real(A, weights, support)
+
+        monkeypatch.setattr(bap_mod, "assemble_normal_matrix", spy)
+        generalized_jacobian(prob, sets)
+        sliced = prob.A.csc[:, sets.i_zero_bar]
+        norms = np.sqrt(np.asarray(sliced.multiply(sliced).sum(axis=0)).ravel())
+        assert np.array_equal(seen[0][sets.i_zero_bar], np.minimum(1.0, 1.0 / norms**2))
+        assert np.all(seen[0][sets.i_plus] == 1.0)
 
 
 class TestRegularizationLambda:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import polyproj.lp as lp_mod
 from polyproj.bap import RnnmConfig, solve_rnnm
@@ -13,6 +15,7 @@ from polyproj.lp import (
     InconsistentCertificateError,
     LpConfig,
     LpProblem,
+    SensitivityFailureError,
     SsepfState,
     classify_bases,
     initial_radius,
@@ -24,6 +27,7 @@ from polyproj.lp import (
     _basis_dual,
     _basis_zero_tol,
     _dual_feasibility_bap,
+    _factor_basis,
     _solve_with_ladder,
 )
 from polyproj.mps import parse_mps, to_standard_form
@@ -432,7 +436,7 @@ class TestSolveLp:
         # shifted Jacobian used to lose positive definiteness near
         # convergence and raise NotPositiveDefiniteError
         gl = gen_lp(GenSpec(m=5, n=14, density=0.5, seed=5011, degeneracy="degenerate"))
-        monkeypatch.setattr(lp_mod, "_basis_dual", lambda problem, bases: None)
+        monkeypatch.setattr(lp_mod, "_basis_dual", lambda problem, bases, basis_lu: None)
         res = solve_lp(gl.problem)
         assert res.status == "solved"
         assert abs(res.certificate.lower - gl.known_optimum) <= 1e-7 * (1 + abs(gl.known_optimum))
@@ -668,9 +672,15 @@ def sliced_bounds(problem, state, pin_basic):
     return y_lp, z_lp, float(dual) / (1.0 + float(np.linalg.norm(problem.c)))
 
 
+def assert_close(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
 class TestColumnSliceParity:
     """The stone and bound code reads columns through one gather and one
-    kept A^T product; its outputs equal the column-slice formulas bit for bit."""
+    kept A^T product.  Where it solves by least squares its outputs equal
+    the column-slice formulas bit for bit; where it solves with the LU
+    factor of a square basis they agree to 1e-12 relative."""
 
     def test_stones_and_bounds_match_the_sliced_formulas(self, monkeypatch, data_dir):
         with open(os.path.join(data_dir, "afiro.mps")) as fh:
@@ -683,16 +693,173 @@ class TestColumnSliceParity:
                                        (5, 20, 0.5, 5009, "degenerate")]
         ]
         seen_Z = seen_closed = 0
+        seen = {"lu": 0, "lstsq": 0}  # next_stone's paths
+        seen_dual = {"lu": 0, "lstsq": 0}  # _basis_dual's paths
         for problem in problems:
             # the states and bound modes that solve_lp runs into
             for state, pin_basic in bound_calls(monkeypatch, problem)[1]:
                 seen_Z += state.bases.Z.size > 0
                 step, (R_n, dy) = next_stone(problem, state), sliced_next_stone(problem, state)
-                assert step.R_n == R_n and np.array_equal(step.dy, dy)
-                seen_closed += pin_basic and _basis_dual(problem, state.bases) is not None
+                assert step.R_n == R_n
+                if state.basis_lu is not None and state.bases.Z.size == 0:
+                    seen["lu"] += 1
+                    assert_close(step.dy, dy)
+                else:
+                    seen["lstsq"] += 1
+                    assert np.array_equal(step.dy, dy)
+                closed = _basis_dual(problem, state.bases, state.basis_lu)
+                seen_closed += pin_basic and closed is not None
                 cert = lp_bounds(problem, state, pin_basic=pin_basic)
                 y_lp, z_lp, dual = sliced_bounds(problem, state, pin_basic)
-                assert np.array_equal(cert.y_lp, y_lp)
-                assert np.array_equal(cert.z_lp, z_lp)
-                assert cert.rel_residual_triplet[1] == dual
+                if pin_basic and state.basis_lu is not None:
+                    seen_dual["lu"] += 1
+                    assert_close(cert.y_lp, y_lp)
+                    assert_close(cert.z_lp, z_lp)
+                    assert abs(cert.rel_residual_triplet[1] - dual) <= 1e-12
+                else:
+                    seen_dual["lstsq"] += pin_basic
+                    assert np.array_equal(cert.y_lp, y_lp)
+                    assert np.array_equal(cert.z_lp, z_lp)
+                    assert cert.rel_residual_triplet[1] == dual
         assert seen_Z and seen_closed
+        assert all(seen.values()) and all(seen_dual.values()), (seen, seen_dual)
+
+
+def square_basis_lp(seed, m=30, n=90, near_singular=False):
+    """An LP whose first m columns form a square basis: well conditioned,
+    or with column 1 equal to column 0 up to 1e-9 when ``near_singular``."""
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.3)
+    D[:, :m] += 4.0 * np.eye(m)
+    if near_singular:
+        D[:, 1] = D[:, 0] + 1e-9 * rng.standard_normal(m)
+    A = SparseMatrix.from_dense(D)
+    x = np.zeros(n)
+    x[:m] = 1.0 + rng.random(m)
+    y = rng.standard_normal(m)
+    c = D.T @ y
+    c[m:] -= 1.0 + rng.random(n - m)  # z_N = A_N^T y - c_N > 0
+    problem = LpProblem(A, A.matvec(x), c)
+    bases = BasisPartition(B=np.arange(m), N=np.arange(m, n), Z=np.empty(0, dtype=np.int64))
+    R = 2.0
+    state = SsepfState(R=R, w=x / R, y=-y, z=np.concatenate([np.zeros(m), -c[m:] + D[:, m:].T @ y]),
+                       bases=bases)
+    return problem, state
+
+
+class TestSquareBasisLu:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lu_solves_match_least_squares(self, seed):
+        problem, state = square_basis_lp(seed)
+        lu = _factor_basis(problem, state.bases.B)
+        assert lu is not None
+        with_lu = dataclasses.replace(state, basis_lu=lu)
+        step, (R_n, dy) = next_stone(problem, with_lu), sliced_next_stone(problem, state)
+        assert math.isclose(step.R_n, R_n, rel_tol=1e-12)
+        assert_close(step.dy, dy)
+        (y_lu, zN_lu), (y_ls, zN_ls) = (_basis_dual(problem, state.bases, lu),
+                                        _basis_dual(problem, state.bases))
+        assert_close(y_lu, y_ls)
+        assert_close(zN_lu, zN_ls)
+        y_sl, zN_sl = sliced_basis_dual(problem, state.bases)
+        assert np.array_equal(y_ls, y_sl) and np.array_equal(zN_ls, zN_sl)
+
+    def test_only_square_well_conditioned_bases_are_factored(self):
+        problem, state = square_basis_lp(0)
+        B = state.bases.B
+        assert _factor_basis(problem, B[:-1]) is None  # |B| < m
+        assert _factor_basis(problem, np.append(B, problem.m)) is None  # |B| > m
+        problem, state = square_basis_lp(0, near_singular=True)
+        assert _factor_basis(problem, B) is None  # rcond below 1e-6
+        # a singular square basis: the equal columns of the test above
+        A = SparseMatrix.from_dense(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0]]))
+        lp = LpProblem(A, np.array([1.0, 2.0]), np.array([1.0, 1.0, 0.0]))
+        assert _factor_basis(lp, np.array([0, 1])) is None
+
+    def test_near_singular_basis_takes_least_squares_bit_for_bit(self):
+        problem, state = square_basis_lp(1, near_singular=True)
+        state.basis_lu = _factor_basis(problem, state.bases.B)
+        assert state.basis_lu is None
+        step, (R_n, dy) = next_stone(problem, state), sliced_next_stone(problem, state)
+        assert step.R_n == R_n and np.array_equal(step.dy, dy)
+        cert = lp_bounds(problem, state, pin_basic=True)
+        y_lp, z_lp, dual = sliced_bounds(problem, state, True)
+        assert np.array_equal(cert.y_lp, y_lp) and np.array_equal(cert.z_lp, z_lp)
+
+    def test_state_with_z_takes_least_squares_bit_for_bit(self):
+        # move column m from N to Z, made orthogonal to the sensitivity
+        # step so that the stacked system stays consistent: the factor is
+        # there, the step ignores it
+        problem, state = square_basis_lp(2)
+        m = problem.m
+        D = problem.A.toarray()
+        AB = D[:, :m]
+        d = np.linalg.solve(AB @ AB.T, problem.b)
+        D[:, m] -= (D[:, m] @ d) / (d @ d) * d
+        problem = LpProblem(SparseMatrix.from_dense(D), problem.b, problem.c)
+        bases = BasisPartition(B=state.bases.B, N=state.bases.N[1:], Z=state.bases.N[:1])
+        z = state.z.copy()
+        z[m] = 0.0
+        lu = _factor_basis(problem, bases.B)
+        assert lu is not None
+        with_z = SsepfState(R=state.R, w=state.w, y=state.y, z=z, bases=bases, basis_lu=lu)
+        step, (R_n, dy) = next_stone(problem, with_z), sliced_next_stone(problem, with_z)
+        assert step.R_n == R_n and np.array_equal(step.dy, dy)
+
+    def test_inconsistent_system_still_raises(self, monkeypatch):
+        # an LU that is not A_B's leaves A_B (A_B^T d) - b far from zero
+        problem, state = square_basis_lp(3)
+        other, _ = square_basis_lp(4)
+        state.basis_lu = _factor_basis(other, state.bases.B)
+        with pytest.raises(SensitivityFailureError):
+            next_stone(problem, state)
+
+
+def bmat_dual_feasibility_matrix(problem, state, pin_basic):
+    """The dual-feasibility matrix built from two column slices and ``sp.bmat``."""
+    B, N, m = state.bases.B, state.bases.N, problem.m
+    M = sp.bmat(
+        [
+            [problem.A.cols(B).csc.T.tocsc(), -sp.eye_array(B.size, format="csc"), None],
+            [problem.A.cols(N).csc.T.tocsc(), None, -sp.eye_array(N.size, format="csc")],
+        ],
+        format="csc",
+    )
+    keep = np.diff(M.indptr) > 0
+    if pin_basic:
+        keep[m : m + B.size] = False
+    return (M[:, np.where(keep)[0]] if not keep.all() else M), keep
+
+
+class TestDualFeasibilityRows:
+    def test_selected_rows_equal_the_bmat_matrix(self, monkeypatch, data_dir):
+        with open(os.path.join(data_dir, "afiro.mps")) as fh:
+            problems = [to_standard_form(parse_mps(fh.read()))[0]]
+        # criterion 07's classes, degenerate
+        problems += [
+            gen_lp(GenSpec(m, n, d, seed=7000 + 100 * ci + k, degeneracy="degenerate")).problem
+            for ci, (m, n, d) in enumerate([(3, 8, 0.6), (4, 12, 0.5), (5, 14, 0.5),
+                                            (10, 40, 0.3), (20, 80, 0.15), (30, 120, 0.1)])
+            for k in range(2)
+        ]
+        stones = 0
+        for problem in problems:
+            for state, _ in bound_calls(monkeypatch, problem)[1]:
+                stones += 1
+                for pin_basic in (False, True):
+                    M = _dual_feasibility_bap(problem, state, pin_basic)[0].A.csc
+                    ref, ref_keep = bmat_dual_feasibility_matrix(problem, state, pin_basic)
+                    assert np.array_equal(_dual_feasibility_bap(problem, state, pin_basic)[1],
+                                          ref_keep)
+                    assert M.shape == ref.shape
+                    assert np.array_equal(M.indptr, ref.indptr)
+                    assert np.array_equal(M.indices, ref.indices)
+                    assert np.array_equal(M.data, ref.data)
+        assert stones >= len(problems)
+
+    def test_rows_are_built_once_per_problem(self):
+        problem = gen_lp(GenSpec(8, 30, 0.3, seed=10)).problem
+        rows = problem._dual_rows()
+        assert problem._dual_rows() is rows
+        want = sp.hstack([problem.A.csc.T, -sp.eye_array(problem.n)]).toarray()
+        assert np.array_equal(rows.toarray(), want)

@@ -68,10 +68,10 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix.from_dense(np.array([[np.nan, 1.0]]))
 
-    def test_column_norms_and_zero_column(self):
+    def test_has_zero_column(self):
         A = SparseMatrix.from_dense(np.array([[3.0, 0.0], [4.0, 0.0]]))
-        assert np.allclose(A.column_norms(), [5.0, 0.0])
         assert A.has_zero_column()
+        assert not SparseMatrix.identity(2).has_zero_column()
 
     def test_cols_out_of_range(self):
         A = SparseMatrix.identity(3)
@@ -182,6 +182,70 @@ class TestAssembleNormalMatrix:
             assert np.array_equal(dense, dense.T)
             assert np.array_equal(sparse, sparse.T)
             assert np.max(np.abs(dense - sparse)) <= 1e-14 * np.max(np.abs(sparse))
+
+    @staticmethod
+    def kernel_grid():
+        """Seeded (A, w, support) cases for the two dense assembly kernels."""
+        rng = np.random.default_rng(2024)
+        for m in (5, 50, 200):
+            for density in (0.01, 0.03, 0.1, 0.3):
+                n = 3 * m if density < 0.3 or m < 200 else 300
+                A = rand_sparse(rng, m, n, density)
+                if A.has_zero_column():  # give empty columns one entry
+                    D = A.toarray()
+                    empty = np.where(~D.any(axis=0))[0]
+                    D[rng.integers(0, m, empty.size), empty] = rng.standard_normal(empty.size)
+                    A = SparseMatrix.from_dense(D)
+                w = rng.uniform(0.0, 1.0, n)
+                w[rng.choice(n, n // 10, replace=False)] = 0.0
+                w[rng.choice(n, n // 10, replace=False)] = 1.0
+                yield A, w, rng.permutation(n)[: max(1, 2 * n // 3)]
+        # more support columns than one gathered block
+        n = sparse_linalg._GATHER_COLS + 700
+        A = rand_sparse(rng, 50, n, 0.02)
+        D = A.toarray()
+        empty = np.where(~D.any(axis=0))[0]
+        D[rng.integers(0, 50, empty.size), empty] = 1.0 + rng.random(empty.size)
+        yield SparseMatrix.from_dense(D), rng.uniform(0.0, 1.0, n), rng.permutation(n)
+
+    def test_pair_and_rank_k_kernels_agree(self, monkeypatch):
+        for A, w, sup in self.kernel_grid():
+            with monkeypatch.context() as mp:
+                mp.setattr(sparse_linalg, "PAIR_WORK_FACTOR", 0)  # pairs always
+                pairs = assemble_normal_matrix(A, w, sup)
+            with monkeypatch.context() as mp:
+                mp.setattr(sparse_linalg, "PAIR_WORK_FACTOR", np.inf)  # never
+                rank_k = assemble_normal_matrix(A, w, sup)
+            assert np.array_equal(pairs, pairs.T)
+            assert np.max(np.abs(pairs - rank_k)) <= 1e-15 * np.max(np.abs(rank_k))
+
+    def test_work_rule_picks_the_kernel(self, monkeypatch):
+        calls = []
+        real = sparse_linalg._add_pair_products
+
+        def spy(csc, cols, scale, V):
+            calls.append(cols.size)
+            return real(csc, cols, scale, V)
+
+        monkeypatch.setattr(sparse_linalg, "_add_pair_products", spy)
+        rng = np.random.default_rng(3)
+
+        def one_entry_columns(m, n):
+            return SparseMatrix.from_coo(m, n, rng.integers(0, m, n), np.arange(n),
+                                         rng.standard_normal(n))
+
+        # 200 pairs, (200 + 1000) * 500 against 200^2 * 200 dense work
+        A = one_entry_columns(200, 200)
+        V = assemble_normal_matrix(A, np.ones(200), np.arange(200))
+        assert calls == [200]
+        D = A.toarray()
+        assert np.allclose(V, D @ D.T, rtol=0.0, atol=1e-14 * np.abs(D).max() ** 2)
+        # full columns: 100 * 101 / 2 pairs per column, above 100^2 / 500
+        assemble_normal_matrix(SparseMatrix.from_dense(rng.standard_normal((100, 100))),
+                               np.ones(100), np.arange(100))
+        # at m = 50 the fixed cost of the pair kernel outweighs the update
+        assemble_normal_matrix(one_entry_columns(50, 100), np.ones(100), np.arange(100))
+        assert calls == [200]
 
     def test_empty_support_dense_zeros(self):
         A = rand_sparse(np.random.default_rng(4), 7, 10)
