@@ -20,6 +20,7 @@ globalizes the iteration (see :func:`solve_rnnm`).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +171,8 @@ class RnnmConfig:
     def __post_init__(self):
         if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1 and an integer")
         if self.mode not in ("exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -277,9 +278,13 @@ def solve_rnnm(
     or its iteration cap), with ``lambda`` from
     :func:`regularization_lambda`, floored at ``1e-14 * max diag(V_k)``
     so that the shift stays above the rounding error of a singular
-    ``V_k``.  Either solve gives ``F_k^T d < 0`` (a CG iterate started
-    from zero too), so ``d`` descends on the dual function
-    ``theta(y) = 0.5*||pi(v + A^T y)||^2 - b^T y``, whose gradient is F.
+    ``V_k``.  ``V_k`` depends only on A and the index sets, so a step
+    whose ``i_plus`` and ``i_zero_bar`` equal the previous step's reuses
+    ``V_{k-1}`` and its diagonal, and refactors only the shifted matrix
+    (or hands CG the new shift).  Either solve gives ``F_k^T d < 0``
+    (a CG iterate started from zero too), so ``d`` descends on the dual
+    function ``theta(y) = 0.5*||pi(v + A^T y)||^2 - b^T y``, whose
+    gradient is F.
     The new iterate is ``y + t*d``, with ``t = 1, 1/2, 1/4, ...`` until
     the trial point, with Moreau split ``x_+`` and residual ``F_+``,
     meets one of:
@@ -323,10 +328,19 @@ def solve_rnnm(
     k = 0
     status = CONVERGED if stopcrit <= cfg.tol else MAX_ITER
 
+    sets = None
     while stopcrit > cfg.tol and k < cfg.max_iter:
-        sets = classify_indices(problem, p)
-        V = generalized_jacobian(problem, sets)
-        diag = V.diagonal()
+        prev, sets = sets, classify_indices(problem, p)
+        # V is a pure function of A and the sets (free is fixed per
+        # problem), and neither the factor nor CG writes to it, so a step
+        # whose sets repeat the last step's keeps it
+        if (
+            prev is None
+            or not np.array_equal(sets.i_plus, prev.i_plus)
+            or not np.array_equal(sets.i_zero_bar, prev.i_zero_bar)
+        ):
+            V = generalized_jacobian(problem, sets)
+            diag = V.diagonal()
         lam = max(
             regularization_lambda(stopcrit, d_norm, v_norm),
             1e-14 * float(np.max(diag, initial=0.0)),

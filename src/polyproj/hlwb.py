@@ -30,6 +30,7 @@ per-sweep trace that ``HlwbConfig.collect_trace`` records.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ class HlwbConfig:
     def __post_init__(self):
         if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be at least 1 and an integer")
 
 
 @dataclass
@@ -144,7 +145,7 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
         rel = float(np.linalg.norm(res)) / nb
         if cfg.collect_trace:
             trace.append((sweeps, rel, sigma))
-        if rel <= cfg.tol or sweeps == cfg.max_sweeps:
+        if rel <= cfg.tol or sweeps >= cfg.max_sweeps:
             break
         # x0 = sigma v + (1 - sigma) xhat, scaled by k0 = k + 1
         w0 = v + k * xhat

@@ -21,6 +21,7 @@ through dense least-squares solves (complete orthogonal factorization).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,8 +181,8 @@ class LpConfig:
     def __post_init__(self):
         if not self.tol_gap >= 0.0:  # NaN fails too
             raise ValueError("tol_gap must be nonnegative")
-        if self.max_stones < 1:
-            raise ValueError("max_stones must be at least 1")
+        if not isinstance(self.max_stones, numbers.Integral) or self.max_stones < 1:
+            raise ValueError("max_stones must be at least 1 and an integer")
 
 
 @dataclass

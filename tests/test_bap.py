@@ -320,7 +320,7 @@ class TestRegularizationLambda:
                 RnnmConfig(tol=tol)
         with pytest.raises(ValueError, match="mode"):
             RnnmConfig(mode="fixed")
-        for max_iter in (0, -3):
+        for max_iter in (0, -3, 2.5, float("nan")):
             with pytest.raises(ValueError, match="max_iter must be at least 1"):
                 RnnmConfig(max_iter=max_iter)
 
@@ -482,6 +482,86 @@ class TestSolveRnnm:
         sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-12, collect_trace=True))
         assert sol.status == CONVERGED
         assert [row[3] for row in sol.trace] == [1.0] * sol.iterations
+
+
+class TestJacobianReuse:
+    """A step whose index sets repeat the previous step's reuses V, bit for bit."""
+
+    @staticmethod
+    def _spy(monkeypatch, name, record):
+        real = getattr(bap_mod, name)
+
+        def wrapper(*args, **kwargs):
+            record.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bap_mod, name, wrapper)
+
+    @staticmethod
+    def _problem(source):
+        if source == "lp":
+            g = gen_lp(GenSpec(m=30, n=120, density=0.1, seed=5))
+            return scaled_subproblem(g.problem, initial_radius(g.problem))
+        m = int(source[1:])
+        return gen_bap_with_known_vertex(GenSpec(m=m, n=10 * m, density=0.05, seed=m)).problem
+
+    def _solve_exact(self, monkeypatch, problem):
+        # checks the V of every factor against a fresh build and returns
+        # the sets of each step and the number of builds
+        steps, builds, factored = [], [], []
+        self._spy(monkeypatch, "classify_indices", steps)
+        self._spy(monkeypatch, "generalized_jacobian", builds)
+        self._spy(monkeypatch, "cholesky_shifted", factored)
+        sol = solve_rnnm(problem, config=RnnmConfig(mode="exact"))
+        assert sol.status == CONVERGED and len(factored) == len(steps) == sol.iterations
+        sets = [classify_indices(problem, p) for _, p in steps]
+        for step_sets, (V, _) in zip(sets, factored):
+            fresh = generalized_jacobian(problem, step_sets)
+            assert type(V) is type(fresh)
+            if isinstance(V, SparseMatrix):
+                V, fresh = V.toarray(), fresh.toarray()
+            assert np.array_equal(V, fresh)
+        return sets, len(builds)
+
+    @pytest.mark.parametrize("source", ["m20", "m50", "m120", "lp"])
+    @pytest.mark.parametrize("path", ["dense", "sparse"])
+    def test_exact_steps_factor_the_jacobian_of_their_sets(self, monkeypatch, source, path):
+        if path == "sparse":
+            monkeypatch.setattr(sparse_linalg, "DENSE_FACTOR_MAX_DIM", 0)
+        sets, builds = self._solve_exact(monkeypatch, self._problem(source))
+        assert builds < len(sets)
+
+    def test_a_changed_boundary_subset_alone_rebuilds(self, monkeypatch):
+        # p = v = (2, 0) puts coordinate 1 on the boundary; the first
+        # step makes it inactive while I+ = {0} stays
+        A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
+        problem = BapProblem(A, np.array([1.0]), np.array([2.0, 0.0]))
+        sets, builds = self._solve_exact(monkeypatch, problem)
+        assert len(sets) >= 2 and np.array_equal(sets[0].i_plus, sets[1].i_plus)
+        assert sets[0].i_zero_bar.tolist() == [1] and sets[1].i_zero_bar.size == 0
+        assert builds >= 2
+
+    @pytest.mark.parametrize("source", ["m50", "lp"])
+    def test_inexact_steps_apply_the_jacobian_of_their_sets(self, monkeypatch, source):
+        problem = self._problem(source)
+        steps, builds, solves = [], [], []
+        self._spy(monkeypatch, "classify_indices", steps)
+        self._spy(monkeypatch, "generalized_jacobian", builds)
+        real_cg = bap_mod.cg
+
+        def cg(*args, **kwargs):
+            solves.append((args[0], kwargs["M"]))
+            return real_cg(*args, **kwargs)
+
+        monkeypatch.setattr(bap_mod, "cg", cg)
+        sol = solve_rnnm(problem, config=RnnmConfig(mode="inexact", collect_trace=True))
+        assert sol.status == CONVERGED and len(solves) == len(steps) == sol.iterations
+        assert len(builds) < len(steps)
+        q = np.random.default_rng(0).standard_normal(problem.m)
+        for (_, p), (shifted, jacobi), (_, _, lam, _) in zip(steps, solves, sol.trace):
+            fresh = generalized_jacobian(problem, classify_indices(problem, p))
+            assert np.array_equal(shifted.matvec(q), fresh @ q + lam * q)
+            assert np.array_equal(jacobi.matvec(q), 1.0 / (fresh.diagonal() + lam) * q)
 
 
 class TestDescentDirection:

@@ -100,7 +100,7 @@ class TestSolveHlwb:
         with pytest.raises(ValueError, match="tol must be positive"):
             HlwbConfig(tol=tol)
 
-    @pytest.mark.parametrize("max_sweeps", [0, -3])
+    @pytest.mark.parametrize("max_sweeps", [0, -3, 2.5, float("nan")])
     def test_sweep_budget_below_one_rejected(self, max_sweeps):
         with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
             HlwbConfig(max_sweeps=max_sweeps)

@@ -487,7 +487,7 @@ class TestSolveLp:
         assert len(rep["residual_triplet"]) == 3
 
     def test_max_stones_below_one_rejected(self):
-        for bad in (0, -1):
+        for bad in (0, -1, 2.5, float("nan")):
             with pytest.raises(ValueError, match="max_stones"):
                 LpConfig(max_stones=bad)
         # tiny_lp needs two stones, so one stone ends on the budget

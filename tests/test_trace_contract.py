@@ -10,11 +10,13 @@ would silently zero ``lp.ladder_reruns``.  ``lp.bounds_s`` times the
 ``lp_bounds`` span, so ``solve_lp`` must reach its bound certificate
 (the closed form included) through that module attribute, once per
 stone.  Likewise an exact Newton step must reach
-``generalized_jacobian``, ``assemble_normal_matrix`` and
-``cholesky_shifted`` through the ``bap`` module attributes, once per
-iteration: ``linalg.assemble_s`` and ``linalg.factor_calls.dense`` read
-those spans, and the latter sorts factors by the dimension of the
-matrix handed in, an ``(m, m)`` array at small m.
+``cholesky_shifted`` through the ``bap`` module attribute once per
+iteration, and ``generalized_jacobian`` and ``assemble_normal_matrix``
+once per step whose index sets differ from the previous step's (a step
+that repeats them reuses the Jacobian): ``linalg.assemble_s`` and
+``linalg.factor_calls.dense`` read those spans, and the latter sorts
+factors by the dimension of the matrix handed in, an ``(m, m)`` array
+at small m.
 """
 
 import inspect
@@ -63,6 +65,7 @@ def test_solve_lp_reaches_bounds_through_the_traced_name(monkeypatch):
 def test_exact_newton_step_reaches_the_traced_kernels(monkeypatch):
     calls = {"generalized_jacobian": 0, "assemble_normal_matrix": 0, "cholesky_shifted": 0}
     factored = []
+    steps = []
 
     def counting(name):
         real = getattr(polyproj.bap, name)
@@ -75,10 +78,26 @@ def test_exact_newton_step_reaches_the_traced_kernels(monkeypatch):
 
         return wrapper
 
+    real_classify = polyproj.bap.classify_indices
+
+    def classify(*args, **kwargs):
+        sets = real_classify(*args, **kwargs)
+        steps.append(sets)
+        return sets
+
     for name in calls:
         monkeypatch.setattr(polyproj.bap, name, counting(name))
+    monkeypatch.setattr(polyproj.bap, "classify_indices", classify)
     problem = gen_bap_with_known_vertex(GenSpec(m=12, n=60, density=0.2, seed=4)).problem
     sol = polyproj.bap.solve_rnnm(problem, config=polyproj.bap.RnnmConfig(mode="exact"))
     assert sol.status == polyproj.bap.CONVERGED and sol.iterations >= 2
-    assert calls == dict.fromkeys(calls, sol.iterations)
+    assert len(steps) == calls["cholesky_shifted"] == sol.iterations
+    changed = sum(
+        k == 0
+        or not np.array_equal(sets.i_plus, steps[k - 1].i_plus)
+        or not np.array_equal(sets.i_zero_bar, steps[k - 1].i_zero_bar)
+        for k, sets in enumerate(steps)
+    )
+    assert changed >= 1
+    assert calls["generalized_jacobian"] == calls["assemble_normal_matrix"] == changed
     assert all(isinstance(V, np.ndarray) and V.shape == (12, 12) for V in factored)
