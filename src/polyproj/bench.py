@@ -1,18 +1,23 @@
 """Benchmark harness: timed solver runs, result tables, performance profiles.
 
 A suite is a JSON config listing problem rows (generated or from
-files), the solvers to run, repetition counts and tolerances.  Each
-(problem, solver) cell is timed around the solve call only; failures
-are recorded, never fatal.  Ratios divide each cell's time by the best
-successful time on that problem (failures map to infinity) and the
-profile is the per-solver empirical CDF of those ratios.  All CSV
-output is deterministic for fixed seeds apart from the timing columns.
+files), the solvers to run, repetition counts and tolerances; an
+unknown key in the suite or in a row is rejected before anything runs.
+:func:`build_problem` turns a row into a problem and :func:`solve_bap`
+a projection method name into a solve; the command line builds and
+solves through the same two.  Each (problem, solver) cell is timed
+around the solve call only; failures are recorded, never fatal.
+Ratios divide each cell's time by the best successful time on that
+problem (failures map to infinity) and the profile is the per-solver
+empirical CDF of those ratios.  All CSV output is deterministic for
+fixed seeds apart from the timing columns.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import typing
 import warnings
@@ -21,10 +26,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import factory, serialize
-from .bap import RnnmConfig, solve_rnnm
-from .hlwb import HlwbConfig, solve_hlwb
-from .lp import LpConfig, solve_lp
-from .mps import parse_mps, to_standard_form
+from .bap import BapProblem, BapSolution, RnnmConfig, solve_rnnm
+from .hlwb import HlwbConfig, HlwbResult, solve_hlwb
+from .lp import LpConfig, LpProblem, solve_lp
+from .mps import StandardFormMap, parse_mps, to_standard_form
 
 __all__ = [
     "BenchRecord",
@@ -32,6 +37,9 @@ __all__ = [
     "performance_ratio",
     "performance_profile",
     "run_benchmark",
+    "build_problem",
+    "read_mps",
+    "solve_bap",
     "BAP_SOLVERS",
     "LP_SOLVERS",
 ]
@@ -40,6 +48,15 @@ BAP_SOLVERS = ("rnnm-exact", "rnnm-inexact", "hlwb")
 LP_SOLVERS = ("ssepf",)
 _BAP_KINDS = ("bap", "bap_file")
 _LP_KINDS = ("lp", "lp_file", "mps")
+_SUITE_KEYS = ("name", "repetitions", "tols", "tol_gap", "timeout_s", "solvers", "rows")
+# the keys a row of each kind may carry besides "kind"
+_ROW_KEYS = {
+    "bap": ("m", "n", "density", "seed", "anchor_norm", "degeneracy"),
+    "lp": ("m", "n", "density", "seed", "degeneracy"),
+    "bap_file": ("path",),
+    "lp_file": ("path",),
+    "mps": ("path",),
+}
 
 
 @dataclass
@@ -122,74 +139,73 @@ def performance_profile(ratios: np.ndarray, solvers: list[str]) -> PerfProfile:
     return PerfProfile(list(solvers), taus, rho)
 
 
-def _gen_problem(row: dict, seed: int):
-    kind = row["kind"]
-    if kind == "bap":
-        spec = factory.GenSpec(
-            m=row["m"],
-            n=row["n"],
-            density=row["density"],
-            seed=seed,
-            anchor_norm=row.get("anchor_norm", 0.1),
-            degeneracy=row.get("degeneracy", "nondegenerate"),
-        )
-        return factory.gen_bap_with_known_vertex(spec).problem
-    if kind == "lp":
-        spec = factory.GenSpec(
-            m=row["m"],
-            n=row["n"],
-            density=row["density"],
-            seed=seed,
-            degeneracy=row.get("degeneracy", "nondegenerate"),
-        )
-        return factory.gen_lp(spec).problem
+def build_problem(request: dict, seed: int):
+    """The problem a suite row or a ``polyproj gen`` request describes.
+
+    ``bap`` and ``lp`` generate a seeded instance from ``m``, ``n``,
+    ``density`` and the optional ``anchor_norm`` and ``degeneracy``;
+    ``bap_file`` and ``lp_file`` read the instance at ``path`` (a base
+    or its ``.mtx`` file) and ``mps`` converts the MPS file at ``path``.
+    Keys the kind does not use are ignored here; :func:`run_benchmark`
+    rejects them in suite rows.
+    """
+    kind = request["kind"]
+    if kind in ("bap", "lp"):
+        options = {key: request[key] for key in ("anchor_norm", "degeneracy") if key in request}
+        spec = factory.GenSpec(request["m"], request["n"], request["density"], seed, **options)
+        generate = factory.gen_bap_with_known_vertex if kind == "bap" else factory.gen_lp
+        return generate(spec).problem
     if kind == "bap_file":
-        return serialize.read_bap_instance(row["path"])
+        return serialize.read_bap_instance(request["path"])
     if kind == "lp_file":
-        return serialize.read_lp_instance(row["path"])
+        return serialize.read_lp_instance(request["path"])
     if kind == "mps":
-        with open(row["path"], "r", encoding="ascii") as fh:
-            model = parse_mps(fh.read())
-        problem, _ = to_standard_form(model)
-        return problem
+        return read_mps(request["path"])[0]
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def _run_cell(problem, solver: str, tol: float, timeout_s: float, tol_gap: float,
-              lp_residual: str = "gap"):
+def read_mps(path: str) -> tuple[LpProblem, StandardFormMap]:
+    """The standard-form LP of the MPS file at ``path`` and its map back to the model."""
+    with open(path, "r", encoding="ascii") as fh:
+        return to_standard_form(parse_mps(fh.read()))
+
+
+def solve_bap(problem: BapProblem, method: str, tol: float, max_iter: int = 2000,
+              trace: bool = False) -> BapSolution | HlwbResult:
+    """Project with one of :data:`BAP_SOLVERS`; ``max_iter`` bounds Newton
+    iterations or HLWB sweeps, ``trace`` collects the per-step trace."""
+    if method == "hlwb":
+        return solve_hlwb(problem, HlwbConfig(tol=tol, max_sweeps=max_iter, collect_trace=trace))
+    if method not in BAP_SOLVERS:
+        raise ValueError(f"unknown solver {method!r}")
+    mode = method.removeprefix("rnnm-")
+    config = RnnmConfig(tol=tol, max_iter=max_iter, mode=mode, collect_trace=trace)
+    return solve_rnnm(problem, config=config)
+
+
+def _run_cell(problem, solver: str, tol: float, timeout_s: float, tol_gap: float):
     start = time.perf_counter()
     try:
-        if solver == "rnnm-exact":
-            sol = solve_rnnm(problem, config=RnnmConfig(tol=tol))
-            rel, status = sol.rel_residual, sol.status
-        elif solver == "rnnm-inexact":
-            sol = solve_rnnm(problem, config=RnnmConfig(tol=tol, mode="inexact"))
-            rel, status = sol.rel_residual, sol.status
-        elif solver == "hlwb":
-            res = solve_hlwb(problem, HlwbConfig(tol=tol))
-            rel, status = res.rel_residual, res.status
-        elif solver == "ssepf":
+        if solver == "ssepf":
             res = solve_lp(problem, LpConfig(tol_gap=tol_gap))
-            if lp_residual == "triplet":
-                rel = float(sum(res.certificate.rel_residual_triplet))
-            else:
-                rel = res.gap
-            status = "converged" if res.status == "solved" else res.status
+            rel, converged = res.gap, res.status == "solved"
         else:
-            raise ValueError(f"unknown solver {solver!r}")
+            res = solve_bap(problem, solver, tol)
+            rel = res.rel_residual
+            converged = res.status == "converged" and rel <= tol
     except Exception as exc:  # a failing cell must not abort the suite
         elapsed = time.perf_counter() - start
         return elapsed, math.nan, f"error:{type(exc).__name__}"
     elapsed = time.perf_counter() - start
-    if solver in BAP_SOLVERS:
-        status = "converged" if (status == "converged" and rel <= tol) else status
-        if status != "converged":
-            status = "failed"
-    elif status != "converged":
-        status = "failed"
     if elapsed > timeout_s:
-        status = "timeout"
-    return elapsed, rel, status
+        return elapsed, rel, "timeout"
+    return elapsed, rel, "converged" if converged else "failed"
+
+
+def _check_keys(where: str, entries: dict, known: tuple[str, ...]) -> None:
+    unknown = [key for key in entries if key not in known]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
 
 
 def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
@@ -199,28 +215,25 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
     ``results.csv`` (repetition means per row/solver/tol, the table
     layout: specs, time, rel. resid.), and one ``profile_tol*.csv`` per
     tolerance.  Fixed seeds reproduce everything byte for byte except
-    the timing columns.  An unknown solver name, row ``kind`` or
-    ``lp_residual`` word raises ``ValueError`` before anything runs.
+    the timing columns.  An unknown suite key, solver name, row ``kind``
+    or row key raises ``ValueError`` before anything runs.
     """
-    import os
-
     if isinstance(config, str):
         with open(config, "r", encoding="ascii") as fh:
             config = json.load(fh)
+    _check_keys("suite", config, _SUITE_KEYS)
     reps = int(config.get("repetitions", 1))
     tols = [float(t) for t in config.get("tols", [1e-14])]
     tol_gap = float(config.get("tol_gap", 1e-8))
     timeout_s = float(config.get("timeout_s", 300.0))
     solvers = list(config.get("solvers", ["rnnm-exact"]))
-    lp_residual = config.get("lp_residual", "gap")  # or "triplet" (summed)
     for solver in solvers:
         if solver not in BAP_SOLVERS + LP_SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
-    if lp_residual not in ("gap", "triplet"):
-        raise ValueError(f"unknown lp_residual {lp_residual!r}")
     for row_idx, row in enumerate(config["rows"]):
-        if row["kind"] not in _BAP_KINDS + _LP_KINDS:
+        if row["kind"] not in _ROW_KEYS:
             raise ValueError(f"row {row_idx}: unknown problem kind {row['kind']!r}")
+        _check_keys(f"row {row_idx}", row, ("kind",) + _ROW_KEYS[row["kind"]])
     os.makedirs(out_dir, exist_ok=True)
 
     records: list[BenchRecord] = []
@@ -239,13 +252,11 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
         base_seed = int(row.get("seed", 0))
         for rep in range(n_instances):
             seed = base_seed + rep
-            problem = _gen_problem(row, seed)
+            problem = build_problem(row, seed)
             pid = f"row{row_idx}/{kind}-seed{seed}" if generated else f"row{row_idx}/{kind}"
             for tol in tols:
                 for solver in applicable:
-                    elapsed, rel, status = _run_cell(
-                        problem, solver, tol, timeout_s, tol_gap, lp_residual
-                    )
+                    elapsed, rel, status = _run_cell(problem, solver, tol, timeout_s, tol_gap)
                     records.append(
                         BenchRecord(
                             problem=pid,

@@ -3,7 +3,11 @@
 Subcommands: ``gen`` (emit instances), ``bap solve`` (projection solves
 with a choice of method), ``lp solve`` (path-following LP solve on an
 instance pair or MPS file), ``bench`` (run a suite config), ``profile``
-(recompute a performance profile from a records CSV).
+(recompute a performance profile from a records CSV).  ``gen --kind
+bap|lp``, ``bap solve`` and ``lp solve`` on an MPS file build and solve
+through :mod:`polyproj.bench`, the code a suite row runs, so a command
+and the matching row give the same problem and the same solve.
+Instance paths are a base or its ``.mtx`` file.
 
 Exit codes: 0 converged/ok, 2 solver stopped at an iteration or stone
 budget, 1 bad input.  Numeric output uses scientific notation with six
@@ -20,10 +24,8 @@ import sys
 import numpy as np
 
 from . import bench, factory, serialize
-from .bap import CONVERGED, RnnmConfig, solve_rnnm
-from .hlwb import HlwbConfig, solve_hlwb
+from .bap import CONVERGED
 from .lp import LpConfig, solve_lp
-from .mps import parse_mps, to_standard_form
 
 __all__ = ["main", "entry"]
 
@@ -91,19 +93,7 @@ def _cmd_gen(args) -> int:
     for k in range(args.count):
         seed = args.seed + k
         base = os.path.join(args.out, f"{args.kind}_{seed:06d}")
-        if args.kind == "bap":
-            spec = factory.GenSpec(
-                args.m, args.n, args.density, seed, args.anchor_norm, args.degeneracy
-            )
-            gen = factory.gen_bap_with_known_vertex(spec)
-            serialize.write_bap_instance(gen.problem, base)
-        elif args.kind == "lp":
-            spec = factory.GenSpec(
-                args.m, args.n, args.density, seed, degeneracy=args.degeneracy
-            )
-            gen = factory.gen_lp(spec)
-            serialize.write_lp_instance(gen.problem, base)
-        else:
+        if args.kind == "triangle":
             if args.edges:
                 with open(args.edges, "r", encoding="ascii") as fh:
                     tri = factory.TriangleSpec.from_edge_list_text(fh.read())
@@ -112,6 +102,11 @@ def _cmd_gen(args) -> int:
             rng = np.random.default_rng(seed)
             xbar = rng.uniform(0.0, 1.5, size=len(tri.edges))
             problem = factory.build_triangle_bap(tri, xbar)
+        else:
+            problem = bench.build_problem(vars(args), seed)
+        if args.kind == "lp":
+            serialize.write_lp_instance(problem, base)
+        else:
             serialize.write_bap_instance(problem, base)
         entries.append({"seed": seed, "kind": args.kind, "base": base})
         print(f"wrote {base}")
@@ -119,36 +114,25 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _solve_one_bap(base: str, args) -> tuple[str, int]:
+def _solve_one_bap(base: str, args) -> int:
     problem = serialize.read_bap_instance(base)
+    res = bench.solve_bap(problem, args.method, args.tol, args.max_iter, bool(args.trace))
+    if args.trace:
+        serialize.write_trace_csv(res, args.trace)
     if args.method == "hlwb":
-        cfg = HlwbConfig(
-            tol=args.tol, max_sweeps=args.max_iter, collect_trace=bool(args.trace)
-        )
-        res = solve_hlwb(problem, cfg)
-        if args.trace:
-            serialize.write_trace_csv(res, args.trace)
-        status = res.status
         print(
-            f"{base}: method=hlwb status={status} sweeps={res.sweeps} "
+            f"{base}: method=hlwb status={res.status} sweeps={res.sweeps} "
             f"rel_residual={_fmt(res.rel_residual)}"
         )
-        return status, 0 if status == "converged" else 2
-    mode = "exact" if args.method == "rnnm-exact" else "inexact"
-    cfg = RnnmConfig(
-        tol=args.tol, max_iter=args.max_iter, mode=mode, collect_trace=bool(args.trace)
-    )
-    sol = solve_rnnm(problem, config=cfg)
-    if args.trace:
-        serialize.write_trace_csv(sol, args.trace)
-    out_dir = args.out if args.out else os.path.dirname(base) or "."
-    sol_path = os.path.join(out_dir, os.path.basename(base) + ".sol")
-    serialize.write_solution(problem, sol, sol_path)
-    print(
-        f"{base}: method={args.method} status={sol.status} iterations={sol.iterations} "
-        f"rel_residual={_fmt(sol.rel_residual)} -> {sol_path}"
-    )
-    return sol.status, 0 if sol.status == CONVERGED else 2
+    else:
+        out_dir = args.out if args.out else os.path.dirname(base) or "."
+        sol_path = os.path.join(out_dir, os.path.basename(base) + ".sol")
+        serialize.write_solution(problem, res, sol_path)
+        print(
+            f"{base}: method={args.method} status={res.status} iterations={res.iterations} "
+            f"rel_residual={_fmt(res.rel_residual)} -> {sol_path}"
+        )
+    return 0 if res.status == CONVERGED else 2
 
 
 def _cmd_bap_solve(args) -> int:
@@ -156,23 +140,15 @@ def _cmd_bap_solve(args) -> int:
         raise ValueError("--trace takes a single instance file")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    worst = 0
-    for f in args.files:
-        base = f[:-4] if f.endswith(".mtx") else f
-        _, code = _solve_one_bap(base, args)
-        worst = max(worst, code)
-    return worst
+    return max(_solve_one_bap(serialize.instance_base(f), args) for f in args.files)
 
 
 def _cmd_lp_solve(args) -> int:
     fmap = None
     if args.path.endswith(".mps"):
-        with open(args.path, "r", encoding="ascii") as fh:
-            model = parse_mps(fh.read())
-        problem, fmap = to_standard_form(model)
+        problem, fmap = bench.read_mps(args.path)
     else:
-        base = args.path[:-4] if args.path.endswith(".mtx") else args.path
-        problem = serialize.read_lp_instance(base)
+        problem = serialize.read_lp_instance(args.path)
     res = solve_lp(problem, LpConfig(tol_gap=args.tol_gap, max_stones=args.max_stones))
     report = res.report()
     if fmap is not None:

@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 import scipy.sparse as sp
 
 from .bap import BapProblem, BapSolution, CONVERGED, RnnmConfig, solve_rnnm
-from .sparse_linalg import SparseMatrix, _gather_columns, as_vector
+from .sparse_linalg import SparseMatrix, _dense_normal_matrix, _gather_columns, as_vector
 
 __all__ = [
     "LpProblem",
@@ -360,8 +360,9 @@ def next_stone(problem: LpProblem, state: SsepfState) -> NextStone:
         xB[B] = Atd[B]
         res = float(np.linalg.norm(A.matvec(xB) - problem.b))
     else:
-        AB = A.cols(B).csc
-        system = np.vstack([(AB @ AB.T).toarray(), _gather_columns(A.csc, Z).T])
+        system = np.vstack([
+            _dense_normal_matrix(A.csc, np.ones(B.size), B), _gather_columns(A.csc, Z).T
+        ])
         rhs = np.concatenate([problem.b, np.zeros(Z.size)])
         # cond = eps * max(shape) is numpy's rcond=None cutoff
         dyp, _, _, _ = scipy.linalg.lstsq(

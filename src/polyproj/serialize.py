@@ -2,7 +2,8 @@
 
 A projection instance is a Matrix Market file ``<base>.mtx`` holding A
 plus a sidecar ``<base>.bap``; an LP instance uses ``<base>.lp`` as the
-sidecar.  Sidecars are plain text: a versioned magic line, ``m`` and
+sidecar.  The instance readers take the base or the ``.mtx`` path.
+Sidecars are plain text: a versioned magic line, ``m`` and
 ``n`` header lines, then one line per vector with whitespace-separated
 values written as shortest round-trip decimals.  Sign patterns are a
 string of ``n``/``f`` characters (nonnegative/free).
@@ -29,6 +30,7 @@ from .sparse_linalg import read_matrix_market, write_matrix_market
 __all__ = [
     "write_bap_instance",
     "read_bap_instance",
+    "instance_base",
     "write_lp_instance",
     "read_lp_instance",
     "write_solution",
@@ -98,8 +100,15 @@ def _read_fields(path: str, magic: str, keys: tuple[str, ...]) -> dict:
     return fields
 
 
-def _read_instance(base: str, ext: str, magic: str, keys: tuple[str, ...]):
-    """``<base>.mtx`` and the fields of sidecar ``<base><ext>``, whose ``m``/``n`` must match it."""
+def instance_base(path: str) -> str:
+    """The base of an instance named by ``<base>`` or by its matrix file ``<base>.mtx``."""
+    return path.removesuffix(".mtx")
+
+
+def _read_instance(name: str, ext: str, magic: str, keys: tuple[str, ...]):
+    """``<base>.mtx`` and the fields of sidecar ``<base><ext>``, whose ``m``/``n`` must match it;
+    ``name`` is the base or the ``.mtx`` file."""
+    base = instance_base(name)
     A, path = read_matrix_market(base + ".mtx"), base + ext
     fields = _read_fields(path, magic, ("m", "n") + keys)
     m, n = int(fields["m"]), int(fields["n"])

@@ -152,6 +152,12 @@ class TestRunBenchmark:
             ("row2/mps", "ssepf", 27, 51, -1, "converged"),
         ]
         assert all(math.isnan(r.density) for r in records)
+        # a file row may name the instance by its matrix file
+        cfg["rows"] = [{"kind": "bap_file", "path": bap_base + ".mtx"},
+                       {"kind": "lp_file", "path": lp_base + ".mtx"}]
+        by_mtx = run_benchmark(cfg, str(tmp_path / "mtx"))
+        key = lambda r: (r.problem, r.solver, r.m, r.n, r.seed, r.rel_residual, r.status)
+        assert [key(r) for r in by_mtx] == [key(r) for r in records[:2]]
 
     def test_float_columns_keep_their_format_for_integer_input(self, tmp_path):
         cfg = {
@@ -213,22 +219,6 @@ class TestRunBenchmark:
             _read_records_csv(path)
 
 
-class TestLpResidualColumn:
-    def test_triplet_column_selectable(self, tmp_path):
-        base = {
-            "repetitions": 1,
-            "tols": [1e-14],
-            "solvers": ["ssepf"],
-            "rows": [{"kind": "lp", "m": 4, "n": 12, "density": 0.5, "seed": 6}],
-        }
-        r_gap = run_benchmark(dict(base), str(tmp_path / "gap"))
-        r_tri = run_benchmark(dict(base, lp_residual="triplet"), str(tmp_path / "tri"))
-        assert r_gap[0].status == "converged" and r_tri[0].status == "converged"
-        # both tiny, but computed from different definitions
-        assert r_gap[0].rel_residual <= 1e-8
-        assert r_tri[0].rel_residual <= 1e-6
-
-
 class TestSuiteValidation:
     @pytest.mark.parametrize(
         "changes, message",
@@ -238,9 +228,24 @@ class TestSuiteValidation:
                 {"rows": [{"kind": "bapp", "m": 5, "n": 20, "density": 0.3}]},
                 "row 0: unknown problem kind 'bapp'",
             ),
-            ({"lp_residual": "triplets"}, "unknown lp_residual 'triplets'"),
+            ({"tol": [1e-2]}, "suite: unknown key 'tol'"),
+            ({"repetition": 3}, "suite: unknown key 'repetition'"),
+            (
+                {"rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3, "seed": 4,
+                           "anchor_nrm": 5.0}]},
+                "row 0: unknown key 'anchor_nrm'",
+            ),
+            (
+                {"rows": [{"kind": "lp", "m": 4, "n": 12, "density": 0.5, "anchor_norm": 5.0}]},
+                "row 0: unknown key 'anchor_norm'",
+            ),
+            (
+                {"rows": [{"kind": "mps", "path": "afiro.mps", "density": 0.3}]},
+                "row 0: unknown key 'density'",
+            ),
         ],
-        ids=["solver", "kind", "lp_residual"],
+        ids=["solver", "kind", "suite_key", "suite_key_repetition", "row_key", "lp_row_key",
+             "file_row_key"],
     )
     def test_typo_rejected_before_running(self, tmp_path, changes, message):
         suite = {

@@ -31,7 +31,7 @@ from polyproj.lp import (
     _solve_with_ladder,
 )
 from polyproj.mps import parse_mps, to_standard_form
-from polyproj.sparse_linalg import SparseMatrix
+from polyproj.sparse_linalg import SparseMatrix, _dense_normal_matrix
 
 
 def tiny_lp():
@@ -614,12 +614,20 @@ def test_sensitivity_failure_on_inconsistent_state():
         next_stone(lp, state)
 
 
-def sliced_next_stone(problem, state):
-    """``next_stone`` with every product formed on ``A.cols(...)`` slices."""
+def sliced_next_stone(problem, state, assembled_normal=False):
+    """``next_stone`` with every product formed on ``A.cols(...)`` slices.
+
+    With ``assembled_normal`` the normal block ``A_B A_B^T`` is assembled
+    as ``next_stone`` assembles it instead, after a check that it agrees
+    with the sliced product to 1e-15 of its largest entry."""
     A, R = problem.A, state.R
     B, N, Z = state.bases.B, state.bases.N, state.bases.Z
     AB = A.cols(B)
-    system = np.vstack([(AB.csc @ AB.csc.T).toarray(), A.cols(Z).toarray().T])
+    normal = (AB.csc @ AB.csc.T).toarray()
+    if assembled_normal:
+        sliced, normal = normal, _dense_normal_matrix(A.csc, np.ones(B.size), B)
+        assert np.abs(normal - sliced).max(initial=0.0) <= 1e-15 * np.abs(sliced).max(initial=0.0)
+    system = np.vstack([normal, A.cols(Z).toarray().T])
     rhs = np.concatenate([problem.b, np.zeros(Z.size)])
     dyp, _, _, _ = scipy.linalg.lstsq(
         system, rhs, cond=np.finfo(np.float64).eps * max(system.shape),
@@ -679,8 +687,9 @@ def assert_close(got, want, rel=1e-12):
 class TestColumnSliceParity:
     """The stone and bound code reads columns through one gather and one
     kept A^T product.  Where it solves by least squares its outputs equal
-    the column-slice formulas bit for bit; where it solves with the LU
-    factor of a square basis they agree to 1e-12 relative."""
+    the column-slice formulas bit for bit, given the normal block
+    ``A_B A_B^T`` that ``next_stone`` assembles; where it solves with the
+    LU factor of a square basis they agree to 1e-12 relative."""
 
     def test_stones_and_bounds_match_the_sliced_formulas(self, monkeypatch, data_dir):
         with open(os.path.join(data_dir, "afiro.mps")) as fh:
@@ -699,7 +708,8 @@ class TestColumnSliceParity:
             # the states and bound modes that solve_lp runs into
             for state, pin_basic in bound_calls(monkeypatch, problem)[1]:
                 seen_Z += state.bases.Z.size > 0
-                step, (R_n, dy) = next_stone(problem, state), sliced_next_stone(problem, state)
+                step = next_stone(problem, state)
+                R_n, dy = sliced_next_stone(problem, state, assembled_normal=True)
                 assert step.R_n == R_n
                 if state.basis_lu is not None and state.bases.Z.size == 0:
                     seen["lu"] += 1
@@ -780,7 +790,8 @@ class TestSquareBasisLu:
         problem, state = square_basis_lp(1, near_singular=True)
         state.basis_lu = _factor_basis(problem, state.bases.B)
         assert state.basis_lu is None
-        step, (R_n, dy) = next_stone(problem, state), sliced_next_stone(problem, state)
+        step = next_stone(problem, state)
+        R_n, dy = sliced_next_stone(problem, state, assembled_normal=True)
         assert step.R_n == R_n and np.array_equal(step.dy, dy)
         cert = lp_bounds(problem, state, pin_basic=True)
         y_lp, z_lp, dual = sliced_bounds(problem, state, True)
@@ -803,7 +814,8 @@ class TestSquareBasisLu:
         lu = _factor_basis(problem, bases.B)
         assert lu is not None
         with_z = SsepfState(R=state.R, w=state.w, y=state.y, z=z, bases=bases, basis_lu=lu)
-        step, (R_n, dy) = next_stone(problem, with_z), sliced_next_stone(problem, with_z)
+        step = next_stone(problem, with_z)
+        R_n, dy = sliced_next_stone(problem, with_z, assembled_normal=True)
         assert step.R_n == R_n and np.array_equal(step.dy, dy)
 
     def test_inconsistent_system_still_raises(self, monkeypatch):
