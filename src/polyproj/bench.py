@@ -2,7 +2,7 @@
 
 A suite is a JSON config listing problem rows (generated or from
 files), the solvers to run, repetition counts and tolerances; an
-unknown key in the suite or in a row is rejected before anything runs.
+unknown or missing suite or row key is rejected before anything runs.
 :func:`build_problem` turns a row into a problem and :func:`solve_bap`
 a projection method name into a solve; the command line builds and
 solves through the same two.  Each (problem, solver) cell is timed
@@ -28,8 +28,7 @@ import numpy as np
 from . import factory, serialize
 from .bap import BapProblem, BapSolution, RnnmConfig, solve_rnnm
 from .hlwb import HlwbConfig, HlwbResult, solve_hlwb
-from .lp import LpConfig, LpProblem, solve_lp
-from .mps import StandardFormMap, parse_mps, to_standard_form
+from .lp import LpConfig, solve_lp
 
 __all__ = [
     "BenchRecord",
@@ -38,7 +37,6 @@ __all__ = [
     "performance_profile",
     "run_benchmark",
     "build_problem",
-    "read_mps",
     "solve_bap",
     "BAP_SOLVERS",
     "LP_SOLVERS",
@@ -48,14 +46,14 @@ BAP_SOLVERS = ("rnnm-exact", "rnnm-inexact", "hlwb")
 LP_SOLVERS = ("ssepf",)
 _BAP_KINDS = ("bap", "bap_file")
 _LP_KINDS = ("lp", "lp_file", "mps")
-_SUITE_KEYS = ("name", "repetitions", "tols", "tol_gap", "timeout_s", "solvers", "rows")
-# the keys a row of each kind may carry besides "kind"
+# the (required, optional) keys of a suite and of a row of each kind, besides "kind"
+_SUITE_KEYS = (("rows",), ("name", "repetitions", "tols", "tol_gap", "timeout_s", "solvers"))
 _ROW_KEYS = {
-    "bap": ("m", "n", "density", "seed", "anchor_norm", "degeneracy"),
-    "lp": ("m", "n", "density", "seed", "degeneracy"),
-    "bap_file": ("path",),
-    "lp_file": ("path",),
-    "mps": ("path",),
+    "bap": (("m", "n", "density"), ("seed", "anchor_norm", "degeneracy")),
+    "lp": (("m", "n", "density"), ("seed", "degeneracy")),
+    "bap_file": (("path",), ()),
+    "lp_file": (("path",), ()),
+    "mps": (("path",), ()),
 }
 
 
@@ -160,14 +158,8 @@ def build_problem(request: dict, seed: int):
     if kind == "lp_file":
         return serialize.read_lp_instance(request["path"])
     if kind == "mps":
-        return read_mps(request["path"])[0]
+        return serialize.read_mps(request["path"])[0]
     raise ValueError(f"unknown problem kind {kind!r}")
-
-
-def read_mps(path: str) -> tuple[LpProblem, StandardFormMap]:
-    """The standard-form LP of the MPS file at ``path`` and its map back to the model."""
-    with open(path, "r", encoding="ascii") as fh:
-        return to_standard_form(parse_mps(fh.read()))
 
 
 def solve_bap(problem: BapProblem, method: str, tol: float, max_iter: int = 2000,
@@ -202,10 +194,13 @@ def _run_cell(problem, solver: str, tol: float, timeout_s: float, tol_gap: float
     return elapsed, rel, "converged" if converged else "failed"
 
 
-def _check_keys(where: str, entries: dict, known: tuple[str, ...]) -> None:
-    unknown = [key for key in entries if key not in known]
+def _check_keys(where: str, entries: dict, required: tuple, optional: tuple) -> None:
+    unknown = [key for key in entries if key not in required + optional]
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+    missing = [key for key in required if key not in entries]
+    if missing:
+        raise ValueError(f"{where}: missing key {missing[0]!r}")
 
 
 def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
@@ -215,13 +210,13 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
     ``results.csv`` (repetition means per row/solver/tol, the table
     layout: specs, time, rel. resid.), and one ``profile_tol*.csv`` per
     tolerance.  Fixed seeds reproduce everything byte for byte except
-    the timing columns.  An unknown suite key, solver name, row ``kind``
-    or row key raises ``ValueError`` before anything runs.
+    the timing columns.  An unknown solver name or row ``kind``, and an
+    unknown or missing suite or row key, raise ``ValueError`` up front.
     """
     if isinstance(config, str):
         with open(config, "r", encoding="ascii") as fh:
             config = json.load(fh)
-    _check_keys("suite", config, _SUITE_KEYS)
+    _check_keys("suite", config, *_SUITE_KEYS)
     reps = int(config.get("repetitions", 1))
     tols = [float(t) for t in config.get("tols", [1e-14])]
     tol_gap = float(config.get("tol_gap", 1e-8))
@@ -231,9 +226,10 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
         if solver not in BAP_SOLVERS + LP_SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
     for row_idx, row in enumerate(config["rows"]):
-        if row["kind"] not in _ROW_KEYS:
-            raise ValueError(f"row {row_idx}: unknown problem kind {row['kind']!r}")
-        _check_keys(f"row {row_idx}", row, ("kind",) + _ROW_KEYS[row["kind"]])
+        if row.get("kind") not in _ROW_KEYS:
+            raise ValueError(f"row {row_idx}: unknown problem kind {row.get('kind')!r}")
+        required, optional = _ROW_KEYS[row["kind"]]
+        _check_keys(f"row {row_idx}", row, ("kind",) + required, optional)
     os.makedirs(out_dir, exist_ok=True)
 
     records: list[BenchRecord] = []

@@ -3,11 +3,11 @@
 Subcommands: ``gen`` (emit instances), ``bap solve`` (projection solves
 with a choice of method), ``lp solve`` (path-following LP solve on an
 instance pair or MPS file), ``bench`` (run a suite config), ``profile``
-(recompute a performance profile from a records CSV).  ``gen --kind
-bap|lp``, ``bap solve`` and ``lp solve`` on an MPS file build and solve
-through :mod:`polyproj.bench`, the code a suite row runs, so a command
-and the matching row give the same problem and the same solve.
-Instance paths are a base or its ``.mtx`` file.
+(recompute a performance profile from a records CSV).  Instance and MPS
+files are read through :mod:`polyproj.serialize` and ``gen --kind bap|lp``
+and ``bap solve`` build and solve through :mod:`polyproj.bench`, as a
+suite row does, so a command and the matching row give the same problem
+and the same solve.  Instance paths are a base or its ``.mtx`` file.
 
 Exit codes: 0 converged/ok, 2 solver stopped at an iteration or stone
 budget, 1 bad input.  Numeric output uses scientific notation with six
@@ -146,7 +146,7 @@ def _cmd_bap_solve(args) -> int:
 def _cmd_lp_solve(args) -> int:
     fmap = None
     if args.path.endswith(".mps"):
-        problem, fmap = bench.read_mps(args.path)
+        problem, fmap = serialize.read_mps(args.path)
     else:
         problem = serialize.read_lp_instance(args.path)
     res = solve_lp(problem, LpConfig(tol_gap=args.tol_gap, max_stones=args.max_stones))

@@ -1,33 +1,41 @@
-"""Every text file polyproj reads or writes, through one codec.
+"""Every instance and solution file polyproj reads or writes.
 
 A projection instance is a Matrix Market file ``<base>.mtx`` holding A
 plus a sidecar ``<base>.bap``; an LP instance uses ``<base>.lp`` as the
-sidecar.  The instance readers take the base or the ``.mtx`` path.
-Sidecars are plain text: a versioned magic line, ``m`` and
-``n`` header lines, then one line per vector with whitespace-separated
-values written as shortest round-trip decimals.  Sign patterns are a
-string of ``n``/``f`` characters (nonnegative/free).
+sidecar, or comes from an MPS file (:func:`read_mps`).  The instance
+readers take the base or the ``.mtx`` path.  Sidecars are plain text: a
+versioned magic line, ``m`` and ``n`` header lines, then one line per
+vector with whitespace-separated values written as shortest round-trip
+decimals.  Sign patterns are a string of ``n``/``f`` characters
+(nonnegative/free).
 
 Solutions (``<base>.sol``) carry a summary block (status, iterations,
 the three KKT residuals in 6-significant-digit scientific notation)
 followed by the x, y, z vectors in the sidecar vector format.
 
 Sidecars and solutions share one reader, which names the file when the
-magic line is wrong or a key is unknown, repeated or missing.  Every file goes
-through :func:`write_lines`; CSV tables (traces, benchmark records and
-results, profiles) through :func:`write_csv`, floats as ``%.5e``.
+magic line is wrong or a key is unknown, repeated or missing.  Every
+other file goes through :func:`write_lines`; CSV tables (traces,
+benchmark records and results, profiles) through :func:`write_csv`, floats
+as ``%.5e``.  Suite JSON and ``records.csv`` are read by
+:mod:`polyproj.bench`, edge lists by :mod:`polyproj.cli`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.io
 
 from .bap import BapProblem, BapSolution, kkt_report
 from .hlwb import HlwbResult
 from .lp import LpProblem
-from .sparse_linalg import read_matrix_market, write_matrix_market
+from .mps import StandardFormMap, parse_mps, to_standard_form
+from .sparse_linalg import SparseMatrix
 
 __all__ = [
+    "read_matrix_market",
+    "write_matrix_market",
+    "read_mps",
     "write_bap_instance",
     "read_bap_instance",
     "instance_base",
@@ -98,6 +106,45 @@ def _read_fields(path: str, magic: str, keys: tuple[str, ...]) -> dict:
     if missing:
         raise ValueError(f"{path}: missing field {missing[0]!r}")
     return fields
+
+
+def write_matrix_market(matrix: SparseMatrix, path) -> None:
+    """Write ``matrix`` to ``path`` as a general coordinate Matrix Market file.
+
+    ``scipy.io.mmwrite`` emits shortest round-trip decimals, so
+    read-after-write reproduces every stored value bit for bit, and
+    entries in column-major order, so the file is deterministic.  The
+    open handle stops scipy from appending ``.mtx`` to ``path``.
+    """
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, matrix.csc, symmetry="general")
+
+
+def read_matrix_market(path) -> SparseMatrix:
+    """Read a coordinate Matrix Market file through ``scipy.io.mmread``.
+
+    Accepts real/integer general matrices plus symmetric storage (the
+    mirrored half is filled in).  Any ``ValueError`` names ``path``.
+    """
+    try:
+        _, _, _, fmt, field, symmetry = scipy.io.mminfo(path)
+        if fmt != "coordinate":
+            raise ValueError(f"unsupported MatrixMarket format: {fmt}")
+        if field not in ("real", "integer"):
+            raise ValueError(f"unsupported field type: {field}")
+        if symmetry not in ("general", "symmetric"):
+            raise ValueError(f"unsupported symmetry: {symmetry}")
+        coo = scipy.io.mmread(path, spmatrix=False)
+        # from_coo widens mmread's int32 indices to int64 and rechecks values
+        return SparseMatrix.from_coo(*coo.shape, coo.row, coo.col, coo.data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_mps(path: str) -> tuple[LpProblem, StandardFormMap]:
+    """The standard-form LP of the MPS file at ``path`` and its map back to the model."""
+    with open(path, "r", encoding="ascii") as fh:
+        return to_standard_form(parse_mps(fh.read()))
 
 
 def instance_base(path: str) -> str:

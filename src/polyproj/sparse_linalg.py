@@ -4,10 +4,9 @@ The module owns the compressed-sparse-column matrix type used for
 constraint matrices and their submatrices, plus the handful of dense and
 sparse kernels the Newton and path-following solvers are built from:
 weighted normal-matrix assembly, shifted Cholesky factorization and
-rank-revealing selection of independent columns.  Matrix Market
-coordinate I/O, a thin wrapper over ``scipy.io.mmread``/``mmwrite``,
-lives here as well because it is the on-disk form of
-:class:`SparseMatrix`.
+rank-revealing selection of independent columns.  It reads and writes
+no files: the Matrix Market form of :class:`SparseMatrix` is read and
+written by :mod:`polyproj.serialize`.
 
 The normal matrix ``V = sum w_i A_i A_i^T`` has one form per size
 regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
@@ -39,7 +38,6 @@ threads; the one slot filled on first use, the view of ``A^T`` that
 from __future__ import annotations
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.linalg.blas as blas
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -55,8 +53,6 @@ __all__ = [
     "assemble_normal_matrix",
     "cholesky_shifted",
     "independent_columns",
-    "read_matrix_market",
-    "write_matrix_market",
 ]
 
 # Normal matrices of at most this dimension are assembled dense and
@@ -420,36 +416,3 @@ def independent_columns(A: SparseMatrix, candidate_cols) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     rank = int(np.count_nonzero(diag >= 1e-10 * diag[0]))
     return np.sort(cand[piv[:rank]])
-
-
-def write_matrix_market(matrix: SparseMatrix, path) -> None:
-    """Write ``matrix`` to ``path`` as a general coordinate Matrix Market file.
-
-    ``scipy.io.mmwrite`` emits shortest round-trip decimals, so
-    read-after-write reproduces every stored value bit for bit, and
-    entries in column-major order, so the file is deterministic.  The
-    open handle stops scipy from appending ``.mtx`` to ``path``.
-    """
-    with open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, matrix.csc, symmetry="general")
-
-
-def read_matrix_market(path) -> SparseMatrix:
-    """Read a coordinate Matrix Market file through ``scipy.io.mmread``.
-
-    Accepts real/integer general matrices plus symmetric storage (the
-    mirrored half is filled in).  Any ``ValueError`` names ``path``.
-    """
-    try:
-        _, _, _, fmt, field, symmetry = scipy.io.mminfo(path)
-        if fmt != "coordinate":
-            raise ValueError(f"unsupported MatrixMarket format: {fmt}")
-        if field not in ("real", "integer"):
-            raise ValueError(f"unsupported field type: {field}")
-        if symmetry not in ("general", "symmetric"):
-            raise ValueError(f"unsupported symmetry: {symmetry}")
-        coo = scipy.io.mmread(path, spmatrix=False)
-        # from_coo widens mmread's int32 indices to int64 and rechecks values
-        return SparseMatrix.from_coo(*coo.shape, coo.row, coo.col, coo.data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from polyproj.bap import BapProblem
 from polyproj.bench import (
     BenchRecord,
     _read_records_csv,
@@ -159,6 +160,25 @@ class TestRunBenchmark:
         key = lambda r: (r.problem, r.solver, r.m, r.n, r.seed, r.rel_residual, r.status)
         assert [key(r) for r in by_mtx] == [key(r) for r in records[:2]]
 
+    def test_error_and_timeout_cells_recorded(self, tmp_path):
+        # hlwb rejects free columns, and no solve beats a zero time limit
+        problem = gen_bap_with_known_vertex(GenSpec(5, 20, 0.3, seed=4)).problem
+        free = np.zeros(problem.n, dtype=bool)
+        free[0] = True
+        base = str(tmp_path / "free")
+        write_bap_instance(BapProblem(problem.A, problem.b, problem.v, free), base)
+        cfg = {
+            "tols": [1e-10],
+            "solvers": ["rnnm-exact", "hlwb"],
+            "timeout_s": 0,
+            "rows": [{"kind": "bap_file", "path": base}],
+        }
+        out = str(tmp_path / "out")
+        run_benchmark(cfg, out)
+        lines = open(os.path.join(out, "records.csv")).read().splitlines()
+        status = {ln.split(",")[1]: ln.split(",")[-1] for ln in lines[1:]}
+        assert status == {"rnnm-exact": "timeout", "hlwb": "error:ValueError"}
+
     def test_float_columns_keep_their_format_for_integer_input(self, tmp_path):
         cfg = {
             "tols": [1e-10],
@@ -254,6 +274,27 @@ class TestSuiteValidation:
             "rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3, "seed": 4}],
         }
         suite.update(changes)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(suite, str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suite, message",
+        [
+            ({"tols": [1e-10]}, "suite: missing key 'rows'"),
+            (
+                {"rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3, "seed": 4},
+                          {"kind": "bap", "n": 20, "density": 0.3}]},
+                "row 1: missing key 'm'",
+            ),
+            ({"rows": [{"kind": "lp", "m": 4, "n": 12}]}, "row 0: missing key 'density'"),
+            ({"rows": [{"kind": "bap_file"}]}, "row 0: missing key 'path'"),
+            ({"rows": [{"kind": "mps"}]}, "row 0: missing key 'path'"),
+        ],
+        ids=["rows", "second_bap_row", "lp_row", "file_row", "mps_row"],
+    )
+    def test_missing_key_rejected_before_running(self, tmp_path, suite, message):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=message):
             run_benchmark(suite, str(out))

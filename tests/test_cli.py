@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 from polyproj.cli import main
 from polyproj.factory import GenSpec, gen_lp
-from polyproj.serialize import read_bap_instance, write_lp_instance
+from polyproj.serialize import read_bap_instance, read_lp_instance, write_lp_instance
 
 
 def test_gen_bap_writes_instances_and_manifest(tmp_path, capsys):
@@ -21,6 +23,42 @@ def test_gen_bap_writes_instances_and_manifest(tmp_path, capsys):
     assert "seed 7" in manifest and "seed 8" in manifest
     prob = read_bap_instance(os.path.join(out, "bap_000007"))
     assert prob.m == 5 and prob.n == 20
+
+
+def test_gen_lp_writes_lp_sidecars(tmp_path, capsys):
+    out = str(tmp_path / "gen")
+    assert main(["gen", "--kind", "lp", "--m", "4", "--n", "12", "--density", "0.5",
+                 "--seed", "3", "--count", "2", "--out", out]) == 0
+    assert sorted(os.listdir(out)) == [
+        "lp_000003.lp", "lp_000003.mtx", "lp_000004.lp", "lp_000004.mtx", "manifest.txt"
+    ]
+    want = gen_lp(GenSpec(4, 12, 0.5, seed=4)).problem
+    got = read_lp_instance(os.path.join(out, "lp_000004"))
+    assert np.array_equal(got.A.toarray(), want.A.toarray())
+    assert np.array_equal(got.b, want.b) and np.array_equal(got.c, want.c)
+
+
+def test_gen_triangle_on_a_complete_graph(tmp_path, capsys):
+    out = str(tmp_path / "tri")
+    assert main(["gen", "--kind", "triangle", "--vertices", "5", "--seed", "0",
+                 "--out", out]) == 0
+    prob = read_bap_instance(os.path.join(out, "triangle_000000"))
+    # K5: 10 edges, 10 triples: rows 3*10 + 10, cols 10 + 3*10 + 10
+    assert prob.A.shape == (40, 50)
+    capsys.readouterr()
+    assert main(["bap", "solve", os.path.join(out, "triangle_000000")]) == 0
+    assert "status=converged" in capsys.readouterr().out
+
+
+def test_bap_solve_out_directory(tmp_path, capsys):
+    out = str(tmp_path / "inst")
+    main(["gen", "--kind", "bap", "--m", "5", "--n", "20", "--density", "0.3",
+          "--seed", "1", "--count", "2", "--out", out])
+    sols = str(tmp_path / "sols")
+    bases = [os.path.join(out, f"bap_{seed:06d}") for seed in (1, 2)]
+    assert main(["bap", "solve", *bases, "--out", sols]) == 0
+    assert sorted(os.listdir(sols)) == ["bap_000001.sol", "bap_000002.sol"]
+    assert not any(name.endswith(".sol") for name in os.listdir(out))
 
 
 def test_bap_solve_exit_codes_and_solution(tmp_path, capsys):
@@ -202,6 +240,18 @@ def test_profile_rejects_truncated_records(tmp_path, capsys):
     assert main(["profile", records, "--out", str(tmp_path / "prof.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {records}: line 3")
     assert not os.path.exists(tmp_path / "prof.csv")
+
+
+def test_profile_without_converged_records_fails(tmp_path, capsys):
+    records = str(tmp_path / "records.csv")
+    with open(records, "w") as fh:
+        fh.write("problem,solver,tol,m,n,density,seed,time_s,rel_residual,status\n"
+                 "p1,a,1e-10,5,20,0.3,4,1.0,1e-3,failed\n"
+                 "p1,b,1e-10,5,20,0.3,4,2.0,nan,error:ValueError\n")
+    prof_out = tmp_path / "prof.csv"
+    assert main(["profile", records, "--out", str(prof_out)]) == 1
+    assert capsys.readouterr().err == "no convergent records; nothing to profile\n"
+    assert not prof_out.exists()
 
 
 def test_bench_rejects_unknown_row_kind(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,79 @@ class TestParse:
         text = TINY_MPS.replace("X2        R1              1.", "X2        R1        oops")
         with pytest.raises(MpsParseError, match="line 9"):
             parse_mps(text)
+
+
+    def test_comments_and_blank_lines_skipped(self):
+        text = "* a comment\n\n" + TINY_MPS.replace("COLUMNS\n", "COLUMNS\n   \n  * indented\n")
+        assert parse_mps(text) == parse_mps(TINY_MPS)
+
+    def test_fx_and_pl_bounds(self):
+        text = TINY_MPS.replace(
+            "ENDATA", "BOUNDS\n FX BND       X1   2.5\n UP BND       X2   4.\n PL BND       X2\nENDATA"
+        )
+        assert parse_mps(text).bounds == {"X1": (2.5, 2.5), "X2": (0.0, math.inf)}
+
+    def test_second_free_row_dropped_with_its_entries(self):
+        text = (
+            TINY_MPS.replace(" N  OBJ\n", " N  OBJ\n N  COST2\n")
+            .replace("X2        R1              1.", "X2        R1   1.   COST2   5.")
+            .replace("RHS       R1              1.", "RHS       R1   1.   COST2   3.")
+        )
+        assert parse_mps(text) == parse_mps(TINY_MPS)
+
+    def test_only_the_first_set_is_read(self):
+        text = TINY_MPS.replace(
+            "ENDATA",
+            "    RHS2      R1   7.\n"
+            "RANGES\n    RNG  R1  2.\n    RNG2 R1  3.\n"
+            "BOUNDS\n UP BND       X1   4.\n UP BND2      X1   9.\nENDATA",
+        )
+        model = parse_mps(text)
+        assert model.rhs == {"R1": 1.0}
+        assert model.ranges == {"R1": 2.0}
+        assert model.bounds == {"X1": (0.0, 4.0)}
+
+    @pytest.mark.parametrize(
+        "old, new, line_no, message",
+        [
+            ("ROWS\n", "FOO\nROWS\n", 4, "unknown section 'FOO'"),
+            ("NAME", " X1  R1  1.\nNAME", 1, "data before any section header"),
+            (" L  R1\n", " L  R1  R2\n", 5, "ROWS record needs a type and a name"),
+            (" L  R1\n", " Q  R1\n", 5, "unknown row type 'Q'"),
+            ("X2        R1              1.", "X2        R1", 9,
+             "COLUMNS record needs row/value pairs"),
+            ("X2        R1              1.", "X2  R1  1.  OBJ  2.  OBJ  3.", 9,
+             "duplicate objective entry for 'X2'"),
+            ("X2        R1              1.", "X2  R1  1.  R1  2.", 9,
+             "duplicate entry ('X2', 'R1')"),
+            ("RHS       R1              1.", "RHS       R1", 11,
+             "RHS record needs row/value pairs"),
+            ("RHS       R1              1.", "RHS       R9   1.", 11,
+             "RHS references unknown row 'R9'"),
+            ("ENDATA", "BOUNDS\n UP BND\nENDATA", 13, "BOUNDS record too short"),
+            ("ENDATA", "BOUNDS\n XX BND  X1  1.\nENDATA", 13, "unknown bound type 'XX'"),
+            ("ENDATA", "BOUNDS\n UP BND  X9  1.\nENDATA", 13,
+             "bound references unknown column 'X9'"),
+            ("ENDATA", "BOUNDS\n UP BND  X1\nENDATA", 13, "bound type UP needs a value"),
+            ("X2        R1              1.", "X2        R1              inf", 9,
+             "non-finite value 'inf'"),
+            (" N  OBJ\n", " N  OBJ\n N  OBJ\n", 7, "duplicate row name 'OBJ'"),
+            # whole-file faults carry no line
+            (" N  OBJ\n", " E  OBJ\n", None, "no objective (N) row declared"),
+            ("RHS\n", "    X3        OBJ             1.\nRHS\n", None,
+             "unconstrained column with positive objective (unbounded)"),
+        ],
+        ids=["section", "before_section", "rows_record", "row_type", "columns_pairs",
+             "objective_entry", "matrix_entry", "rhs_pairs", "rhs_row", "bounds_short",
+             "bound_type", "bound_column", "bound_value", "non_finite", "objective_row",
+             "no_objective", "unbounded_column"],
+    )
+    def test_rejection_names_its_line(self, old, new, line_no, message):
+        assert old in TINY_MPS
+        where = "" if line_no is None else f"line {line_no}: "
+        with pytest.raises(MpsParseError, match="^" + re.escape(where + message)) as info:
+            to_standard_form(parse_mps(TINY_MPS.replace(old, new, 1)))
+        assert info.value.line_no == line_no
 
 
 class TestStandardForm:

@@ -170,6 +170,29 @@ def test_misspelt_field_rejected(tmp_path, kind, key, typo):
         read()
 
 
+@pytest.mark.parametrize("kind", ["bap", "lp", "sol"])
+def test_wrong_magic_line_rejected(tmp_path, kind):
+    path, read = written_file(tmp_path, kind)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join([lines[0].replace(" 1", " 2")] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=rf"\.{kind}: not a 'polyproj-{kind} 1' file"):
+        read()
+
+
+@pytest.mark.parametrize("signs", ["nnnn", "nnnnnnnnnnnnn", "nnnnnnnnnnnx"])
+def test_bad_signs_rejected(tmp_path, signs):
+    path, read = written_file(tmp_path, "bap")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join("signs " + signs if ln.startswith("signs ") else ln
+                           for ln in lines) + "\n")
+    with pytest.raises(ValueError, match=r"\.bap: signs must be a string of n/f flags"):
+        read()
+
+
 def test_solution_summary_formatting(tmp_path):
     g = gen_bap_with_known_vertex(GenSpec(m=5, n=20, density=0.3, seed=2))
     sol = solve_rnnm(g.problem)

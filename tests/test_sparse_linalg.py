@@ -35,9 +35,8 @@ from polyproj.sparse_linalg import (
     assemble_normal_matrix,
     cholesky_shifted,
     independent_columns,
-    read_matrix_market,
-    write_matrix_market,
 )
+from polyproj.serialize import read_matrix_market, write_matrix_market
 
 
 def rand_sparse(rng, m, n, density=0.3):
