@@ -210,13 +210,20 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
     ``results.csv`` (repetition means per row/solver/tol, the table
     layout: specs, time, rel. resid.), and one ``profile_tol*.csv`` per
     tolerance.  Fixed seeds reproduce everything byte for byte except
-    the timing columns.  An unknown solver name or row ``kind``, and an
-    unknown or missing suite or row key, raise ``ValueError`` up front.
+    the timing columns.  An unknown solver name or row ``kind``, an
+    unknown or missing suite or row key, a suite or row that is not an
+    object, and ``rows``, ``tols`` or ``solvers`` that is not a list
+    raise ``ValueError`` up front.
     """
     if isinstance(config, str):
         with open(config, "r", encoding="ascii") as fh:
             config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("suite: must be an object")
     _check_keys("suite", config, *_SUITE_KEYS)
+    for key in ("rows", "tols", "solvers"):
+        if key in config and not isinstance(config[key], list):
+            raise ValueError(f"suite: {key!r} must be a list")
     reps = int(config.get("repetitions", 1))
     tols = [float(t) for t in config.get("tols", [1e-14])]
     tol_gap = float(config.get("tol_gap", 1e-8))
@@ -226,6 +233,8 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
         if solver not in BAP_SOLVERS + LP_SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
     for row_idx, row in enumerate(config["rows"]):
+        if not isinstance(row, dict):
+            raise ValueError(f"row {row_idx}: must be an object")
         if row.get("kind") not in _ROW_KEYS:
             raise ValueError(f"row {row_idx}: unknown problem kind {row.get('kind')!r}")
         required, optional = _ROW_KEYS[row["kind"]]

@@ -75,6 +75,8 @@ class GenSpec:
     degeneracy: str = NONDEGENERATE
 
     def __post_init__(self):
+        if not self.m >= 1:
+            raise ValueError("m must be at least 1")
         if not self.m < self.n:
             raise ValueError("m < n is required")
         if not 0.0 < self.density <= 1.0:
@@ -163,11 +165,56 @@ class GeneratedLp:
     known_z: np.ndarray
 
 
+# Cells of the Floyd membership table filled at once by _column_rows;
+# larger draws are done in blocks of columns to bound its memory.
+_FLOYD_CELLS = 1 << 22
+
+
+def _column_rows(rng: np.random.Generator, m: int, n: int, k: int) -> np.ndarray:
+    """Rows of ``n`` columns, ``k`` distinct rows of ``range(m)`` each.
+
+    Equal, row for row and in the Generator's state afterwards, to
+    ``rng.choice(m, size=k, replace=False)`` called once per column, so
+    every seeded instance stays what it was.  That call runs Floyd's
+    sampling (draws bounded by m-k .. m-1, a draw already taken becomes
+    the bound itself) and then a Fisher-Yates shuffle (draws bounded by
+    k-1 .. 1), each draw by Lemire's method.  ``rng.integers`` with an
+    array of inclusive bounds makes the same draws from the same stream,
+    and a zero bound takes nothing from it, as in ``choice``, so all
+    n*(2k-1) draws are made by one call and the two steps are replayed
+    on them, vectorized over the columns.  Where m > 10000 and
+    k > m // 50, numpy's ``choice`` shuffles the tail of ``range(m)``
+    instead; there the per-column call is kept.
+    """
+    if m > 10000 and k > m // 50:
+        return np.concatenate([rng.choice(m, size=k, replace=False) for _ in range(n)])
+    highs = np.concatenate([np.arange(m - k, m), np.arange(k - 1, 0, -1)])
+    draws = rng.integers(0, np.tile(highs, n), endpoint=True).reshape(n, 2 * k - 1)
+    rows = np.empty((n, k), dtype=np.int64)
+    step = max(1, _FLOYD_CELLS // m)
+    for lo in range(0, n, step):
+        block = draws[lo : lo + step].T  # block[t]: draw t of every column
+        width = block.shape[1]
+        col = np.arange(width)
+        taken = np.zeros(width * m, dtype=bool)  # taken[c*m + r]: row r is in column c
+        out = np.empty((k, width), dtype=np.int64)
+        for t in range(k):
+            val = np.where(taken[col * m + block[t]], m - k + t, block[t])
+            taken[col * m + val] = True
+            out[t] = val
+        flat = out.reshape(-1)
+        for i in range(k - 1, 0, -1):
+            at = block[2 * k - 1 - i] * width + col
+            held = flat[at]
+            flat[at] = out[i]
+            out[i] = held
+        rows[lo : lo + step] = out.T
+    return rows.reshape(-1)
+
+
 def _random_sparse(rng: np.random.Generator, m: int, n: int, density: float) -> sp.csc_array:
     per_col = max(1, int(round(density * m)))
-    rows = np.empty(per_col * n, dtype=np.int64)
-    for j in range(n):
-        rows[j * per_col : (j + 1) * per_col] = rng.choice(m, size=per_col, replace=False)
+    rows = _column_rows(rng, m, n, per_col)
     cols = np.repeat(np.arange(n), per_col)
     vals = rng.standard_normal(per_col * n)
     vals[vals == 0.0] = 1.0

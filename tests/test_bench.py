@@ -299,3 +299,21 @@ class TestSuiteValidation:
         with pytest.raises(ValueError, match=message):
             run_benchmark(suite, str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suite, message",
+        [
+            ([{"kind": "bap", "m": 5, "n": 20, "density": 0.3}], "suite: must be an object"),
+            ({"rows": [["bap"]]}, "row 0: must be an object"),
+            ({"rows": {"kind": "bap", "m": 5, "n": 20, "density": 0.3}},
+             "suite: 'rows' must be a list"),
+            ({"tols": 1e-4, "rows": []}, "suite: 'tols' must be a list"),
+            ({"solvers": "hlwb", "rows": []}, "suite: 'solvers' must be a list"),
+        ],
+        ids=["suite", "row", "rows", "tols", "solvers"],
+    )
+    def test_wrong_type_rejected_before_running(self, tmp_path, suite, message):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(suite, str(out))
+        assert not out.exists()

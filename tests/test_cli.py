@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from polyproj.cli import main
 from polyproj.factory import GenSpec, gen_lp
@@ -264,6 +265,22 @@ def test_bench_rejects_unknown_row_kind(tmp_path, capsys):
         json.dump(suite, fh)
     assert main(["bench", cfg, "--out", str(tmp_path / "bench")]) == 1
     assert "row 0: unknown problem kind 'bapp'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, message",
+    [({"rows": [["bap"]]}, "row 0: must be an object"),
+     ({"tols": 1e-4, "rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3}]},
+      "suite: 'tols' must be a list")],
+    ids=["list_row", "scalar_tols"],
+)
+def test_bench_rejects_wrong_types(tmp_path, capsys, suite, message):
+    cfg = str(tmp_path / "suite.json")
+    with open(cfg, "w") as fh:
+        json.dump(suite, fh)
+    assert main(["bench", cfg, "--out", str(tmp_path / "bench")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "bench").exists()
 
 
 def test_scientific_notation_output(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import time
 
 import numpy as np
 import pytest
 
+from polyproj import factory
 from polyproj.bap import BapSolution, CONVERGED, RnnmConfig, kkt_report, solve_rnnm
 from polyproj.factory import (
     GenSpec,
@@ -32,6 +34,110 @@ class TestGenSpec:
             GenSpec(m=2, n=10, density=0.05, seed=0)  # density*n < 1
         with pytest.raises(ValueError):
             GenSpec(m=2, n=10, density=0.5, seed=0, degeneracy="weird")
+
+    def test_m_below_one_rejected(self):
+        for m in (0, -3):
+            with pytest.raises(ValueError, match="m must be at least 1"):
+                GenSpec(m=m, n=5, density=0.5, seed=1)
+
+
+class _CallLog:
+    """A Generator that records the name of every method called on it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+def _choice_loop(rng, m, n, k):
+    return np.concatenate([rng.choice(m, size=k, replace=False) for _ in range(n)])
+
+
+class TestColumnRows:
+    """The batched draw against the per-column ``rng.choice`` it replaces."""
+
+    def assert_same_draws(self, m, n, k, lead, seed):
+        ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        if lead:  # leaves half of a 64-bit output in the 32-bit buffer
+            assert ref.integers(0, 7) == new.integers(0, 7)
+        log = _CallLog(new)
+        rows = factory._column_rows(log, m, n, k)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, _choice_loop(ref, m, n, k))
+        assert new.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(new.standard_normal(3), ref.standard_normal(3))
+        assert np.array_equal(new.integers(0, 1000, size=3), ref.integers(0, 1000, size=3))
+        return log.calls
+
+    @pytest.mark.parametrize("lead", [False, True], ids=["fresh", "odd_buffer"])
+    @pytest.mark.parametrize(
+        "m, n, k",
+        [(1, 4, 1), (5, 9, 1), (5, 9, 5), (50, 40, 1), (50, 40, 3), (50, 40, 50),
+         (200, 30, 20), (257, 12, 100), (10001, 3, 200)],
+    )
+    def test_matches_choice_loop(self, m, n, k, lead):
+        calls = self.assert_same_draws(m, n, k, lead, seed=1000 * m + 10 * k + n)
+        assert calls == ["integers"]  # one batched call
+
+    @pytest.mark.parametrize("lead", [False, True], ids=["fresh", "odd_buffer"])
+    def test_tail_shuffle_sizes_keep_the_choice_loop(self, lead):
+        # above m = 10000, numpy's choice shuffles the tail of range(m)
+        # once k > m // 50; those sizes keep the per-column call
+        calls = self.assert_same_draws(10001, 3, 201, lead, seed=5)
+        assert calls == ["choice"] * 3
+
+    def test_column_blocks_match(self, monkeypatch):
+        monkeypatch.setattr(factory, "_FLOYD_CELLS", 2 * 30)
+        for k in (1, 4, 30):
+            self.assert_same_draws(30, 7, k, lead=True, seed=k)
+
+    def test_random_draws_match(self):
+        meta = np.random.default_rng(2026)
+        for _ in range(40):
+            m = int(meta.integers(1, 300))
+            k = int(meta.integers(1, m + 1))
+            n = int(meta.integers(1, 40))
+            self.assert_same_draws(m, n, k, lead=bool(meta.integers(0, 2)),
+                                   seed=int(meta.integers(2**31)))
+
+
+def _pattern_digest(A: SparseMatrix) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(A.csc.indptr, dtype="<i8").tobytes())
+    h.update(np.asarray(A.csc.indices, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# sparsity patterns of seeded instances: integers only, so no BLAS or
+# rounding difference moves them; a change that re-draws the instances
+# every test and benchmark solves shows here
+@pytest.mark.parametrize(
+    "gen, spec, nnz, digest",
+    [
+        (gen_bap_with_known_vertex, GenSpec(m=50, n=500, density=0.02, seed=1001), 500,
+         "eedf25d5fc92442eea4b05f8c699248dda60973a796bda4dc56b1d242497ce03"),
+        (gen_bap_with_known_vertex, GenSpec(m=200, n=2000, density=0.1, seed=7), 40000,
+         "26c1e989c624966256e9c1e4aabc01172f020153a668e0d47ef59f7b942d44c3"),
+        (gen_bap_with_known_vertex, GenSpec(m=20, n=60, density=1.0, seed=3), 1200,
+         "43d3d851db7269103814e8725b91989e1482ce7737ed401ddac76eb9421687ea"),
+        # one entry per column: the row repair adds four entries
+        (gen_bap_with_known_vertex, GenSpec(m=40, n=120, density=0.025, seed=2), 124,
+         "5c8cc67625b73323030b04c99eb615815f7d4f7dbaade8fb57196c89adf7b92a"),
+        (gen_lp, GenSpec(m=200, n=800, density=0.02, seed=12), 3200,
+         "68af5d4b4134f1a6542399b296b5600e6c10c723ef461a2910fcbaefd5e3e1b1"),
+        (gen_lp, GenSpec(m=10, n=40, density=0.3, seed=7003), 120,
+         "bee0144d29fb6bb1a608736651f13d98d8a9fdf252a5bc9bd49231e488c77756"),
+    ],
+    ids=["bap_one_per_col", "bap_m200", "bap_dense", "bap_repair", "lp_m200", "lp_m10"],
+)
+def test_seeded_sparsity_patterns_pinned(gen, spec, nnz, digest):
+    A = gen(spec).problem.A
+    assert A.csc.nnz == nnz
+    assert _pattern_digest(A) == digest
 
 
 class TestGenBap:
