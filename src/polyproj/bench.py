@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 import typing
@@ -54,6 +55,17 @@ _ROW_KEYS = {
     "bap_file": (("path",), ()),
     "lp_file": (("path",), ()),
     "mps": (("path",), ()),
+}
+# the type each row value must have, and its name in the error; bool is
+# rejected although Python counts it as a number
+_ROW_VALUE_TYPES = {
+    "m": (numbers.Integral, "an integer"),
+    "n": (numbers.Integral, "an integer"),
+    "seed": (numbers.Integral, "an integer"),
+    "density": (numbers.Real, "a real number"),
+    "anchor_norm": (numbers.Real, "a real number"),
+    "degeneracy": (str, "a string"),
+    "path": (str, "a string"),
 }
 
 
@@ -212,8 +224,11 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
     tolerance.  Fixed seeds reproduce everything byte for byte except
     the timing columns.  An unknown solver name or row ``kind``, an
     unknown or missing suite or row key, a suite or row that is not an
-    object, and ``rows``, ``tols`` or ``solvers`` that is not a list
-    raise ``ValueError`` up front.
+    object, ``rows``, ``tols`` or ``solvers`` that is not a list, and a
+    row value of the wrong type (an ``m``, ``n`` or ``seed`` that is not
+    an integer, a ``density`` or ``anchor_norm`` that is not a real
+    number, a ``path`` or ``degeneracy`` that is not a string) raise
+    ``ValueError`` up front.
     """
     if isinstance(config, str):
         with open(config, "r", encoding="ascii") as fh:
@@ -239,6 +254,12 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
             raise ValueError(f"row {row_idx}: unknown problem kind {row.get('kind')!r}")
         required, optional = _ROW_KEYS[row["kind"]]
         _check_keys(f"row {row_idx}", row, ("kind",) + required, optional)
+        for key, value in row.items():
+            if key == "kind":
+                continue
+            expected, what = _ROW_VALUE_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, expected):
+                raise ValueError(f"row {row_idx}: {key!r} must be {what}")
     os.makedirs(out_dir, exist_ok=True)
 
     records: list[BenchRecord] = []

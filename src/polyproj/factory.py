@@ -1,4 +1,4 @@
-"""Test-instance construction with certified optima, plus brute-force oracles.
+"""Test-instance construction with certified optima, plus a reference simplex.
 
 Projection instances are built backwards from a chosen optimum: pick a
 basic feasible point x, a multiplier u and a complementary z >= 0, and
@@ -8,9 +8,11 @@ norm comes out exactly as requested.  LP instances use the same device
 on the objective: ``c = A^T u - z`` puts the chosen vertex's polar cone
 behind c, certifying optimality.
 
-The oracles here are deliberately independent of the package's solvers:
-exhaustive vertex enumeration, a two-phase textbook simplex with
-Bland's rule, and a primal active-set solver for projection QPs.
+:func:`reference_simplex`, a two-phase textbook simplex with Bland's
+rule and independent of the package's solvers, remains here for the
+benchmark's afiro reference, which it computes without loading
+``scipy.optimize``.  The tests check generated LPs against scipy's
+HiGHS instead.
 """
 
 from __future__ import annotations
@@ -37,14 +39,8 @@ __all__ = [
     "gen_bap_with_known_vertex",
     "gen_lp",
     "build_triangle_bap",
-    "oracle_lp_vertex_enumeration",
     "reference_simplex",
-    "oracle_polyhedron_projection",
-    "INFEASIBLE",
 ]
-
-# Sentinel returned by the enumeration oracle on infeasible instances.
-INFEASIBLE = -math.inf
 
 NONDEGENERATE = "nondegenerate"
 DEGENERATE = "degenerate"
@@ -394,37 +390,6 @@ def build_triangle_bap(spec: TriangleSpec, xbar) -> BapProblem:
     return BapProblem(A, b, anchor)
 
 
-def oracle_lp_vertex_enumeration(problem: LpProblem) -> float:
-    """Exhaustive basic-solution scan; exact up to linear-solve roundoff.
-
-    Enumerates all m-column subsets, keeps basic solutions that are
-    consistent and nonnegative to a tolerance of 1e-9, and returns the
-    best objective.  Infeasible instances return the INFEASIBLE
-    sentinel.  Intended for n <= 20.
-    """
-    n, m = problem.n, problem.m
-    if n > 20:
-        raise ValueError("vertex enumeration is limited to n <= 20")
-    A = problem.A.toarray()
-    b = problem.b
-    c = problem.c
-    tol = 1e-9
-    scale = 1.0 + float(np.linalg.norm(b))
-    best = INFEASIBLE
-    for subset in itertools.combinations(range(n), min(m, n)):
-        cols = np.asarray(subset)
-        sub = A[:, cols]
-        xs, _, _, _ = np.linalg.lstsq(sub, b, rcond=None)
-        if np.linalg.norm(sub @ xs - b) > tol * scale:
-            continue
-        if np.any(xs < -tol):
-            continue
-        val = float(c[cols] @ xs)
-        if val > best:
-            best = val
-    return best
-
-
 def reference_simplex(A, b, c) -> tuple[float, np.ndarray]:
     """Dense two-phase simplex with Bland's rule for ``max c^T x``.
 
@@ -510,62 +475,3 @@ def reference_simplex(A, b, c) -> tuple[float, np.ndarray]:
         raise OracleError("reference simplex: artificial stayed positive")
     x = np.maximum(x_full[:n], 0.0)
     return float(c @ x), x
-
-
-def oracle_polyhedron_projection(A, b, v, x_feasible) -> np.ndarray:
-    """Primal active-set solver for ``min 0.5||x - v||^2, Ax=b, x>=0``.
-
-    Needs a feasible start.  Lowest-index rules are used for both the
-    blocking bound and the dropped multiplier, so the iteration cannot
-    cycle; optimality is certified by an explicit KKT check, to a
-    relative 1e-10, before returning.  Gives up after ``100*(n + 1)``
-    steps.  Dense; intended as an oracle on small instances.
-    """
-    tol = 1e-10
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    b = np.asarray(b, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    m, n = A.shape
-    x = np.asarray(x_feasible, dtype=np.float64).copy()
-    if np.linalg.norm(A @ x - b) > 1e-8 * (1.0 + np.linalg.norm(b)) or np.any(x < -1e-12):
-        raise ValueError("starting point is not feasible")
-    x = np.maximum(x, 0.0)
-    active = x <= 0.0
-
-    for _ in range(100 * (n + 1)):
-        free = ~active
-        Af = A[:, free]
-        vf = v[free]
-        lam, _, _, _ = np.linalg.lstsq(Af @ Af.T, Af @ vf - b, rcond=None)
-        x_target = np.zeros(n)
-        x_target[free] = vf - Af.T @ lam
-        p = x_target - x
-
-        if np.max(np.abs(p)) <= tol * (1.0 + np.max(np.abs(x))):
-            y, _, _, _ = np.linalg.lstsq(A[:, free].T, (x - v)[free], rcond=None)
-            mult = x - v - A.T @ y
-            # Bland-style drop: lowest index with a negative multiplier
-            drop = -1
-            margin = -tol * (1.0 + np.max(np.abs(v)))
-            for j in range(n):
-                if active[j] and mult[j] < margin:
-                    drop = j
-                    break
-            if drop < 0:
-                return np.maximum(x, 0.0)
-            active[drop] = False
-            continue
-
-        alpha = 1.0
-        blocking = -1
-        for j in range(n):
-            if not active[j] and p[j] < -1e-15 and x[j] + p[j] < 0.0:
-                a_j = x[j] / (-p[j])
-                if a_j < alpha - 1e-15:
-                    alpha, blocking = a_j, j
-        x = x + alpha * p
-        x[active] = 0.0
-        if blocking >= 0:
-            x[blocking] = 0.0
-            active[blocking] = True
-    raise RuntimeError("active-set oracle failed to terminate")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -167,16 +168,17 @@ SUBPROBLEM_MAX_ITER = 2000
 class LpConfig:
     """Path-following controls.
 
-    ``tol_gap >= 0`` is the relative gap that ends the solve.
-    ``subproblem_tols`` is the retry ladder for each projection solve,
-    ``SUBPROBLEM_MAX_ITER`` Newton iterations per rung.  The nudge past
-    a stone is relative, ``max(1e-8, 1e-2/stone)``.  The degeneracy
-    escape that multiplies R by ten is described in :func:`solve_lp`.
+    ``tol_gap >= 0`` is the relative gap that ends the solve.  The
+    class constant ``subproblem_tols`` is the retry ladder for each
+    projection solve, ``SUBPROBLEM_MAX_ITER`` Newton iterations per
+    rung.  The nudge past a stone is relative, ``max(1e-8, 1e-2/stone)``.
+    The degeneracy escape that multiplies R by ten is described in
+    :func:`solve_lp`.
     """
 
     tol_gap: float = 1e-8
     max_stones: int = 100
-    subproblem_tols: tuple[float, ...] = (1e-14, 1e-13)
+    subproblem_tols: ClassVar[tuple[float, ...]] = (1e-14, 1e-13)
 
     def __post_init__(self):
         if not self.tol_gap >= 0.0:  # NaN fails too

@@ -29,8 +29,6 @@ from polyproj.factory import (
     build_triangle_bap,
     gen_bap_with_known_vertex,
     gen_lp,
-    oracle_lp_vertex_enumeration,
-    oracle_polyhedron_projection,
     reference_simplex,
 )
 from polyproj.hlwb import HlwbConfig, solve_hlwb
@@ -47,6 +45,8 @@ from polyproj.lp import (
 from polyproj.mps import parse_mps, to_standard_form
 from polyproj.serialize import write_bap_instance, write_solution
 from polyproj.sparse_linalg import SparseMatrix, cholesky_shifted
+
+from oracles import highs_optimum, oracle_polyhedron_projection
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -266,12 +266,7 @@ def test_criterion_07_lp_end_to_end():
             res = solve_lp(gl.problem)
             assert res.status == "solved", f"({m},{n}) seed {k}: {res.status}"
             assert res.gap <= 1e-8
-            if n <= 20:
-                ref = oracle_lp_vertex_enumeration(gl.problem)
-            else:
-                ref, _ = reference_simplex(
-                    gl.problem.A.toarray(), gl.problem.b, gl.problem.c
-                )
+            ref = highs_optimum(gl.problem)
             rel = abs(res.certificate.lower - ref) / (1.0 + abs(ref))
             assert rel <= 1e-7, f"({m},{n}) seed {k}: objective off by {rel:.2e}"
             stones_used.append(len(res.stones))

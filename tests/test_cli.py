@@ -271,8 +271,20 @@ def test_bench_rejects_unknown_row_kind(tmp_path, capsys):
     "suite, message",
     [({"rows": [["bap"]]}, "row 0: must be an object"),
      ({"tols": 1e-4, "rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3}]},
-      "suite: 'tols' must be a list")],
-    ids=["list_row", "scalar_tols"],
+      "suite: 'tols' must be a list"),
+     ({"rows": [{"kind": "bap", "m": "5", "n": 20, "density": 0.3}]},
+      "row 0: 'm' must be an integer"),
+     ({"rows": [{"kind": "bap", "m": 5.5, "n": 20, "density": 0.3}]},
+      "row 0: 'm' must be an integer"),
+     ({"rows": [{"kind": "lp", "m": 5, "n": 20, "density": 0.3},
+                {"kind": "bap", "m": True, "n": 20, "density": 0.3}]},
+      "row 1: 'm' must be an integer"),
+     ({"rows": [{"kind": "bap", "m": 5, "n": 20, "density": "0.3"}]},
+      "row 0: 'density' must be a real number"),
+     ({"rows": [{"kind": "lp_file", "path": 5}]},
+      "row 0: 'path' must be a string")],
+    ids=["list_row", "scalar_tols", "string_m", "float_m", "bool_m", "string_density",
+         "int_path"],
 )
 def test_bench_rejects_wrong_types(tmp_path, capsys, suite, message):
     cfg = str(tmp_path / "suite.json")

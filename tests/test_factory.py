@@ -9,19 +9,17 @@ from polyproj import factory
 from polyproj.bap import BapSolution, CONVERGED, RnnmConfig, kkt_report, solve_rnnm
 from polyproj.factory import (
     GenSpec,
-    INFEASIBLE,
     TriangleSpec,
     TriangleSpecError,
     build_triangle_bap,
     estimate_spectral_norm,
     gen_bap_with_known_vertex,
     gen_lp,
-    oracle_lp_vertex_enumeration,
-    oracle_polyhedron_projection,
     reference_simplex,
 )
-from polyproj.lp import LpProblem
 from polyproj.sparse_linalg import SparseMatrix
+
+from oracles import highs_optimum, oracle_polyhedron_projection
 
 
 class TestGenSpec:
@@ -206,9 +204,10 @@ class TestGenLp:
         assert np.linalg.norm(gl.known_x) == pytest.approx(1.0, rel=1e-12)
 
     def test_vertex_enumeration_agrees(self):
+        # HiGHS's optimal vertex has the value certified by construction
         for seed in range(6):
             gl = gen_lp(GenSpec(m=4, n=12, density=0.5, seed=seed))
-            val = oracle_lp_vertex_enumeration(gl.problem)
+            val = highs_optimum(gl.problem)
             assert val == pytest.approx(gl.known_optimum, abs=1e-10 * (1 + abs(val)))
 
     def test_simplex_agrees(self):
@@ -311,29 +310,6 @@ class TestTriangle:
         start = np.concatenate([np.zeros(3), np.zeros(3), np.ones(3)])
         ref = oracle_polyhedron_projection(prob.A.toarray(), prob.b, prob.v, start)
         assert np.linalg.norm(sol.x - ref) <= 1e-8
-
-
-class TestVertexEnumeration:
-    def test_tiny_lp(self):
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
-        lp = LpProblem(A, np.array([1.0]), np.array([1.0, 0.0]))
-        assert oracle_lp_vertex_enumeration(lp) == pytest.approx(1.0)
-
-    def test_zero_rhs(self):
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
-        lp = LpProblem(A, np.zeros(1), np.array([-3.0, -5.0]))
-        assert oracle_lp_vertex_enumeration(lp) == pytest.approx(0.0)
-
-    def test_infeasible_sentinel(self):
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
-        lp = LpProblem(A, np.array([-1.0]), np.array([1.0, 0.0]))
-        assert oracle_lp_vertex_enumeration(lp) == INFEASIBLE
-
-    def test_size_guard(self):
-        A = SparseMatrix.from_dense(np.ones((1, 21)))
-        lp = LpProblem(A, np.ones(1), np.ones(21))
-        with pytest.raises(ValueError):
-            oracle_lp_vertex_enumeration(lp)
 
 
 class TestProjectionOracle:

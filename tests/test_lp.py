@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import polyproj.lp as lp_mod
 from polyproj.bap import RnnmConfig, solve_rnnm
-from polyproj.factory import GenSpec, gen_lp, reference_simplex
+from polyproj.factory import GenSpec, gen_lp
 from polyproj.lp import (
     BasisPartition,
     InconsistentCertificateError,
@@ -32,6 +32,8 @@ from polyproj.lp import (
 )
 from polyproj.mps import parse_mps, to_standard_form
 from polyproj.sparse_linalg import SparseMatrix, _dense_normal_matrix
+
+from oracles import highs_optimum
 
 
 def tiny_lp():
@@ -452,7 +454,7 @@ class TestSolveLp:
         for seed in range(5):
             gl = gen_lp(GenSpec(m=10, n=40, density=0.25, seed=seed))
             res = solve_lp(gl.problem)
-            val, _ = reference_simplex(gl.problem.A.toarray(), gl.problem.b, gl.problem.c)
+            val = highs_optimum(gl.problem)
             assert res.status == "solved"
             assert res.gap <= 1e-8
             assert abs(res.certificate.lower - val) <= 1e-7 * (1 + abs(val))
@@ -501,6 +503,12 @@ class TestSolveLp:
                 LpConfig(tol_gap=bad)
         # a zero gap is a valid request
         assert solve_lp(tiny_lp(), LpConfig(tol_gap=0.0)).status == "solved"
+
+    def test_retry_ladder_is_not_a_setting(self):
+        assert [f.name for f in dataclasses.fields(LpConfig)] == ["tol_gap", "max_stones"]
+        with pytest.raises(TypeError):
+            LpConfig(subproblem_tols=(1e-10,))
+        assert LpConfig().subproblem_tols == (1e-14, 1e-13)
 
 
 class TestDegeneracyEscape:
