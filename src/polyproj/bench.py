@@ -56,8 +56,7 @@ _ROW_KEYS = {
     "lp_file": (("path",), ()),
     "mps": (("path",), ()),
 }
-# the type each row value must have, and its name in the error; bool is
-# rejected although Python counts it as a number
+# the type each row value must have, and its name in the error
 _ROW_VALUE_TYPES = {
     "m": (numbers.Integral, "an integer"),
     "n": (numbers.Integral, "an integer"),
@@ -161,10 +160,8 @@ def build_problem(request: dict, seed: int):
     """
     kind = request["kind"]
     if kind in ("bap", "lp"):
-        options = {key: request[key] for key in ("anchor_norm", "degeneracy") if key in request}
-        spec = factory.GenSpec(request["m"], request["n"], request["density"], seed, **options)
         generate = factory.gen_bap_with_known_vertex if kind == "bap" else factory.gen_lp
-        return generate(spec).problem
+        return generate(_gen_spec(request, seed)).problem
     if kind == "bap_file":
         return serialize.read_bap_instance(request["path"])
     if kind == "lp_file":
@@ -172,6 +169,11 @@ def build_problem(request: dict, seed: int):
     if kind == "mps":
         return serialize.read_mps(request["path"])[0]
     raise ValueError(f"unknown problem kind {kind!r}")
+
+
+def _gen_spec(request: dict, seed: int) -> factory.GenSpec:
+    options = {key: request[key] for key in ("anchor_norm", "degeneracy") if key in request}
+    return factory.GenSpec(request["m"], request["n"], request["density"], seed, **options)
 
 
 def solve_bap(problem: BapProblem, method: str, tol: float, max_iter: int = 2000,
@@ -206,6 +208,11 @@ def _run_cell(problem, solver: str, tol: float, timeout_s: float, tol_gap: float
     return elapsed, rel, "converged" if converged else "failed"
 
 
+def _has_type(value, kind) -> bool:
+    """Whether ``value`` is an instance of ``kind``; bool never is."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _check_keys(where: str, entries: dict, required: tuple, optional: tuple) -> None:
     unknown = [key for key in entries if key not in required + optional]
     if unknown:
@@ -224,11 +231,16 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
     tolerance.  Fixed seeds reproduce everything byte for byte except
     the timing columns.  An unknown solver name or row ``kind``, an
     unknown or missing suite or row key, a suite or row that is not an
-    object, ``rows``, ``tols`` or ``solvers`` that is not a list, and a
-    row value of the wrong type (an ``m``, ``n`` or ``seed`` that is not
-    an integer, a ``density`` or ``anchor_norm`` that is not a real
-    number, a ``path`` or ``degeneracy`` that is not a string) raise
-    ``ValueError`` up front.
+    object, ``rows``, ``tols`` or ``solvers`` that is not a list, a
+    ``repetitions`` that is not an integer of at least 1, a ``tols``
+    entry that is not a positive real number, a ``tol_gap`` or
+    ``timeout_s`` that is not a nonnegative real number, a row value of
+    the wrong type (an ``m``, ``n`` or ``seed`` that is not an integer, a
+    ``density`` or ``anchor_norm`` that is not a real number, a ``path``
+    or ``degeneracy`` that is not a string), a generated row that
+    :class:`factory.GenSpec` rejects, and an ``lp`` row with
+    ``degeneracy`` ``non_vertex`` raise ``ValueError`` before the output
+    directory is made, naming the suite key or the row.
     """
     if isinstance(config, str):
         with open(config, "r", encoding="ascii") as fh:
@@ -239,10 +251,17 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
     for key in ("rows", "tols", "solvers"):
         if key in config and not isinstance(config[key], list):
             raise ValueError(f"suite: {key!r} must be a list")
-    reps = int(config.get("repetitions", 1))
-    tols = [float(t) for t in config.get("tols", [1e-14])]
-    tol_gap = float(config.get("tol_gap", 1e-8))
-    timeout_s = float(config.get("timeout_s", 300.0))
+    reps = config.get("repetitions", 1)
+    if not _has_type(reps, numbers.Integral) or reps < 1:
+        raise ValueError("suite: 'repetitions' must be an integer at least 1")
+    tols = config.get("tols", [1e-14])
+    if not all(_has_type(t, numbers.Real) and t > 0.0 for t in tols):  # NaN fails too
+        raise ValueError("suite: 'tols' must hold positive real numbers")
+    tols = [float(t) for t in tols]
+    tol_gap, timeout_s = config.get("tol_gap", 1e-8), config.get("timeout_s", 300.0)
+    for key, value in (("tol_gap", tol_gap), ("timeout_s", timeout_s)):
+        if not (_has_type(value, numbers.Real) and value >= 0.0):
+            raise ValueError(f"suite: {key!r} must be a nonnegative real number")
     solvers = list(config.get("solvers", ["rnnm-exact"]))
     for solver in solvers:
         if solver not in BAP_SOLVERS + LP_SOLVERS:
@@ -258,8 +277,17 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
             if key == "kind":
                 continue
             expected, what = _ROW_VALUE_TYPES[key]
-            if isinstance(value, bool) or not isinstance(value, expected):
+            if not _has_type(value, expected):
                 raise ValueError(f"row {row_idx}: {key!r} must be {what}")
+        if row["kind"] in ("bap", "lp"):
+            try:
+                spec = _gen_spec(row, row.get("seed", 0))
+            except ValueError as exc:
+                raise ValueError(f"row {row_idx}: {exc}") from None
+            if row["kind"] == "lp" and spec.degeneracy == factory.NON_VERTEX:
+                raise ValueError(
+                    f"row {row_idx}: 'degeneracy' {spec.degeneracy!r} is not supported for lp rows"
+                )
     os.makedirs(out_dir, exist_ok=True)
 
     records: list[BenchRecord] = []
@@ -275,7 +303,7 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
             continue
         generated = kind in ("bap", "lp")
         n_instances = reps if generated else 1
-        base_seed = int(row.get("seed", 0))
+        base_seed = row.get("seed", 0)
         for rep in range(n_instances):
             seed = base_seed + rep
             problem = build_problem(row, seed)

@@ -73,6 +73,8 @@ class GenSpec:
     def __post_init__(self):
         if not self.m >= 1:
             raise ValueError("m must be at least 1")
+        if not self.seed >= 0:
+            raise ValueError("seed must be nonnegative")
         if not self.m < self.n:
             raise ValueError("m < n is required")
         if not 0.0 < self.density <= 1.0:

@@ -75,7 +75,6 @@ class HlwbResult:
     x: np.ndarray
     rel_residual: float
     sweeps: int
-    iterations: int
     status: str
     trace: list[tuple[int, float, float]] | None = None
 
@@ -156,7 +155,6 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
         x=xhat,
         rel_residual=rel,
         sweeps=sweeps,
-        iterations=k + 1,
         status="converged" if rel <= cfg.tol else MAX_SWEEPS,
         trace=trace if cfg.collect_trace else None,
     )

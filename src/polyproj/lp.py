@@ -439,7 +439,7 @@ def _basis_dual(
     problem: LpProblem,
     bases: BasisPartition,
     basis_lu: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Closed-form answer of the z_B = 0 projection at a basis spanning R^m.
 
     When the columns of B span R^m, the pinned dual-feasible set holds
@@ -449,8 +449,8 @@ def _basis_dual(
     from :func:`_factor_basis`, y is one transposed LU solve; otherwise
     one least-squares solve of ``A_B^T y = c_B`` (complete orthogonal
     factorization, rank cutoff 1e-10) covers every |B|.  Returns
-    ``(y, z_N)``, or None when the numerical rank of A_B is below m
-    (|B| < m included), ``A_B^T y = c_B`` leaves a relative residual
+    ``(y, z_N, A^T y)``, or None when the numerical rank of A_B is below
+    m (|B| < m included), ``A_B^T y = c_B`` leaves a relative residual
     above 1e-12 on any row of B, or some ``z_N`` entry is negative.
     """
     B, N = bases.B, bases.N
@@ -473,15 +473,10 @@ def _basis_dual(
     zN = Aty[N] - problem.c[N]
     if not np.all(zN >= 0.0):
         return None
-    return y, zN
+    return y, zN, Aty
 
 
-def lp_bounds(
-    problem: LpProblem,
-    state: SsepfState,
-    config: LpConfig | None = None,
-    pin_basic: bool = False,
-) -> LpCertificate:
+def lp_bounds(problem: LpProblem, state: SsepfState, pin_basic: bool = False) -> LpCertificate:
     """Primal/dual LP bounds from the current stone.
 
     Lower bound: ``c^T (R w)`` (feasible point).  Upper bound:
@@ -499,7 +494,6 @@ def lp_bounds(
     projection is reported with an infinite upper bound and a warning
     flag.
     """
-    cfg = config if config is not None else LpConfig()
     x = state.R * state.w
     lower = float(problem.c @ x)
 
@@ -509,17 +503,17 @@ def lp_bounds(
     closed = _basis_dual(problem, state.bases, state.basis_lu) if pin_basic else None
     z_lp = np.zeros(problem.n)
     if closed is not None:
-        y_lp, z_lp[N] = closed
+        y_lp, z_lp[N], Aty = closed
     else:
         sub, keep, full = _dual_feasibility_bap(problem, state, pin_basic)
-        sol = _solve_with_ladder(sub, None, cfg)
+        sol = _solve_with_ladder(sub, None)
         if sol.status != CONVERGED:
             warning = f"dual-feasibility projection ended {sol.status}"
         full[keep] = sol.x
         y_lp = full[:m]
         z_lp[B] = full[m : m + B.size]
         z_lp[N] = full[m + B.size :]
-    Aty = problem.A.rmatvec(y_lp)
+        Aty = problem.A.rmatvec(y_lp)
     if Z.size:
         z_lp[Z] = np.maximum(Aty[Z] - problem.c[Z], 0.0)
 
@@ -543,9 +537,9 @@ def lp_bounds(
     )
 
 
-def _solve_with_ladder(sub: BapProblem, y0, cfg: LpConfig) -> BapSolution:
+def _solve_with_ladder(sub: BapProblem, y0) -> BapSolution:
     sol = None
-    for tol in cfg.subproblem_tols:
+    for tol in LpConfig.subproblem_tols:
         rc = RnnmConfig(tol=tol, max_iter=SUBPROBLEM_MAX_ITER)
         sol = solve_rnnm(sub, y0, rc)
         if sol.status == CONVERGED:
@@ -589,7 +583,7 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
 
     for stone in range(1, cfg.max_stones + 1):
         sub = scaled_subproblem(problem, R)
-        sol = _solve_with_ladder(sub, y_start, cfg)
+        sol = _solve_with_ladder(sub, y_start)
         if sol.status != CONVERGED:
             raise SubproblemFailureError(stone, sol.rel_residual)
         w, z = sol.x, sol.z
@@ -607,7 +601,7 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
         # at the final basis the z_B = 0 equality case pins the exact
         # dual optimum
         final = step is not None and math.isinf(step.R_n)
-        cert = lp_bounds(problem, state, cfg, pin_basic=final)
+        cert = lp_bounds(problem, state, pin_basic=final)
         gap = _relative_gap(cert.lower, cert.upper)
         stones.append(
             StoneRecord(

@@ -10,10 +10,11 @@ RHS, RANGES and BOUNDS set is read, and a row named twice in it is
 rejected.  Conversion produces the maximization standard form
 ``max c^T x, A x = b, x >= 0`` (minimization inputs are negated)
 together with the affine map ``x = offset + T x_std`` back to the
-original variables, so objective values can be reported in original
-units.  The conversion is sparse algebra on that map: the substituted
-block of A is ``A_orig @ T``, and the slack and bound rows are built
-from index arrays.
+original variables, one way only, so a standard-form solution and its
+objective value can be reported in original units.  The conversion is
+sparse algebra on that map: the substituted block of A is
+``A_orig @ T``, and the slack and bound rows are built from index
+arrays.
 """
 
 from __future__ import annotations
@@ -53,14 +54,16 @@ class MpsParseError(ValueError):
 
 @dataclass
 class MpsModel:
-    """Parsed MPS data, still in row/column record form."""
+    """Parsed MPS data, still in row/column record form.
+
+    ``row_types`` and ``entries`` keep the file's order of constraint
+    rows and of columns.
+    """
 
     name: str = ""
     minimize: bool = True
     objective_name: str = ""
     row_types: dict[str, str] = field(default_factory=dict)  # name -> E/L/G
-    row_order: list[str] = field(default_factory=list)
-    columns: list[str] = field(default_factory=list)
     entries: dict[str, dict[str, float]] = field(default_factory=dict)  # col -> row -> val
     objective: dict[str, float] = field(default_factory=dict)
     rhs: dict[str, float] = field(default_factory=dict)
@@ -130,7 +133,6 @@ def parse_mps(text: str) -> MpsModel:
                     ignored_free_rows.add(rname)  # extra free rows are dropped
             elif rtype in ("E", "L", "G"):
                 model.row_types[rname] = rtype
-                model.row_order.append(rname)
             else:
                 raise MpsParseError(f"unknown row type {rtype!r}", line_no)
 
@@ -142,7 +144,6 @@ def parse_mps(text: str) -> MpsModel:
             col = toks[0]
             if col not in model.entries:
                 model.entries[col] = {}
-                model.columns.append(col)
             for rname, val in zip(toks[1::2], toks[2::2]):
                 value = _parse_float(val, line_no)
                 if rname == model.objective_name:
@@ -257,11 +258,9 @@ class StandardFormMap:
     that of a mirrored one, +1 and -1 in the two columns of a split
     free variable, and nothing once the variable is dropped at zero.
     The columns the conversion added (slacks and bound columns) are
-    empty in ``T``.  ``problem`` is the converted problem itself
-    (shared, not copied); ``to_standard`` reads the added columns off
-    its rows.  ``original_objective`` evaluates the model's objective
-    (in its own min/max sense and units, including the constant) at a
-    standard-form point.
+    empty in ``T``.  ``original_objective`` evaluates the model's
+    objective (in its own min/max sense and units, including the
+    constant) at a standard-form point.
     """
 
     minimize: bool
@@ -269,46 +268,12 @@ class StandardFormMap:
     offset: np.ndarray
     T: SparseMatrix
     original_coefficients: np.ndarray
-    problem: LpProblem
 
     def to_original(self, x_std: np.ndarray) -> np.ndarray:
         x_std = np.asarray(x_std, dtype=np.float64)
         if x_std.shape != (self.T.ncols,):
             raise ValueError(f"expected {self.T.ncols} standard-form values")
         return self.offset + self.T.matvec(x_std)
-
-    def to_standard(self, x_orig: np.ndarray) -> np.ndarray:
-        """Standard-form point of an original point, in two passes.
-
-        Substituted columns invert ``T``: a shifted or mirrored column
-        is ``(x - offset) * T_ij`` and a free pair is
-        ``(max(x, 0), max(-x, 0))``.  Every other column was added by
-        the conversion (a slack or a bound column); in ascending index
-        order each is solved from the first row it appears in,
-        ``x_j = (b_r - A_r x)/A_rj``.  That row is the one that defines
-        the column: constraint rows come before bound rows and slack
-        columns are created before bound columns, so a ranged row's
-        slack is known before its bound column is solved.  A point that
-        breaks a bound, an inequality or a range thus maps to a point
-        with a negative entry.
-        """
-        x_orig = np.asarray(x_orig, dtype=np.float64)
-        if x_orig.shape != (self.T.nrows,):
-            raise ValueError(f"expected {self.T.nrows} original values")
-        A, b, T = self.problem.A.csc, self.problem.b, self.T.csc
-        var, sign = T.indices, T.data  # one entry per substituted column
-        sub = (x_orig[var] - self.offset[var]) * sign
-        pair = np.bincount(var, minlength=T.shape[0])[var] == 2
-        added = np.diff(T.indptr) == 0
-        x_std = np.zeros(A.shape[1])
-        x_std[~added] = np.where(pair, np.maximum(sub, 0.0), sub)
-        rows = A.tocsr()
-        for j in np.flatnonzero(added):
-            k = A.indptr[j]
-            r = A.indices[k]
-            lo, hi = rows.indptr[r], rows.indptr[r + 1]
-            x_std[j] = (b[r] - rows.data[lo:hi] @ x_std[rows.indices[lo:hi]]) / A.data[k]
-        return x_std
 
     def original_objective(self, x_std: np.ndarray) -> float:
         x_orig = self.to_original(x_std)
@@ -332,11 +297,10 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
     Rows are the constraint rows in model order, then one bound row per
     two-sided variable (in column order), then one per ranged row.
     Columns are the substituted variables, then the slacks, then the
-    bound columns.  :meth:`StandardFormMap.to_standard` relies on this
-    order.
+    bound columns.
     """
-    names, row_order = model.columns, model.row_order
-    n, m = len(names), len(row_order)
+    names, rows = list(model.entries), list(model.row_types)
+    n, m = len(names), len(rows)
     obj = np.array([model.objective.get(c, 0.0) for c in names])
     lo, up = np.array([model.bounds.get(c, (0.0, math.inf)) for c in names]).reshape(n, 2).T
     shifted = lo > -math.inf
@@ -358,7 +322,7 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
     # per two-sided variable, then per ranged row
     lo_r, hi_r = np.array([
         _row_interval(model.row_types[r], model.rhs.get(r, 0.0), model.ranges.get(r))
-        for r in row_order
+        for r in rows
     ]).reshape(m, 2).T
     eq = lo_r == hi_r
     lower_only = (lo_r > -math.inf) & (hi_r == math.inf)
@@ -372,7 +336,7 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
 
     indptr = np.concatenate([np.arange(n_sub + 1), np.full(n_slack + k, n_sub)])
     T = SparseMatrix._trusted(sp.csc_array((sign, var, indptr), shape=(n, n_std)))
-    row_index = {name: i for i, name in enumerate(row_order)}
+    row_index = {name: i for i, name in enumerate(rows)}
     entries = [model.entries[c] for c in names]
     A_orig = SparseMatrix.from_coo(
         m, n,
@@ -410,16 +374,14 @@ def to_standard_form(model: MpsModel) -> tuple[LpProblem, StandardFormMap]:
         kept = np.flatnonzero(~empty)
         A, c, T = A.cols(kept), c[kept], T.cols(kept)
 
-    problem = LpProblem(A, b, c)
     fmap = StandardFormMap(
         minimize=model.minimize,
         objective_constant=model.objective_constant,
         offset=offset,
         T=T,
         original_coefficients=obj,
-        problem=problem,
     )
-    return problem, fmap
+    return LpProblem(A, b, c), fmap
 
 
 def _row_interval(rtype: str, rhs: float, rng: float | None) -> tuple[float, float]:

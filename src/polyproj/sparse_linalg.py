@@ -23,12 +23,13 @@ gathered straight from the CSC arrays (:func:`_gather_columns`) instead
 of slicing the sparse matrix.
 
 Validation happens at the boundary only.  Matrices that come from
-outside (the public constructor, ``from_coo``, ``from_dense``,
-``identity``, Matrix Market and MPS input, the generators) are
-canonicalized and checked for finite values.  Matrices derived from an
-already validated one (column selections, the assembled normal matrix,
-the LP dual-feasibility system) keep those invariants by construction
-and are wrapped through :meth:`SparseMatrix._trusted` without a recheck.
+outside (the public constructor, which takes a dense ``np.ndarray`` or
+a scipy sparse matrix; ``from_coo``; Matrix Market and MPS input; the
+generators) are canonicalized and checked for finite values.  Matrices
+derived from an already validated one (column selections, the
+assembled normal matrix, the LP dual-feasibility system) keep those
+invariants by construction and are wrapped through
+:meth:`SparseMatrix._trusted` without a recheck.
 
 Everything is immutable after construction and safe to share across
 threads; the one slot filled on first use, the view of ``A^T`` that
@@ -152,14 +153,6 @@ class SparseMatrix:
         if cols.size and (cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("column index out of range")
         return cls(sp.coo_array((values, (rows, cols)), shape=(nrows, ncols)))
-
-    @classmethod
-    def from_dense(cls, arr) -> "SparseMatrix":
-        return cls(np.asarray(arr, dtype=np.float64))
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(sp.eye_array(n, format="csc"))
 
     @property
     def csc(self) -> sp.csc_array:

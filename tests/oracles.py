@@ -1,9 +1,11 @@
 """Reference solvers the tests check the package against.
 
-Both are independent of the package's solvers: scipy's HiGHS for LP
-optima, and a primal active-set solver for projection QPs, for which
-scipy has no counterpart.
+They are independent of the package's solvers: scipy's HiGHS for LP
+optima and for the MPS conversion, and a primal active-set solver for
+projection QPs, for which scipy has no counterpart.
 """
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -17,6 +19,50 @@ def highs_optimum(lp) -> float:
     res = linprog(-lp.c, A_eq=lp.A.toarray(), b_eq=lp.b, bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return -res.fun
+
+
+def highs_standard_point(lp, fmap, x):
+    """A standard-form point of the original point ``x``, by HiGHS.
+
+    Returns some ``x_std >= 0`` with ``A x_std = b`` and ``T x_std = x -
+    offset``, the converted problem and map of ``mps.to_standard_form``,
+    or None when HiGHS finds that set empty.
+    """
+    res = linprog(
+        np.zeros(lp.n),
+        A_eq=np.vstack([lp.A.toarray(), fmap.T.toarray()]),
+        b_eq=np.concatenate([lp.b, x - fmap.offset]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message  # feasible or infeasible
+    return res.x if res.status == 0 else None
+
+
+def highs_mps_optimum(model) -> float:
+    """Optimal value of a parsed MPS model, in its own sense and units.
+
+    HiGHS reads the model's records directly (E, L and G rows, column
+    bounds, the objective constant), not ``mps.to_standard_form``'s
+    output.  Ranged rows are not handled.
+    """
+    assert not model.ranges
+    cols, rows = list(model.entries), list(model.row_types)
+    A = np.array([[model.entries[c].get(r, 0.0) for c in cols] for r in rows])
+    rhs = np.array([model.rhs.get(r, 0.0) for r in rows])
+    kind = np.array([model.row_types[r] for r in rows])
+    sense = 1.0 if model.minimize else -1.0
+    res = linprog(
+        sense * np.array([model.objective.get(c, 0.0) for c in cols]),
+        A_ub=np.vstack([A[kind == "L"], -A[kind == "G"]]),
+        b_ub=np.concatenate([rhs[kind == "L"], -rhs[kind == "G"]]),
+        A_eq=A[kind == "E"],
+        b_eq=rhs[kind == "E"],
+        bounds=[model.bounds.get(c, (0.0, math.inf)) for c in cols],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return sense * res.fun + model.objective_constant
 
 
 def oracle_polyhedron_projection(A, b, v, x_feasible) -> np.ndarray:

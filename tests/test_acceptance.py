@@ -127,7 +127,7 @@ def test_criterion_03_descent_property():
         n = int(rng.integers(2 * m, 5 * m))
         A = rng.standard_normal((m, n))
         x_feas = np.abs(rng.standard_normal(n))
-        prob = BapProblem(SparseMatrix.from_dense(A), A @ x_feas, rng.standard_normal(n))
+        prob = BapProblem(SparseMatrix(A), A @ x_feas, rng.standard_normal(n))
         y = rng.standard_normal(m)
         _, _, p = moreau_split(prob, y)
         if np.min(np.abs(p)) < 1e-3:  # need a differentiable point

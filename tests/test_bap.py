@@ -33,14 +33,14 @@ from polyproj.sparse_linalg import SparseMatrix
 
 
 def simplex_problem():
-    A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
+    A = SparseMatrix(np.array([[1.0, 1.0]]))
     return BapProblem(A, np.array([1.0]), np.zeros(2))
 
 
 def rand_problem(rng, m=6, n=15):
     A = rng.standard_normal((m, n))
     x = np.abs(rng.standard_normal(n))
-    return BapProblem(SparseMatrix.from_dense(A), A @ x, rng.standard_normal(n))
+    return BapProblem(SparseMatrix(A), A @ x, rng.standard_normal(n))
 
 
 def replay_search(monkeypatch, problem, mode, tol):
@@ -124,12 +124,12 @@ class TestProblemValidation:
             BapProblem(A, np.zeros(2), np.zeros(2))
 
     def test_dimension_mismatch(self):
-        A = SparseMatrix.identity(2)
+        A = SparseMatrix(np.eye(2))
         with pytest.raises(ValueError):
             BapProblem(A, np.zeros(3), np.zeros(2))
 
     def test_free_mask_shape(self):
-        A = SparseMatrix.identity(2)
+        A = SparseMatrix(np.eye(2))
         with pytest.raises(ValueError):
             BapProblem(A, np.zeros(2), np.zeros(2), free=np.array([True]))
 
@@ -146,7 +146,7 @@ class TestResidual:
     def test_free_variable_form(self):
         # A=[1 1], b=0, v=(1,1), second coordinate free, y=-1:
         # x = ((v+A^T y)_1)_+ = 0, free part passes through to 0
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
+        A = SparseMatrix(np.array([[1.0, 1.0]]))
         prob = BapProblem(A, np.zeros(1), np.ones(2), free=np.array([False, True]))
         F = residual(prob, np.array([-1.0]))
         x, z, _ = moreau_split(prob, np.array([-1.0]))
@@ -176,7 +176,7 @@ def inactive(prob, sets):
 
 class TestClassifyIndices:
     def test_signs(self):
-        A = SparseMatrix.identity(3)
+        A = SparseMatrix(np.eye(3))
         prob = BapProblem(A, np.zeros(3), np.array([0.5, 0.0, -1.0]))
         sets = classify_indices(prob, moreau_split(prob, np.zeros(3))[2])
         assert list(sets.i_plus) == [0]
@@ -184,7 +184,7 @@ class TestClassifyIndices:
         assert list(inactive(prob, sets)) == [2]
 
     def test_all_positive(self):
-        A = SparseMatrix.identity(2)
+        A = SparseMatrix(np.eye(2))
         prob = BapProblem(A, np.zeros(2), np.array([1.0, 2.0]))
         sets = classify_indices(prob, moreau_split(prob, np.zeros(2))[2])
         assert sets.i_zero.size == 0 and inactive(prob, sets).size == 0
@@ -196,7 +196,7 @@ class TestClassifyIndices:
         assert sets.i_zero_bar.size == 1  # scalar duplicate columns
 
     def test_tie_at_zero_is_boundary(self):
-        A = SparseMatrix.identity(1)
+        A = SparseMatrix(np.eye(1))
         prob = BapProblem(A, np.zeros(1), np.zeros(1))
         sets = classify_indices(prob, moreau_split(prob, np.zeros(1))[2])
         assert list(sets.i_zero) == [0]
@@ -210,7 +210,7 @@ class TestClassifyIndices:
 
 class TestGeneralizedJacobian:
     def test_identity_active(self):
-        A = SparseMatrix.identity(2)
+        A = SparseMatrix(np.eye(2))
         prob = BapProblem(A, np.zeros(2), np.array([1.0, 1.0]))
         sets = classify_indices(prob, moreau_split(prob, np.zeros(2))[2])
         V = generalized_jacobian(prob, sets)
@@ -218,7 +218,7 @@ class TestGeneralizedJacobian:
 
     def test_boundary_weight_formula(self):
         # column of norm 2 on the boundary carries weight 1/4
-        A = SparseMatrix.from_dense(np.array([[2.0, 1.0]]))
+        A = SparseMatrix(np.array([[2.0, 1.0]]))
         prob = BapProblem(A, np.zeros(1), np.array([0.0, 1.0]))
         sets = classify_indices(prob, moreau_split(prob, np.zeros(1))[2])
         assert list(sets.i_zero_bar) == [0]
@@ -229,7 +229,7 @@ class TestGeneralizedJacobian:
     def test_boundary_weight_clamped_at_one(self):
         # boundary columns of norm 2 and 0.5 carry 1/4 and min(1, 1/0.25) = 1;
         # the free column carries 1
-        A = SparseMatrix.from_dense(np.array([[2.0, 0.0, 1.0], [0.0, 0.5, 1.0]]))
+        A = SparseMatrix(np.array([[2.0, 0.0, 1.0], [0.0, 0.5, 1.0]]))
         free = np.array([False, False, True])
         prob = BapProblem(A, np.zeros(2), np.array([0.0, 0.0, 1.0]), free)
         sets = classify_indices(prob, moreau_split(prob, np.zeros(2))[2])
@@ -286,7 +286,7 @@ class TestGeneralizedJacobian:
         dense = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, n))
         keep = rng.random((m, n)) < rng.choice([0.005, 0.05, 0.5, 1.0], n)
         keep[rng.integers(0, m, n), np.arange(n)] = True
-        prob = BapProblem(SparseMatrix.from_dense(dense * keep), np.zeros(m), np.zeros(n))
+        prob = BapProblem(SparseMatrix(dense * keep), np.zeros(m), np.zeros(n))
         perm = rng.permutation(n)
         sets = IndexSets(np.sort(perm[:100]), np.sort(perm[100:]), np.sort(perm[100:250]))
         seen = []
@@ -397,7 +397,7 @@ class TestSolveRnnm:
 
     def test_infeasible_hits_max_iter(self):
         # x1 + x2 = -1 has no nonnegative solution
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
+        A = SparseMatrix(np.array([[1.0, 1.0]]))
         prob = BapProblem(A, np.array([-1.0]), np.zeros(2))
         sol = solve_rnnm(prob, config=RnnmConfig(tol=1e-14, max_iter=50))
         assert sol.status in (MAX_ITER, "stalled")
@@ -534,7 +534,7 @@ class TestJacobianReuse:
     def test_a_changed_boundary_subset_alone_rebuilds(self, monkeypatch):
         # p = v = (2, 0) puts coordinate 1 on the boundary; the first
         # step makes it inactive while I+ = {0} stays
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
+        A = SparseMatrix(np.array([[1.0, 1.0]]))
         problem = BapProblem(A, np.array([1.0]), np.array([2.0, 0.0]))
         sets, builds = self._solve_exact(monkeypatch, problem)
         assert len(sets) >= 2 and np.array_equal(sets[0].i_plus, sets[1].i_plus)
@@ -654,7 +654,7 @@ class TestIsVertex:
         assert is_vertex(g.problem, sol) == NONDEGENERATE_VERTEX
 
     def test_origin_degenerate(self):
-        A = SparseMatrix.identity(2)
+        A = SparseMatrix(np.eye(2))
         prob = BapProblem(A, np.zeros(2), np.array([-1.0, -1.0]))
         sol = solve_rnnm(prob)
         assert np.allclose(sol.x, 0.0)

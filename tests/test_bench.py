@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -315,5 +316,40 @@ class TestSuiteValidation:
     def test_wrong_type_rejected_before_running(self, tmp_path, suite, message):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=message):
+            run_benchmark(suite, str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"repetitions": 2.7}, "suite: 'repetitions' must be an integer at least 1"),
+            ({"repetitions": 0}, "suite: 'repetitions' must be an integer at least 1"),
+            ({"repetitions": True}, "suite: 'repetitions' must be an integer at least 1"),
+            ({"tols": [1e-4, -1]}, "suite: 'tols' must hold positive real numbers"),
+            ({"tols": ["a"]}, "suite: 'tols' must hold positive real numbers"),
+            ({"tols": [math.nan]}, "suite: 'tols' must hold positive real numbers"),
+            ({"tol_gap": -1e-8}, "suite: 'tol_gap' must be a nonnegative real number"),
+            ({"timeout_s": "60"}, "suite: 'timeout_s' must be a nonnegative real number"),
+            ({"rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3},
+                       {"kind": "bap", "m": 5, "n": 20, "density": 2.0}]},
+             "row 1: density must lie in (0, 1]"),
+            ({"rows": [{"kind": "bap", "m": 20, "n": 20, "density": 0.3}]},
+             "row 0: m < n is required"),
+            ({"rows": [{"kind": "lp", "m": 5, "n": 20, "density": 0.3, "seed": -1}]},
+             "row 0: seed must be nonnegative"),
+            ({"rows": [{"kind": "lp", "m": 5, "n": 20, "density": 0.3,
+                        "degeneracy": "non_vertex"}]},
+             "row 0: 'degeneracy' 'non_vertex' is not supported for lp rows"),
+        ],
+        ids=["float_repetitions", "zero_repetitions", "bool_repetitions", "negative_tol",
+             "string_tol", "nan_tol", "negative_tol_gap", "string_timeout", "second_row_density",
+             "square_row", "negative_seed", "non_vertex_lp"],
+    )
+    def test_bad_value_rejected_before_running(self, tmp_path, changes, message):
+        suite = {"solvers": ["rnnm-exact", "ssepf"],
+                 "rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3}]}
+        suite.update(changes)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             run_benchmark(suite, str(out))
         assert not out.exists()

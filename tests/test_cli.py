@@ -282,9 +282,16 @@ def test_bench_rejects_unknown_row_kind(tmp_path, capsys):
      ({"rows": [{"kind": "bap", "m": 5, "n": 20, "density": "0.3"}]},
       "row 0: 'density' must be a real number"),
      ({"rows": [{"kind": "lp_file", "path": 5}]},
-      "row 0: 'path' must be a string")],
+      "row 0: 'path' must be a string"),
+     ({"repetitions": 2.7, "rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3}]},
+      "suite: 'repetitions' must be an integer at least 1"),
+     ({"tols": ["a"], "rows": []}, "suite: 'tols' must hold positive real numbers"),
+     ({"tols": [-1], "rows": []}, "suite: 'tols' must hold positive real numbers"),
+     ({"rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3},
+                {"kind": "bap", "m": 5, "n": 20, "density": 2.0}]},
+      "row 1: density must lie in (0, 1]")],
     ids=["list_row", "scalar_tols", "string_m", "float_m", "bool_m", "string_density",
-         "int_path"],
+         "int_path", "float_repetitions", "string_tol", "negative_tol", "second_row_density"],
 )
 def test_bench_rejects_wrong_types(tmp_path, capsys, suite, message):
     cfg = str(tmp_path / "suite.json")

@@ -32,6 +32,8 @@ class TestGenSpec:
             GenSpec(m=2, n=10, density=0.05, seed=0)  # density*n < 1
         with pytest.raises(ValueError):
             GenSpec(m=2, n=10, density=0.5, seed=0, degeneracy="weird")
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            GenSpec(m=2, n=10, density=0.5, seed=-1)  # default_rng rejects it
 
     def test_m_below_one_rejected(self):
         for m in (0, -3):

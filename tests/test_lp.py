@@ -37,7 +37,7 @@ from oracles import highs_optimum
 
 
 def tiny_lp():
-    A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
+    A = SparseMatrix(np.array([[1.0, 1.0]]))
     return LpProblem(A, np.array([1.0]), np.array([1.0, 0.0]))
 
 
@@ -53,9 +53,9 @@ def bound_calls(monkeypatch, problem):
     real = lp_mod.lp_bounds
     calls = []
 
-    def spy(problem, state, config=None, pin_basic=False):
+    def spy(problem, state, pin_basic=False):
         calls.append((state, pin_basic))
-        return real(problem, state, config, pin_basic)
+        return real(problem, state, pin_basic)
 
     with monkeypatch.context() as mp:
         mp.setattr(lp_mod, "lp_bounds", spy)
@@ -78,7 +78,7 @@ def count_projections(monkeypatch):
 
 class TestInitialRadius:
     def test_formula(self):
-        A = SparseMatrix.from_dense(np.ones((4, 9)))
+        A = SparseMatrix(np.ones((4, 9)))
         b = np.zeros(4)
         b[0] = 2.0
         problem = LpProblem(A, b, np.concatenate([[1.0], np.zeros(8)]))
@@ -86,12 +86,12 @@ class TestInitialRadius:
         assert initial_radius(problem) == pytest.approx(6.0)
 
     def test_cap_at_50(self):
-        A = SparseMatrix.from_dense(np.ones((4, 9)))
+        A = SparseMatrix(np.ones((4, 9)))
         problem = LpProblem(A, 1e6 * np.ones(4), np.ones(9))
         assert initial_radius(problem) == 50.0
 
     def test_zero_rhs_floor(self):
-        A = SparseMatrix.from_dense(np.ones((2, 4)))
+        A = SparseMatrix(np.ones((2, 4)))
         problem = LpProblem(A, np.zeros(2), np.ones(4))
         assert initial_radius(problem) == 1.0
 
@@ -203,7 +203,7 @@ class TestNextStone:
         z = np.zeros(7)
         z[N] = [0.4, 0.9, 1.1, 0.6]
         b = R * A_dense[:, B] @ w[B]
-        lp = LpProblem(SparseMatrix.from_dense(A_dense), b, rng.standard_normal(7))
+        lp = LpProblem(SparseMatrix(A_dense), b, rng.standard_normal(7))
         state = SsepfState(
             R=R, w=w, y=rng.standard_normal(4), z=z, bases=BasisPartition(B, N, Z)
         )
@@ -251,7 +251,7 @@ class TestLpBounds:
             assert abs(gap) <= 1e-10
 
     def test_zero_rhs(self):
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
+        A = SparseMatrix(np.array([[1.0, 1.0]]))
         lp = LpProblem(A, np.zeros(1), np.array([-1.0, -2.0]))
         res = solve_lp(lp)
         assert res.certificate.lower == pytest.approx(0.0, abs=1e-12)
@@ -261,7 +261,7 @@ class TestLpBounds:
     def test_empty_support_returns_the_anchor(self, pin_basic):
         # B and N empty: no dual constraint binds, so y_lp is the anchor
         # -y and z_lp is read off on Z, which is every column
-        A = SparseMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]))
+        A = SparseMatrix(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]))
         lp = LpProblem(A, np.array([1.0, 2.0]), np.array([1.0, -1.0, 0.5]))
         empty = np.empty(0, dtype=np.int64)
         state = SsepfState(
@@ -312,7 +312,7 @@ class TestBasisCertificate:
         # projection of the anchor (y, z_N) = (0, 5, 6) onto
         # {y_1 = 1, z_N = y_1 + y_2 >= 0} is (1, 5, 6), not the
         # min-norm y = (1, 0)
-        A = SparseMatrix.from_dense(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        A = SparseMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
         lp = LpProblem(A, np.array([1.0, 1.0]), np.array([1.0, 2.0, 0.0]))
         bases = BasisPartition(B=np.array([0]), N=np.array([2]), Z=np.array([1]))
         state = SsepfState(
@@ -357,7 +357,7 @@ class TestBasisCertificate:
         # |B| = 3 > m = 2 but A_B has rank one: A_B^T y = c_B fixes only
         # y_1 = 1, and the projection of the anchor (y, z_N) = (0, 5, 6)
         # onto {y_1 = 1, z_N = y_2} is (1, 5.5, 5.5)
-        A = SparseMatrix.from_dense(np.array([[1.0, 2.0, 3.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+        A = SparseMatrix(np.array([[1.0, 2.0, 3.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
         lp = LpProblem(A, np.array([6.0, 0.0]), np.array([1.0, 2.0, 3.0, 0.0]))
         bases = BasisPartition(
             B=np.array([0, 1, 2]), N=np.array([3]), Z=np.empty(0, dtype=np.int64)
@@ -389,7 +389,7 @@ class TestBasisCertificate:
     def test_singular_square_basis_has_no_closed_form(self):
         # |B| = m = 2 but columns 0 and 1 are equal: A_B^T y = c_B is
         # consistent yet leaves y free along (2, -1), so no unique dual
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0]]))
+        A = SparseMatrix(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0]]))
         lp = LpProblem(A, np.array([1.0, 2.0]), np.array([1.0, 1.0, 0.0]))
         bases = BasisPartition(
             B=np.array([0, 1]), N=np.array([2]), Z=np.empty(0, dtype=np.int64)
@@ -399,7 +399,7 @@ class TestBasisCertificate:
     def test_projection_runs_when_z_n_is_negative(self, monkeypatch):
         # square basis {0, 1}: y = A_B^{-T} c_B = (1, 1) gives
         # z_2 = y_1 + y_2 - c_2 = -1, so the pinned set is empty
-        A = SparseMatrix.from_dense(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        A = SparseMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
         lp = LpProblem(A, np.array([1.0, 1.0]), np.array([1.0, 1.0, 3.0]))
         bases = BasisPartition(
             B=np.array([0, 1]), N=np.array([2]), Z=np.empty(0, dtype=np.int64)
@@ -411,12 +411,11 @@ class TestBasisCertificate:
         import polyproj.lp as lp_mod
 
         monkeypatch.setattr(lp_mod, "SUBPROBLEM_MAX_ITER", 30)
-        cfg = LpConfig()
         sub, _, _ = _dual_feasibility_bap(lp, state, pin_basic=True)
-        ref = _solve_with_ladder(sub, None, cfg)
+        ref = _solve_with_ladder(sub, None)
         projections = count_projections(monkeypatch)
-        cert = lp_bounds(lp, state, cfg, pin_basic=True)
-        assert len(projections) == len(cfg.subproblem_tols)
+        cert = lp_bounds(lp, state, pin_basic=True)
+        assert len(projections) == len(LpConfig.subproblem_tols)
         assert np.array_equal(cert.y_lp, ref.x[:2])
         assert np.array_equal(cert.z_lp, [0.0, 0.0, ref.x[2]])
         assert cert.warning == f"dual-feasibility projection ended {ref.status}"
@@ -595,7 +594,7 @@ class TestSubproblemFailure:
         import polyproj.lp as lp_mod
         from polyproj.lp import SubproblemFailureError
 
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0]]))
+        A = SparseMatrix(np.array([[1.0, 1.0]]))
         infeasible = LpProblem(A, np.array([-1.0]), np.array([1.0, 0.0]))
         # a short budget: the full one spends 2 x 2000 iterations to fail
         monkeypatch.setattr(lp_mod, "SUBPROBLEM_MAX_ITER", 60)
@@ -609,7 +608,7 @@ def test_sensitivity_failure_on_inconsistent_state():
 
     # basis columns that cannot reproduce b: the least-squares system is
     # inconsistent and the ratio test must refuse rather than mispredict
-    A = SparseMatrix.identity(3)
+    A = SparseMatrix(np.eye(3))
     lp = LpProblem(A, np.array([0.0, 0.0, 1.0]), np.ones(3))
     bases = BasisPartition(
         B=np.array([0]), N=np.array([1, 2]), Z=np.empty(0, dtype=np.int64)
@@ -679,7 +678,7 @@ def sliced_bounds(problem, state, pin_basic):
         y_lp, z_lp[N] = closed
     else:
         sub, keep, full = _dual_feasibility_bap(problem, state, pin_basic)
-        full[keep] = _solve_with_ladder(sub, None, LpConfig()).x
+        full[keep] = _solve_with_ladder(sub, None).x
         y_lp = full[:m]
         z_lp[B], z_lp[N] = full[m : m + B.size], full[m + B.size :]
     if Z.size:
@@ -751,7 +750,7 @@ def square_basis_lp(seed, m=30, n=90, near_singular=False):
     D[:, :m] += 4.0 * np.eye(m)
     if near_singular:
         D[:, 1] = D[:, 0] + 1e-9 * rng.standard_normal(m)
-    A = SparseMatrix.from_dense(D)
+    A = SparseMatrix(D)
     x = np.zeros(n)
     x[:m] = 1.0 + rng.random(m)
     y = rng.standard_normal(m)
@@ -775,8 +774,8 @@ class TestSquareBasisLu:
         step, (R_n, dy) = next_stone(problem, with_lu), sliced_next_stone(problem, state)
         assert math.isclose(step.R_n, R_n, rel_tol=1e-12)
         assert_close(step.dy, dy)
-        (y_lu, zN_lu), (y_ls, zN_ls) = (_basis_dual(problem, state.bases, lu),
-                                        _basis_dual(problem, state.bases))
+        (y_lu, zN_lu, _), (y_ls, zN_ls, _) = (_basis_dual(problem, state.bases, lu),
+                                              _basis_dual(problem, state.bases))
         assert_close(y_lu, y_ls)
         assert_close(zN_lu, zN_ls)
         y_sl, zN_sl = sliced_basis_dual(problem, state.bases)
@@ -790,7 +789,7 @@ class TestSquareBasisLu:
         problem, state = square_basis_lp(0, near_singular=True)
         assert _factor_basis(problem, B) is None  # rcond below 1e-6
         # a singular square basis: the equal columns of the test above
-        A = SparseMatrix.from_dense(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0]]))
+        A = SparseMatrix(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0]]))
         lp = LpProblem(A, np.array([1.0, 2.0]), np.array([1.0, 1.0, 0.0]))
         assert _factor_basis(lp, np.array([0, 1])) is None
 
@@ -815,7 +814,7 @@ class TestSquareBasisLu:
         AB = D[:, :m]
         d = np.linalg.solve(AB @ AB.T, problem.b)
         D[:, m] -= (D[:, m] @ d) / (d @ d) * d
-        problem = LpProblem(SparseMatrix.from_dense(D), problem.b, problem.c)
+        problem = LpProblem(SparseMatrix(D), problem.b, problem.c)
         bases = BasisPartition(B=state.bases.B, N=state.bases.N[1:], Z=state.bases.N[:1])
         z = state.z.copy()
         z[m] = 0.0

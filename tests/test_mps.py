@@ -9,6 +9,8 @@ from polyproj.factory import reference_simplex
 from polyproj.lp import solve_lp
 from polyproj.mps import MpsParseError, parse_mps, to_standard_form
 
+from oracles import highs_mps_optimum, highs_standard_point
+
 TINY_MPS = """NAME          TINY
 OBJSENSE
     MAX
@@ -29,7 +31,7 @@ class TestParse:
         model = parse_mps(TINY_MPS)
         assert model.name == "TINY"
         assert not model.minimize
-        assert model.row_order == ["R1"]
+        assert list(model.row_types) == ["R1"]
         assert model.row_types["R1"] == "L"
         assert model.objective == {"X1": 1.0}
         assert model.entries["X1"] == {"R1": 1.0}
@@ -216,7 +218,8 @@ ENDATA
         assert lp.n == 3
         cols = lp.A.toarray()
         assert np.array_equal(cols, [[1.0, 1.0, -1.0]])
-        x_std = fmap.to_standard(np.array([5.0, -3.0]))
+        # X1 = 5 and X2 = 0 - 3
+        x_std = np.array([5.0, 0.0, 3.0])
         assert np.allclose(lp.A.matvec(x_std), lp.b)
         back = fmap.to_original(x_std)
         assert np.allclose(back, [5.0, -3.0])
@@ -238,8 +241,10 @@ ENDATA
 """
         lp, fmap = to_standard_form(parse_mps(text))
         assert lp.m == 2  # constraint row + bound row
-        x_std = fmap.to_standard(np.array([1.0, 1.0]))
+        # X1 = 0.5 + 0.5 with bound column 1.5 - 1, and X2 = 1
+        x_std = np.array([0.5, 1.0, 0.5])
         assert np.allclose(lp.A.matvec(x_std), lp.b, atol=1e-14)
+        assert np.allclose(fmap.to_original(x_std), [1.0, 1.0], atol=1e-14)
 
     def test_negative_upper_bound_without_lower_is_unbounded_below(self):
         text = """NAME T4
@@ -262,8 +267,8 @@ ENDATA
         assert lp.m == 1
         assert np.array_equal(lp.A.toarray(), [[-1.0, 1.0]])
         assert np.array_equal(lp.b, [3.0])
-        x_std = fmap.to_standard(np.array([-4.0, 6.0]))
-        assert np.allclose(x_std, [3.0, 6.0])
+        x_std = np.array([3.0, 6.0])
+        assert np.allclose(lp.A.matvec(x_std), lp.b)
         assert np.allclose(fmap.to_original(x_std), [-4.0, 6.0])
 
     def test_negative_upper_bound_below_explicit_lower_rejected(self):
@@ -293,7 +298,7 @@ ENDATA
 
     def test_golden_standard_form(self):
         # every bound kind and a ranged row of every type; pins the row
-        # and column order that to_standard relies on
+        # and column order
         text = """NAME GOLD
 ROWS
  N  COST
@@ -367,7 +372,7 @@ ENDATA
         for _ in range(20):
             x1 = rng.uniform(0, 0.5)
             x2 = rng.uniform(0, 0.5)
-            x_std = fmap.to_standard(np.array([x1, x2]))
+            x_std = np.array([x1, x2, 1.0 - x1 - x2])  # slack of x1 + x2 <= 1
             std_val = float(lp.c @ x_std)
             orig_val = fmap.original_objective(x_std)
             # max problem: original units equal standard units here
@@ -376,8 +381,8 @@ ENDATA
     def test_feasible_region_preserved(self):
         # random models with E/L/G rows, RANGES (E rows with both signs),
         # and LO/UP/MI/FR bounds; x0 lies inside every row interval and
-        # bound, and breaking one of them must show up as a negative
-        # standard-form entry
+        # bound, so HiGHS finds a standard-form point that maps to it,
+        # and breaking one of them must leave no such point
         rng = np.random.default_rng(42)
         bound_kinds = ["none", "LO", "UP", "LOUP", "MI", "MIUP", "FR"]
 
@@ -433,8 +438,9 @@ ENDATA
             rhs = np.where((types == "E") & ~ranged, q, rhs)
 
             lp, fmap = convert(types, rhs, ranges, lo, up, obj, dense)
-            x_std = fmap.to_standard(x0)
-            assert np.all(x_std >= -1e-12)
+            x_std = highs_standard_point(lp, fmap, x0)
+            assert x_std is not None, trial
+            assert np.all(x_std >= 0.0)
             assert np.linalg.norm(lp.A.matvec(x_std) - lp.b) <= 1e-12 * (
                 1 + np.linalg.norm(lp.b)
             )
@@ -462,19 +468,23 @@ ENDATA
             else:
                 x1[k] = up[k] + 0.5
             lp, fmap = convert(types, rhs1, ranges, lo, up, obj, dense)
-            assert fmap.to_standard(x1).min() < -0.49, (trial, side, k)
+            assert highs_standard_point(lp, fmap, x1) is None, (trial, side, k)
 
 class TestAfiroPipeline:
     def test_parse_convert_solve(self, data_dir):
         with open(os.path.join(data_dir, "afiro.mps")) as fh:
             model = parse_mps(fh.read())
-        assert len(model.row_order) == 27
-        assert len(model.columns) == 32
+        assert len(model.row_types) == 27
+        assert len(model.entries) == 32
         lp, fmap = to_standard_form(model)
         val, x_ref = reference_simplex(lp.A.toarray(), lp.b, lp.c)
         res = solve_lp(lp)
         assert res.status == "solved"
         assert res.gap <= 1e-8
         assert abs(res.certificate.lower - val) <= 1e-6 * (1 + abs(val))
-        # objective reported in original (minimization) units
+        # objective reported in original (minimization) units, against
+        # HiGHS on the parsed records rather than the converted problem
         assert fmap.original_objective(res.certificate.x) == pytest.approx(-val, rel=1e-6)
+        assert fmap.original_objective(res.certificate.x) == pytest.approx(
+            highs_mps_optimum(model), rel=1e-9
+        )

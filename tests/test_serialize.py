@@ -36,7 +36,7 @@ def test_free_flags_round_trip(tmp_path):
     from polyproj.bap import BapProblem
     from polyproj.sparse_linalg import SparseMatrix
 
-    A = SparseMatrix.from_dense(np.array([[1.0, 2.0, 3.0]]))
+    A = SparseMatrix(np.array([[1.0, 2.0, 3.0]]))
     prob = BapProblem(A, np.ones(1), np.zeros(3), free=np.array([False, True, False]))
     base = str(tmp_path / "freeinst")
     write_bap_instance(prob, base)
