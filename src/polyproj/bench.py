@@ -231,7 +231,8 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
     tolerance.  Fixed seeds reproduce everything byte for byte except
     the timing columns.  An unknown solver name or row ``kind``, an
     unknown or missing suite or row key, a suite or row that is not an
-    object, ``rows``, ``tols`` or ``solvers`` that is not a list, a
+    object, ``rows``, ``tols`` or ``solvers`` that is not a list, an
+    empty ``tols`` or ``solvers``, a
     ``repetitions`` that is not an integer of at least 1, a ``tols``
     entry that is not a positive real number, a ``tol_gap`` or
     ``timeout_s`` that is not a nonnegative real number, a row value of
@@ -251,6 +252,9 @@ def run_benchmark(config: dict | str, out_dir: str) -> list[BenchRecord]:
     for key in ("rows", "tols", "solvers"):
         if key in config and not isinstance(config[key], list):
             raise ValueError(f"suite: {key!r} must be a list")
+    for key in ("tols", "solvers"):  # either one empty runs no cell
+        if config.get(key) == []:
+            raise ValueError(f"suite: {key!r} must not be empty")
     reps = config.get("repetitions", 1)
     if not _has_type(reps, numbers.Integral) or reps < 1:
         raise ValueError("suite: 'repetitions' must be an integer at least 1")

@@ -149,7 +149,12 @@ def _cmd_lp_solve(args) -> int:
         problem, fmap = serialize.read_mps(args.path)
     else:
         problem = serialize.read_lp_instance(args.path)
-    res = solve_lp(problem, LpConfig(tol_gap=args.tol_gap, max_stones=args.max_stones))
+    config = LpConfig(tol_gap=args.tol_gap, max_stones=args.max_stones)
+    if args.report:
+        # create the report file before the solve, so a path that cannot
+        # be written fails at once instead of after every stone
+        open(args.report, "w", encoding="ascii").close()
+    res = solve_lp(problem, config)
     report = res.report()
     if fmap is not None:
         report["objective_original"] = float(

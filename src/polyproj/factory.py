@@ -210,7 +210,7 @@ def _column_rows(rng: np.random.Generator, m: int, n: int, k: int) -> np.ndarray
     return rows.reshape(-1)
 
 
-def _random_sparse(rng: np.random.Generator, m: int, n: int, density: float) -> sp.csc_array:
+def _random_sparse(rng: np.random.Generator, m: int, n: int, density: float) -> SparseMatrix:
     per_col = max(1, int(round(density * m)))
     rows = _column_rows(rng, m, n, per_col)
     cols = np.repeat(np.arange(n), per_col)
@@ -225,18 +225,17 @@ def _random_sparse(rng: np.random.Generator, m: int, n: int, density: float) -> 
         add_vals = rng.standard_normal(empty.size)
         add_vals[add_vals == 0.0] = 1.0
         A = A + sp.coo_array((add_vals, (empty, add_cols)), shape=(m, n)).tocsc()
-    return A.tocsc()
+    return SparseMatrix(A)
 
 
-def estimate_spectral_norm(A, rng: np.random.Generator) -> float:
+def estimate_spectral_norm(A: SparseMatrix, rng: np.random.Generator) -> float:
     """Power iteration on A^T A from a random start: sigma_max to a relative 1e-6, or 50 steps."""
-    u = rng.standard_normal(A.shape[1])
+    u = rng.standard_normal(A.ncols)
     u /= np.linalg.norm(u)
     sigma = 0.0
-    At = A.T
     for _ in range(50):
-        w = A @ u
-        u_next = At @ w
+        w = A.matvec(u)
+        u_next = A.rmatvec(w)
         norm_next = float(np.linalg.norm(u_next))
         if norm_next == 0.0:
             return 0.0
@@ -255,7 +254,7 @@ def _matrix_and_basis(rng: np.random.Generator, spec: GenSpec) -> tuple[SparseMa
     sigma = estimate_spectral_norm(A_raw, rng)
     if sigma == 0.0:
         raise GenerationError("sampled an all-zero matrix")
-    A = SparseMatrix(A_raw * (1.0 / sigma))
+    A = SparseMatrix(A_raw.csc * (1.0 / sigma))
     # independent columns of a sampled pool; widen the pool on failure up
     # to the whole matrix (rank m holds generically after the row repair)
     for pool in (min(n, 4 * m), min(n, 16 * m), n):

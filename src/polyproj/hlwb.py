@@ -22,7 +22,10 @@ before the clamp is ``(k0 x0 + m v + A^T s) / (k0 + m)``.  G is built
 densely and F-ordered once per solve, O(m^2) memory, and a sweep costs
 one LAPACK ``dtrtrs`` call on G (the call ``scipy.linalg.solve_triangular``
 makes for F-ordered input, without its argument handling), one
-``A^T s`` and one ``A x`` product.
+``A^T s`` and one ``A x`` product through
+:meth:`~polyproj.sparse_linalg.SparseMatrix.rmatvec` and
+:meth:`~polyproj.sparse_linalg.SparseMatrix.matvec`, and a few
+n-vector updates into two buffers allocated once per solve.
 
 The module does no file I/O: ``serialize.write_trace_csv`` writes the
 per-sweep trace that ``HlwbConfig.collect_trace`` records.
@@ -110,24 +113,25 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     cfg = config if config is not None else HlwbConfig()
     if problem.n_free:
         raise ValueError("free variables are out of scope for this baseline")
-    A = problem.A.csc
-    At = A.T
-    m = A.shape[0]
+    A = problem.A
+    m = A.nrows
     # only the lower triangle is read by the triangular solve; G is
     # F-ordered already, so dtrtrs reads it without a copy
-    G = np.asfortranarray((A @ At).toarray())
+    G = np.asfortranarray((A.csc @ A.csc.T).toarray())
     if not np.all(np.diagonal(G) > 0.0):
         raise ZeroRowError("constraint matrix has an all-zero row")
 
     v = problem.v
     b = problem.b
     nb = 1.0 + float(np.linalg.norm(b))
-    rv = b - A @ v
+    rv = b - A.matvec(v)
     ramp = np.arange(m) * rv
+    mv = m * v
 
     # k0 * x0 and k0 * (b - A x0) at the start of the sweep; k0 = 0 first
     w0 = np.zeros_like(v)
     r0 = np.zeros_like(b)
+    xhat = np.empty_like(v)
     k0 = sweeps = 0
     trace: list[tuple[int, float, float]] = []
 
@@ -137,8 +141,12 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
             raise np.linalg.LinAlgError(f"LAPACK dtrtrs returned info {info}")
         # global iteration k0 + i is row i; k is the orthant step
         k = k0 + m
-        xhat = np.maximum((w0 + m * v + At @ s) / k, 0.0)
-        res = b - A @ xhat
+        # xhat = max((w0 + m v + A^T s) / k, 0), one operation at a time
+        np.add(w0, mv, out=xhat)
+        np.add(xhat, A.rmatvec(s), out=xhat)
+        np.divide(xhat, k, out=xhat)
+        np.maximum(xhat, 0.0, out=xhat)
+        res = b - A.matvec(xhat)
         sigma = 1.0 / (k + 1)
         sweeps += 1
         rel = float(np.linalg.norm(res)) / nb
@@ -146,8 +154,10 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
             trace.append((sweeps, rel, sigma))
         if rel <= cfg.tol or sweeps >= cfg.max_sweeps:
             break
-        # x0 = sigma v + (1 - sigma) xhat, scaled by k0 = k + 1
-        w0 = v + k * xhat
+        # x0 = sigma v + (1 - sigma) xhat, scaled by k0 = k + 1:
+        # w0 = v + k xhat
+        np.multiply(k, xhat, out=w0)
+        np.add(v, w0, out=w0)
         r0 = rv + k * res
         k0 = k + 1
 

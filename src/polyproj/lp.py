@@ -81,7 +81,7 @@ class LpProblem:
     Full row rank and a finite optimal value are assumed, not verified.
     The CSR form of ``[A^T | -I_n]``, whose rows the dual-feasibility
     system selects, is built on first use and kept in a slot; filling it
-    is a benign race, as for :class:`SparseMatrix`'s view of ``A^T``.
+    is a benign race: threads that fill it at once build equal arrays.
     """
 
     A: SparseMatrix

@@ -31,9 +31,17 @@ assembled normal matrix, the LP dual-feasibility system) keep those
 invariants by construction and are wrapped through
 :meth:`SparseMatrix._trusted` without a recheck.
 
+The products ``A x`` and ``A^T y`` that the solvers repeat every
+iteration (:meth:`SparseMatrix.matvec` and :meth:`SparseMatrix.rmatvec`)
+call scipy's compiled CSC and CSR kernels straight on the CSC arrays,
+without the operand dispatch of the ``@`` operator, which costs more
+than the kernel on the vectors of the HLWB sweep.  The CSC arrays of
+``A`` are the CSR arrays of ``A^T``, so no transposed view is kept.
+The products are those ``csc @ x`` and ``csc.T @ y`` compute, to the
+bit.
+
 Everything is immutable after construction and safe to share across
-threads; the one slot filled on first use, the view of ``A^T`` that
-:meth:`SparseMatrix.rmatvec` keeps, is a benign race (see the class).
+threads.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import scipy.linalg.blas as blas
 from scipy.linalg.lapack import dpotrf, dpotrs
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 __all__ = [
     "SparseMatrix",
@@ -103,6 +112,14 @@ def as_vector(values, length: int, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _operand(values, length: int, name: str) -> np.ndarray:
+    """``values`` as a float64 vector of ``length`` entries, for a product kernel."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != (length,):
+        raise ValueError(f"{name}: operand has shape {arr.shape}, expected ({length},)")
+    return arr
+
+
 class SparseMatrix:
     """Immutable compressed-sparse-column matrix.
 
@@ -110,13 +127,14 @@ class SparseMatrix:
     explicitly stored zeros, all values finite.  The public constructors
     enforce them; :meth:`_trusted` assumes them.
 
-    :meth:`rmatvec` applies a CSR view of ``A^T`` built on its first call
-    and kept in a slot.  ``csc.T`` shares the data, indices and indptr
-    arrays, so the view costs no memory.  Filling the slot is a benign
-    race: threads that fill it at once build equal views.
+    :meth:`matvec` and :meth:`rmatvec` run scipy's private ``csc_matvec``
+    and ``csr_matvec`` kernels on the CSC arrays, into a fresh output.
+    The kernels read whatever they are given without a bounds check, so
+    both methods first check that the operand is one-dimensional and as
+    long as the matrix needs, and raise ``ValueError`` otherwise.
     """
 
-    __slots__ = ("_csc", "_csr_t")
+    __slots__ = ("_csc",)
 
     def __init__(self, matrix):
         if isinstance(matrix, np.ndarray) or sp.issparse(matrix):
@@ -130,7 +148,6 @@ class SparseMatrix:
         if csc.nnz and not np.all(np.isfinite(csc.data)):
             raise ValueError("matrix contains non-finite entries")
         self._csc = csc
-        self._csr_t = None
 
     @classmethod
     def _trusted(cls, csc: sp.csc_array) -> "SparseMatrix":
@@ -140,7 +157,6 @@ class SparseMatrix:
         """
         matrix = object.__new__(cls)
         matrix._csc = csc
-        matrix._csr_t = None
         return matrix
 
     @classmethod
@@ -179,12 +195,23 @@ class SparseMatrix:
         return self._csc.toarray()
 
     def matvec(self, x) -> np.ndarray:
-        return self._csc @ np.asarray(x, dtype=np.float64)
+        """``A x``, bit-identical to ``self.csc @ x``."""
+        csc = self._csc
+        m, n = csc.shape
+        x = _operand(x, n, "matvec")
+        out = np.zeros(m)
+        csc_matvec(m, n, csc.indptr, csc.indices, csc.data, x, out)
+        return out
 
     def rmatvec(self, y) -> np.ndarray:
-        if self._csr_t is None:
-            self._csr_t = self._csc.T
-        return self._csr_t @ np.asarray(y, dtype=np.float64)
+        """``A^T y``, bit-identical to ``self.csc.T @ y``."""
+        csc = self._csc
+        m, n = csc.shape
+        y = _operand(y, m, "rmatvec")
+        out = np.zeros(n)
+        # the CSC arrays of A are the CSR arrays of A^T
+        csr_matvec(n, m, csc.indptr, csc.indices, csc.data, y, out)
+        return out
 
     def cols(self, idx) -> "SparseMatrix":
         idx = np.asarray(idx, dtype=np.int64)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from polyproj import cli
 from polyproj.cli import main
 from polyproj.factory import GenSpec, gen_lp
 from polyproj.serialize import read_bap_instance, read_lp_instance, write_lp_instance
@@ -188,6 +189,21 @@ def test_lp_solve_instance_and_report(tmp_path, capsys):
     assert len(rep["R_sequence"]) == rep["stones"]
 
 
+def test_lp_solve_unwritable_report_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    gl = gen_lp(GenSpec(m=4, n=12, density=0.5, seed=9))
+    base = str(tmp_path / "lpinst")
+    write_lp_instance(gl.problem, base)
+    solves = []
+    monkeypatch.setattr(cli, "solve_lp", lambda *args: solves.append(args))
+    report_path = str(tmp_path / "missing" / "report.json")
+    assert main(["lp", "solve", base, "--report", report_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "report.json" in captured.err
+    assert captured.out == ""
+    assert solves == []
+    assert not (tmp_path / "missing").exists()
+
+
 def test_lp_solve_rejects_zero_stone_budget(tmp_path, capsys):
     gl = gen_lp(GenSpec(m=4, n=12, density=0.5, seed=9))
     base = str(tmp_path / "lpinst")
@@ -289,9 +305,14 @@ def test_bench_rejects_unknown_row_kind(tmp_path, capsys):
      ({"tols": [-1], "rows": []}, "suite: 'tols' must hold positive real numbers"),
      ({"rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3},
                 {"kind": "bap", "m": 5, "n": 20, "density": 2.0}]},
-      "row 1: density must lie in (0, 1]")],
+      "row 1: density must lie in (0, 1]"),
+     ({"tols": [], "rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3}]},
+      "suite: 'tols' must not be empty"),
+     ({"solvers": [], "rows": [{"kind": "bap", "m": 5, "n": 20, "density": 0.3}]},
+      "suite: 'solvers' must not be empty")],
     ids=["list_row", "scalar_tols", "string_m", "float_m", "bool_m", "string_density",
-         "int_path", "float_repetitions", "string_tol", "negative_tol", "second_row_density"],
+         "int_path", "float_repetitions", "string_tol", "negative_tol", "second_row_density",
+         "empty_tols", "empty_solvers"],
 )
 def test_bench_rejects_wrong_types(tmp_path, capsys, suite, message):
     cfg = str(tmp_path / "suite.json")

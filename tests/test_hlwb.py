@@ -218,10 +218,15 @@ def triangular_solve_hlwb(problem, cfg):
     return HlwbResult(xhat, rel, sweeps, status, trace)
 
 
-@pytest.mark.parametrize("m", [20, 50, 120])
+@pytest.mark.parametrize(
+    "m, density",
+    # m = 200 at density 0.1 is the largest class of the benchmark's sweeps
+    [pytest.param(20, 0.05, id="20"), pytest.param(50, 0.05, id="50"),
+     pytest.param(120, 0.05, id="120"), pytest.param(200, 0.1, id="200-d0.1")],
+)
 @pytest.mark.parametrize("seed", [101, 102, 103, 104])
-def test_lapack_sweep_is_bit_identical_to_solve_triangular(m, seed):
-    problem = gen_bap_with_known_vertex(GenSpec(m, 10 * m, 0.05, seed=seed)).problem
+def test_lapack_sweep_is_bit_identical_to_solve_triangular(m, density, seed):
+    problem = gen_bap_with_known_vertex(GenSpec(m, 10 * m, density, seed=seed)).problem
     cfg = HlwbConfig(tol=1e-4, max_sweeps=400, collect_trace=True)
     got, want = solve_hlwb(problem, cfg), triangular_solve_hlwb(problem, cfg)
     assert np.array_equal(got.x, want.x)
@@ -229,3 +234,16 @@ def test_lapack_sweep_is_bit_identical_to_solve_triangular(m, seed):
         want.rel_residual, want.sweeps, want.status
     )
     assert got.trace == want.trace
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 3, 2000])
+def test_solve_leaves_its_inputs_unchanged(max_sweeps):
+    """The sweep's reused buffers never alias v, b or the arrays of A."""
+    problem = gen_bap_with_known_vertex(GenSpec(50, 500, 0.1, seed=12)).problem
+    csc = problem.A.csc
+    inputs = (problem.v, problem.b, csc.data, csc.indices, csc.indptr)
+    before = [(a.dtype, a.shape, a.tobytes()) for a in inputs]
+    res = solve_hlwb(problem, HlwbConfig(tol=1e-4, max_sweeps=max_sweeps))
+    assert 1 <= res.sweeps <= max_sweeps
+    assert [(a.dtype, a.shape, a.tobytes()) for a in inputs] == before
+    assert not any(np.shares_memory(res.x, a) for a in inputs)

@@ -8,7 +8,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from polyproj.bap import (
-    BapProblem,
     RnnmConfig,
     classify_indices,
     generalized_jacobian,
@@ -111,9 +110,66 @@ class TestSparseMatrix:
         rng = np.random.default_rng(seed)
         A = gen_bap_with_known_vertex(GenSpec(30, 300, 0.1, seed=seed)).problem.A
         for M in (A, A.cols(rng.choice(300, size=40, replace=False)), rand_sparse(rng, 9, 14)):
-            for _ in range(3):  # the first call builds the kept view, later ones reuse it
+            for _ in range(3):
                 y = rng.standard_normal(M.nrows)
                 assert np.array_equal(M.rmatvec(y), M.csc.T @ y)
+
+    @staticmethod
+    def assert_products_match_scipy(M, x, y):
+        """``matvec``/``rmatvec`` equal ``csc @ x``/``csc.T @ y`` to the byte."""
+        for got, want in ((M.matvec(x), M.csc @ x), (M.rmatvec(y), M.csc.T @ y)):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_products_are_bit_identical_for_either_index_width(self, index_dtype):
+        rng = np.random.default_rng(4)
+        csc = rand_sparse(rng, 17, 40).csc.copy()
+        csc.indices = csc.indices.astype(index_dtype)
+        csc.indptr = csc.indptr.astype(index_dtype)
+        M = SparseMatrix._trusted(csc)
+        assert M.csc.indices.dtype == M.csc.indptr.dtype == index_dtype
+        for _ in range(3):
+            self.assert_products_match_scipy(
+                M, rng.standard_normal(40), rng.standard_normal(17)
+            )
+
+    def test_products_are_bit_identical_with_empty_rows_and_columns(self):
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((9, 12)) * (rng.random((9, 12)) < 0.5)
+        dense[[0, 4, 8], :] = 0.0
+        dense[:, [0, 5, 11]] = 0.0
+        M = SparseMatrix(dense)
+        x, y = rng.standard_normal(12), rng.standard_normal(9)
+        self.assert_products_match_scipy(M, x, y)
+        assert not M.matvec(x)[[0, 4, 8]].any() and not M.rmatvec(y)[[0, 5, 11]].any()
+
+    @pytest.mark.parametrize("dense", [np.zeros((4, 6)), np.array([[2.5]]), np.zeros((1, 1))],
+                             ids=["nnz0", "1x1", "1x1-nnz0"])
+    def test_products_are_bit_identical_on_tiny_matrices(self, dense):
+        rng = np.random.default_rng(6)
+        M = SparseMatrix(dense)
+        self.assert_products_match_scipy(
+            M, rng.standard_normal(M.ncols), rng.standard_normal(M.nrows)
+        )
+
+    def test_products_take_strided_and_integer_operands(self):
+        rng = np.random.default_rng(7)
+        M = rand_sparse(rng, 11, 30)
+        x, y = rng.standard_normal(60)[::2], rng.standard_normal(33)[::3]
+        assert not x.flags.c_contiguous and not y.flags.c_contiguous
+        self.assert_products_match_scipy(M, x, y)
+        self.assert_products_match_scipy(M, rng.integers(-9, 10, 30), rng.integers(-9, 10, 11))
+
+    @pytest.mark.parametrize("method, length", [("matvec", 30), ("rmatvec", 11)])
+    def test_products_reject_operands_of_the_wrong_shape(self, method, length):
+        M = rand_sparse(np.random.default_rng(8), 11, 30)
+        product = getattr(M, method)
+        for bad in (np.ones(length - 1), np.ones(length + 1), np.ones((length, 1)),
+                    np.ones((1, length)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=method):
+                product(bad)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gathered_columns_equal_the_sliced_array(self, seed):
@@ -483,7 +539,7 @@ class TestMatrixMarket:
 
 
 def test_solves_transpose_the_matrix_at_most_once(monkeypatch):
-    """A multi-step Newton solve and an HLWB solve each build A^T once."""
+    """A multi-step Newton solve and an HLWB solve each build A^T at most once."""
     g = gen_bap_with_known_vertex(GenSpec(50, 500, 0.05, seed=8))
     calls = []
     real = sp.csc_array.transpose
@@ -495,16 +551,14 @@ def test_solves_transpose_the_matrix_at_most_once(monkeypatch):
     monkeypatch.setattr(sp.csc_array, "transpose", counting)
     for solve, steps in ((solve_rnnm, "iterations"),
                          (lambda p: solve_hlwb(p, HlwbConfig(tol=1e-4)), "sweeps")):
-        # a fresh matrix, so no view of A^T is kept from the generator
-        problem = BapProblem(SparseMatrix(g.problem.A.csc), g.problem.b, g.problem.v)
         calls.clear()
-        result = solve(problem)
+        result = solve(g.problem)
         assert getattr(result, steps) > 1
         assert len(calls) <= 1, calls
 
 
 def test_concurrent_first_rmatvec_calls_agree():
-    """Threads racing to fill the kept A^T view all get the exact product."""
+    """Threads taking A^T y of the same fresh matrices at once all get the exact product."""
     rng = np.random.default_rng(21)
     A = rand_sparse(rng, 15, 60)
     ys = rng.standard_normal((4, 15))
