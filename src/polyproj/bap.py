@@ -20,6 +20,7 @@ globalizes the iteration (see :func:`solve_rnnm`).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -200,7 +201,7 @@ def residual(problem: BapProblem, y) -> np.ndarray:
 
 def default_zero_tol(p: np.ndarray) -> float:
     """Scale-relative threshold deciding membership of the boundary set."""
-    scale = float(np.max(np.abs(p))) if p.size else 0.0
+    scale = float(np.abs(p).max()) if p.size else 0.0
     return 1e-11 * (1.0 + scale)
 
 
@@ -264,6 +265,16 @@ def regularization_lambda(
     return float(sum(terms) / 3.0)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a float64 vector, the value ``np.linalg.norm`` gives."""
+    return math.sqrt(float(x @ x))
+
+
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal(a, b)`` for arrays of one dtype, without its dispatch."""
+    return a.shape == b.shape and bool((a == b).all())
+
+
 def solve_rnnm(
     problem: BapProblem,
     y0=None,
@@ -318,9 +329,9 @@ def solve_rnnm(
 
     x, z, p = moreau_split(problem, y)
     F = problem.A.matvec(x) - problem.b
-    nb = 1.0 + float(np.linalg.norm(problem.b))
-    stopcrit = float(np.linalg.norm(F)) / nb
-    v_norm = float(np.linalg.norm(problem.v))
+    nb = 1.0 + _norm(problem.b)
+    stopcrit = _norm(F) / nb
+    v_norm = _norm(problem.v)
 
     best = (stopcrit, y, x, z)
     trace: list[tuple[int, float, float, float]] = []
@@ -336,19 +347,19 @@ def solve_rnnm(
         # whose sets repeat the last step's keeps it
         if (
             prev is None
-            or not np.array_equal(sets.i_plus, prev.i_plus)
-            or not np.array_equal(sets.i_zero_bar, prev.i_zero_bar)
+            or not _equal(sets.i_plus, prev.i_plus)
+            or not _equal(sets.i_zero_bar, prev.i_zero_bar)
         ):
             V = generalized_jacobian(problem, sets)
             diag = V.diagonal()
         lam = max(
             regularization_lambda(stopcrit, d_norm, v_norm),
-            1e-14 * float(np.max(diag, initial=0.0)),
+            1e-14 * float(diag.max(initial=0.0)),
         )
         if cfg.mode == "exact":
             d = cholesky_shifted(V, lam).solve(-F)
         else:
-            f_norm = float(np.linalg.norm(F))
+            f_norm = _norm(F)
             tol_cg = 0.5 * min(f_norm, f_norm**2.0)  # theta = 0.5, nu = 2
             op = getattr(V, "csc", V)
             inv = 1.0 / (diag + lam)
@@ -369,12 +380,12 @@ def solve_rnnm(
         t = 1.0
         while True:
             y_next = y + t * d
-            if np.array_equal(y_next, y):
+            if _equal(y_next, y):
                 status = STALLED
                 break
             x_next, z_next, p_next = moreau_split(problem, y_next)
             F_next = problem.A.matvec(x_next) - problem.b
-            crit_next = float(np.linalg.norm(F_next)) / nb
+            crit_next = _norm(F_next) / nb
             if crit_next <= cfg.tol or crit_next <= 0.5 * best[0]:
                 break
             # the Armijo test runs last: on a full Newton step near the
@@ -387,7 +398,7 @@ def solve_rnnm(
         if status == STALLED:
             break
         y, x, z, p, F, stopcrit = y_next, x_next, z_next, p_next, F_next, crit_next
-        d_norm = float(np.linalg.norm(d))
+        d_norm = _norm(d)
         k += 1
         if cfg.collect_trace:
             trace.append((k, stopcrit, lam, t))

@@ -12,15 +12,18 @@ The normal matrix ``V = sum w_i A_i A_i^T`` has one form per size
 regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
 it is a dense ``np.ndarray``, factored by LAPACK ``dpotrf``, whose
 factor ``dpotrs`` applies; above it, it is a :class:`SparseMatrix` built
-from sparse products and factored by SuperLU.  The dense form has two
-assembly kernels, chosen per block of support columns by the work rule
-of ``PAIR_WORK_FACTOR``: one BLAS rank-k update of the gathered columns,
-or, for sparse columns, the products of the pairs of entries within each
-column, summed into their bins.  The per-iteration kernels call the
-LAPACK and BLAS wrappers directly, without the argument handling of ``scipy.linalg``'s
-``cho_factor``/``cho_solve``, and dense copies of column subsets are
-gathered straight from the CSC arrays (:func:`_gather_columns`) instead
-of slicing the sparse matrix.
+from sparse products and factored by SuperLU.  The dense form is
+C-ordered and has two assembly kernels, chosen per block of support
+columns by the work rule of ``PAIR_WORK_FACTOR``: one BLAS rank-k
+update of the gathered columns, or, for sparse columns, scipy's
+compiled ``csc_matvecs`` (the kernel under its sparse times dense
+product), which multiplies the scaled columns by their dense transpose
+and sums the same products in the same order into both triangles, so
+that no mirror is needed.  The per-iteration kernels call the LAPACK
+and BLAS wrappers directly, without the argument handling of
+``scipy.linalg``'s ``cho_factor``/``cho_solve``, and dense copies of
+column subsets are gathered straight from the CSC arrays
+(:func:`_gather_columns`) instead of slicing the sparse matrix.
 
 Validation happens at the boundary only.  Matrices that come from
 outside (the public constructor, which takes a dense ``np.ndarray`` or
@@ -33,7 +36,7 @@ invariants by construction and are wrapped through
 
 The products ``A x`` and ``A^T y`` that the solvers repeat every
 iteration (:meth:`SparseMatrix.matvec` and :meth:`SparseMatrix.rmatvec`)
-call scipy's compiled CSC and CSR kernels straight on the CSC arrays,
+also call scipy's compiled CSC and CSR kernels straight on the CSC arrays,
 without the operand dispatch of the ``@`` operator, which costs more
 than the kernel on the vectors of the HLWB sweep.  The CSC arrays of
 ``A`` are the CSR arrays of ``A^T``, so no transposed view is kept.
@@ -52,7 +55,7 @@ import scipy.linalg.blas as blas
 from scipy.linalg.lapack import dpotrf, dpotrs
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec
 
 __all__ = [
     "SparseMatrix",
@@ -72,17 +75,19 @@ DENSE_FACTOR_MAX_DIM = 256
 # Dense assembly gathers the support columns in blocks of at most this
 # many, so the gathered block stays small however large the support.
 _GATHER_COLS = 2048
-# Dense assembly takes a block of support columns through pair products
-# when (P + PAIR_FIXED_COST) * PAIR_WORK_FACTOR < m^2 * (columns in the
-# block).  P counts the pairs (e, f) of entries of one column with f at
-# or above e, and m^2 per column is the work of the dense rank-k update.
-# PAIR_WORK_FACTOR is the cost of one pair in multiply-adds of that
-# update, PAIR_FIXED_COST the fixed cost of the pair kernel's extra
-# numpy calls, in pairs (about 15 us).  Both were measured with one BLAS
-# thread, |S| = m and 2m, m = 50 to 256: the kernels broke even near
-# P * 500 = m^2 * |S| at m >= 100, and at m = 50 the rank-k update won at
-# every density.  As m <= DENSE_FACTOR_MAX_DIM < PAIR_WORK_FACTOR, the
-# pair arrays of a block stay smaller than its gathered dense copy.
+# Dense assembly takes a block of support columns through scipy's
+# csc_matvecs, and any other block through BLAS dsyrk, by this rule: the
+# block goes to csc_matvecs when (P + PAIR_FIXED_COST) * PAIR_WORK_FACTOR
+# < m^2 * (columns in the block).  P counts the pairs (e, f) of entries
+# of one column with f at or above e, and m^2 per column is the work of
+# the dense rank-k update.  Both constants were measured for the numpy
+# kernel that summed the pair products into bins before csc_matvecs
+# replaced it: PAIR_WORK_FACTOR was the cost of one pair in multiply-adds
+# of the update, PAIR_FIXED_COST the fixed cost of that kernel's extra
+# numpy calls, in pairs (about 15 us), with one BLAS thread, |S| = m and
+# 2m, m = 50 to 256.  They are kept so that every block takes the kernel
+# it took then: the two kernels add in different orders, so a block that
+# switched kernels would change the bits of V and of every solve.
 PAIR_WORK_FACTOR = 500
 PAIR_FIXED_COST = 1000
 
@@ -107,7 +112,7 @@ def as_vector(values, length: int, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.shape[0] != length:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {length}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -262,16 +267,17 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
 
     ``weights`` is indexed by column of ``A``; only the entries on
     ``support`` are read and they must lie in [0, 1].  The result is
-    symmetric to the bit: the lower triangle is computed and mirrored.
-    With at most ``DENSE_FACTOR_MAX_DIM`` rows it is a dense
-    ``np.ndarray``, summed over blocks of support columns read from the
-    CSC arrays and scaled by ``sqrt(w)``.  A block with P pairs (e, f) of
-    entries of one column, f at or above e, and ``(P + PAIR_FIXED_COST)
-    * PAIR_WORK_FACTOR < m^2 * (columns in the block)`` adds each pair's
-    product to its bin of the lower triangle (one ``np.bincount``); any
-    other block is gathered into a dense ``G`` and added by one BLAS
-    update ``G G^T``.
-    Above ``DENSE_FACTOR_MAX_DIM`` rows it is a :class:`SparseMatrix`.
+    symmetric to the bit.  With at most ``DENSE_FACTOR_MAX_DIM`` rows it
+    is a C-ordered ``np.ndarray``, summed over blocks of support columns
+    read from the CSC arrays and scaled by ``sqrt(w)``.  A block with P
+    pairs (e, f) of entries of one column, f at or above e, and ``(P +
+    PAIR_FIXED_COST) * PAIR_WORK_FACTOR < m^2 * (columns in the block)``
+    is multiplied by its dense transpose in scipy's compiled
+    ``csc_matvecs``, which fills both triangles; any other block is
+    gathered into a dense ``G`` and added by one BLAS update ``G G^T``
+    to one triangle, which is mirrored.  Above ``DENSE_FACTOR_MAX_DIM``
+    rows it is a symmetric :class:`SparseMatrix`, its lower triangle
+    computed and mirrored.
     """
     m = A.nrows
     support = np.asarray(support, dtype=np.int64)
@@ -287,7 +293,7 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
         raise InvalidSupportError("support contains duplicate indices")
     weights = np.asarray(weights, dtype=np.float64)
     w = weights[support]
-    if np.any(w < 0.0) or np.any(w > 1.0):
+    if (w < 0.0).any() or (w > 1.0).any():
         raise ValueError("weights must lie in [0, 1] on the support")
     if m <= DENSE_FACTOR_MAX_DIM:
         return _dense_normal_matrix(A.csc, np.sqrt(w), support)
@@ -333,44 +339,71 @@ def _gather_columns(csc: sp.csc_array, cols: np.ndarray, scale=None) -> np.ndarr
     return dense
 
 
-def _add_pair_products(csc: sp.csc_array, cols: np.ndarray, scale, V: np.ndarray) -> None:
-    """Add the lower triangle of ``sum_j scale_j^2 a_j a_j^T`` over ``cols`` to ``V``.
+def _add_column_products(csc: sp.csc_array, cols: np.ndarray, scale, V: np.ndarray) -> None:
+    """Add ``sum_j scale_j^2 a_j a_j^T`` over the columns ``cols`` to ``V``.
 
-    ``V`` is F-ordered and updated in place.  Each entry e of a column is
-    paired with the entries f at or above it, f = e included; as the row
-    indices of a column ascend, the product lands at (row e, row f) in
-    the lower triangle.  ``np.bincount`` sums the products bin by bin in
-    column order.
+    ``V`` is C-ordered and updated in place, both triangles.  scipy's
+    compiled ``csc_matvecs`` multiplies the scaled columns, in CSC form,
+    by their dense C-ordered transpose: for each entry ``a_ij``, column
+    by column, it adds ``a_ij`` times row j of the transpose to row i of
+    ``V``.  Entry (i, k) so sums the products ``a_ij a_kj`` in column
+    order, and entry (k, i) the same products in the same order, so the
+    update is symmetric to the bit; a product with a zero of the dense
+    copy adds zero, which changes no sum.
     """
     m = V.shape[0]
     pos, which, first = _column_entries(csc, cols)
     rows = csc.indices[pos]
     vals = csc.data[pos] * scale[which]
-    reps = np.arange(pos.size) - first[which] + 1  # place in its column, plus one
-    e = np.repeat(np.arange(pos.size), reps)
-    # the pairs of entry k run over the entries first[which[k]], ..., k
-    f = np.arange(e.size) - np.repeat(np.cumsum(reps) - reps - first[which], reps)
-    bins = np.bincount(rows[e] + m * rows[f], weights=vals[e] * vals[f], minlength=m * m)
-    V += bins.reshape(m, m, order="F")
+    dense = np.zeros((cols.size, m))
+    dense[which, rows] = vals
+    indptr = np.append(first, pos.size).astype(rows.dtype, copy=False)
+    csc_matvecs(m, cols.size, m, indptr, rows, vals, dense, V)
 
 
 def _dense_normal_matrix(csc: sp.csc_array, scale, support) -> np.ndarray:
+    """``sum_j scale_j^2 a_j a_j^T`` over the columns ``support``, as a dense array.
+
+    The result is C-ordered and symmetric to the bit.  The columns are
+    taken in blocks of at most ``_GATHER_COLS``, and the work rule of
+    ``PAIR_WORK_FACTOR`` sends each block either to
+    :func:`_add_column_products` or to one BLAS ``dsyrk`` update of its
+    gathered columns.  A block of the first kind after the first block
+    sums into zeros of its own, then added to ``V``, so that its
+    products are summed on their own before they meet the sums of
+    earlier blocks.  ``dsyrk`` updates one triangle in place; when it
+    ran, that triangle is mirrored onto the other at the end.
+    ``support`` and ``scale`` are not checked.
+    """
     m = csc.shape[0]
-    V = np.zeros((m, m), order="F")
+    V = np.zeros((m, m))
+    by_pairs = by_rank_k = False
     for lo in range(0, support.size, _GATHER_COLS):
         cols, s = support[lo : lo + _GATHER_COLS], scale[lo : lo + _GATHER_COLS]
         counts = csc.indptr[cols + 1] - csc.indptr[cols]
         pairs = int(counts @ (counts + 1)) // 2
-        # both kernels update the lower triangle only; the upper one stays zero
         if (pairs + PAIR_FIXED_COST) * PAIR_WORK_FACTOR < m * m * cols.size:
-            _add_pair_products(csc, cols, s, V)
+            if lo == 0:
+                _add_column_products(csc, cols, s, V)
+            else:
+                block = np.zeros((m, m))
+                _add_column_products(csc, cols, s, block)
+                V += block
+            by_pairs = True
         else:
             G = _gather_columns(csc, cols, s)
-            V = blas.dsyrk(1.0, G, beta=1.0, c=V, lower=1, overwrite_c=1)
-    # adding zeros mirrors the lower triangle exactly; the diagonal is
-    # doubled and halved, both exact
-    V = V + V.T
-    V[np.diag_indices(m)] *= 0.5
+            # V.T is the F-ordered view of V: dsyrk updates its lower
+            # triangle, the upper triangle of V, in place
+            V = blas.dsyrk(1.0, G, beta=1.0, c=V.T, lower=1, overwrite_c=1).T
+            by_rank_k = True
+    if by_rank_k:
+        if by_pairs:
+            # csc_matvecs has also added to the lower triangle
+            V[np.tri(m, k=-1, dtype=bool)] = 0.0
+        # adding zeros mirrors the upper triangle exactly; the diagonal
+        # is doubled and halved, both exact
+        V = V + V.T
+        V[np.diag_indices(m)] *= 0.5
     return V
 
 
@@ -393,7 +426,10 @@ def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
     n = M.shape[0]
     if isinstance(M, np.ndarray):
         dense = np.array(M, dtype=np.float64, order="F")  # a private copy
-        dense[np.diag_indices(n)] += shift
+        # every (n + 1)-th entry of the F-ordered buffer is on the diagonal;
+        # ravel returns a view of an F-contiguous array
+        diagonal = dense.ravel(order="F")[:: n + 1]
+        diagonal += shift
         # normal matrices are built from validated (finite) matrices, so
         # no finiteness scan; clean=0 leaves the unread upper triangle
         factor, info = dpotrf(dense, lower=1, overwrite_a=1, clean=0)

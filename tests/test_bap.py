@@ -32,6 +32,19 @@ from polyproj.lp import initial_radius, scaled_subproblem
 from polyproj.sparse_linalg import SparseMatrix
 
 
+def test_norm_is_bit_identical_to_numpy_norm():
+    # the Newton loop takes sqrt(x @ x) for np.linalg.norm(x), which
+    # computes the same dot product and the same correctly rounded root
+    rng = np.random.default_rng(29)
+    lengths = [1, 2, 3, 7, 64, 1000, 4000, *rng.integers(1, 4001, 20)]
+    for n in lengths:
+        for magnitude in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            x = magnitude * rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1, n)
+            norm = bap_mod._norm(x)
+            assert 0.0 < norm < math.inf
+            assert norm.hex() == float(np.linalg.norm(x)).hex()
+
+
 def simplex_problem():
     A = SparseMatrix(np.array([[1.0, 1.0]]))
     return BapProblem(A, np.array([1.0]), np.zeros(2))

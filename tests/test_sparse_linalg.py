@@ -37,6 +37,8 @@ from polyproj.sparse_linalg import (
 )
 from polyproj.serialize import read_matrix_market, write_matrix_market
 
+from oracles import pair_normal_matrix
+
 
 def rand_sparse(rng, m, n, density=0.3):
     mask = rng.random((m, n)) < density
@@ -274,15 +276,79 @@ class TestAssembleNormalMatrix:
             assert np.array_equal(pairs, pairs.T)
             assert np.max(np.abs(pairs - rank_k)) <= 1e-15 * np.max(np.abs(rank_k))
 
+    @staticmethod
+    def pair_kernel_cases():
+        """The kernel grid, plus cases of index width, support order and weights."""
+        yield from TestAssembleNormalMatrix.kernel_grid()
+        rng = np.random.default_rng(77)
+        for index_dtype in (np.int32, np.int64):
+            csc = rand_sparse(rng, 60, 150, 0.05).csc.copy()
+            csc.indices = csc.indices.astype(index_dtype)
+            csc.indptr = csc.indptr.astype(index_dtype)
+            yield SparseMatrix._trusted(csc), rng.uniform(0.0, 1.0, 150), rng.permutation(150)
+        # one entry per column, the support in descending order
+        A = SparseMatrix.from_coo(80, 300, rng.integers(0, 80, 300), np.arange(300),
+                                  rng.standard_normal(300))
+        yield A, rng.uniform(0.0, 1.0, 300), np.arange(300)[::-1]
+        # every weight zero, then half of them
+        A = rand_sparse(rng, 40, 120, 0.2)
+        yield A, np.zeros(120), np.arange(120)
+        w = rng.uniform(0.0, 1.0, 120)
+        w[::2] = 0.0
+        yield A, w, rng.permutation(120)
+
+    def test_pair_kernel_matches_the_bincount_oracle(self, monkeypatch):
+        # the compiled kernel sums each entry's products in the order
+        # np.bincount does, block by block, both triangles at once
+        monkeypatch.setattr(sparse_linalg, "PAIR_WORK_FACTOR", 0)  # pairs always
+        for A, w, sup in self.pair_kernel_cases():
+            V = assemble_normal_matrix(A, w, sup)
+            assert np.array_equal(V, pair_normal_matrix(A, w, sup, sparse_linalg._GATHER_COLS))
+            assert np.array_equal(V, V.T)
+            assert V.flags.c_contiguous
+
+    @pytest.mark.parametrize("pairs_first", [True, False])
+    def test_blocks_of_either_kernel_combine(self, monkeypatch, pairs_first):
+        # one support whose blocks take different kernels, in either order
+        kernels = []
+
+        def spy(name, real):
+            def wrapper(*args):
+                kernels.append(name)
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(sparse_linalg, "_add_column_products",
+                            spy("pairs", sparse_linalg._add_column_products))
+        monkeypatch.setattr(sparse_linalg, "_gather_columns", spy("rank_k", _gather_columns))
+        rng = np.random.default_rng(8)
+        m, wide = 200, sparse_linalg._GATHER_COLS
+        n_two, n_full = (wide, 3) if pairs_first else (100, wide)
+        D = np.zeros((m, n_two + n_full))
+        for j in range(n_two):  # two entries a column, so off-diagonal products
+            D[rng.choice(m, 2, replace=False), j] = rng.standard_normal(2)
+        D[:, n_two:] = rng.standard_normal((m, n_full)) * (rng.random((m, n_full)) < 0.3)
+        A = SparseMatrix(D)
+        w = rng.uniform(0.0, 1.0, D.shape[1])
+        sup = np.arange(D.shape[1]) if pairs_first else np.arange(D.shape[1])[::-1]
+        V = assemble_normal_matrix(A, w, sup)
+        assert kernels == (["pairs", "rank_k"] if pairs_first else ["rank_k", "pairs"])
+        assert np.array_equal(V, V.T)
+        assert V.flags.c_contiguous
+        # the rank-k block sums its 2048 columns in another order
+        oracle = pair_normal_matrix(A, w, sup, wide)
+        assert np.max(np.abs(V - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
     def test_work_rule_picks_the_kernel(self, monkeypatch):
         calls = []
-        real = sparse_linalg._add_pair_products
+        real = sparse_linalg._add_column_products
 
         def spy(csc, cols, scale, V):
             calls.append(cols.size)
             return real(csc, cols, scale, V)
 
-        monkeypatch.setattr(sparse_linalg, "_add_pair_products", spy)
+        monkeypatch.setattr(sparse_linalg, "_add_column_products", spy)
         rng = np.random.default_rng(3)
 
         def one_entry_columns(m, n):
@@ -381,7 +447,10 @@ class TestCholeskyShifted:
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_path_is_bit_identical_to_cho_solve(self, seed):
         # PSD matrices of full rank and of rank n // 3 (singular, so the
-        # shift alone makes them definite), against scipy's wrappers
+        # shift alone makes them definite), against scipy's wrappers; the
+        # shift must reach the diagonal of the private copy whatever the
+        # input's layout (C is what assemble_normal_matrix returns), and
+        # the input must stay as it was
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 120))
         for k in (n, max(1, n // 3)):
@@ -391,10 +460,14 @@ class TestCholeskyShifted:
             shifted = V.copy()
             shifted[np.diag_indices(n)] += lam
             oracle = scipy.linalg.cho_factor(shifted, lower=True)
-            fac = cholesky_shifted(V, lam)
-            for _ in range(3):
-                r = rng.standard_normal(n)
-                assert np.array_equal(fac.solve(r), scipy.linalg.cho_solve(oracle, r))
+            rhs = rng.standard_normal((3, n))
+            for M in (V, np.asfortranarray(V)):
+                before = M.copy()
+                fac = cholesky_shifted(M, lam)
+                assert np.array_equal(M, before)
+                for r in rhs:
+                    assert np.array_equal(fac.solve(r), scipy.linalg.cho_solve(oracle, r))
+            assert V.flags.c_contiguous
 
     def test_dense_not_positive_definite_raises(self):
         with pytest.raises(NotPositiveDefiniteError, match="2-th leading minor"):
