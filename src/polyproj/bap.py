@@ -69,6 +69,7 @@ NON_VERTEX = "non_vertex"
 
 # Sufficient-decrease constant of the Armijo test on the dual function.
 ARMIJO_SIGMA = 1e-4
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class InvalidStateError(RuntimeError):
@@ -318,18 +319,22 @@ def solve_rnnm(
     accepted trial's Moreau split and residual are the next iterate's,
     so a full step costs what an unsearched step would, and gives the
     same ``y``.  Stops when ``||F(y)|| / (1 + ||b||) <= tol``, when a
-    trial step no longer changes ``y`` at machine precision (stalled),
-    or when ``max_iter`` is hit.  An unconverged run returns the best
-    iterate seen, with the ``(x, z)`` and residual computed when it was
-    reached; at ``max_iter`` it counts as converged if it meets
-    ``10 * tol``.  Trace rows are ``(k, rel_residual, lambda, t)``.
+    trial step no longer changes ``y`` at machine precision or a new
+    best residual is at or below the rounding floor
+    ``eps * (||A||_F ||x|| + ||b||) / (1 + ||b||)`` of its ``x`` (both
+    stalled), or when ``max_iter`` is hit.  An unconverged run returns
+    the best iterate seen, with the ``(x, z)`` and residual computed
+    when it was reached; at ``max_iter`` it counts as converged if it
+    meets ``10 * tol``.  Trace rows are ``(k, rel_residual, lambda, t)``.
     """
     cfg = config if config is not None else RnnmConfig()
     y = np.zeros(problem.m) if y0 is None else as_vector(y0, problem.m, "y0").copy()
 
     x, z, p = moreau_split(problem, y)
     F = problem.A.matvec(x) - problem.b
-    nb = 1.0 + _norm(problem.b)
+    b_norm = _norm(problem.b)
+    nb = 1.0 + b_norm
+    a_norm = _norm(problem.A.csc.data)  # Frobenius
     stopcrit = _norm(F) / nb
     v_norm = _norm(problem.v)
 
@@ -402,11 +407,16 @@ def solve_rnnm(
         k += 1
         if cfg.collect_trace:
             trace.append((k, stopcrit, lam, t))
-        if stopcrit < best[0]:
-            best = (stopcrit, y, x, z)
         if stopcrit <= cfg.tol:
             status = CONVERGED
             break
+        if stopcrit < best[0]:
+            best = (stopcrit, y, x, z)
+            # at the rounding floor of A x - b no step can gain more than
+            # noise, which Armijo may keep accepting
+            if stopcrit <= _EPS * (a_norm * _norm(x) + b_norm) / nb:
+                status = STALLED
+                break
 
     if status != CONVERGED:
         # fall back to the best iterate; y + t*d and moreau_split build

@@ -479,9 +479,10 @@ class TestSolveRnnm:
         assert np.array_equal(y, sol.y)
 
     def test_unreachable_tol_ends_stalled_at_the_rounding_floor(self):
-        # below rounding no trial meets a rule; the search ends the
-        # solve instead of spending the iteration budget
-        for seed in range(6):
+        # below rounding no trial meets a rule, and at the rounding floor
+        # Armijo may accept noise; either ends the solve instead of
+        # spending the iteration budget
+        for seed in range(60):
             g = gen_bap_with_known_vertex(GenSpec(m=15, n=60, density=0.2, seed=seed))
             sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-300))
             assert sol.status == STALLED
