@@ -378,12 +378,16 @@ def _read_records_csv(path: str) -> list[BenchRecord]:
     """Records from a file written by :func:`_write_records_csv`.
 
     Blank lines are skipped; any other malformed row is a ``ValueError``
-    naming its line.
+    naming its line, and a header without a record field one naming the
+    field.
     """
     records = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         idx = {name: i for i, name in enumerate(header)}
+        missing = [name for name, _ in _RECORD_FIELDS if name not in idx]
+        if missing:
+            raise ValueError(f"{path}: header has no column {missing[0]!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:

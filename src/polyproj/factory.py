@@ -132,6 +132,8 @@ class TriangleSpec:
             if len(parts) != 2:
                 raise TriangleSpecError(f"bad edge line {line!r}")
             u, v = int(parts[0]), int(parts[1])
+            if u < 0 or v < 0:
+                raise TriangleSpecError(f"negative vertex id in edge line {line!r}")
             if u == v:
                 raise TriangleSpecError(f"self-loop ({u}, {v})")
             edges.append((min(u, v), max(u, v)))

@@ -13,14 +13,12 @@ regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
 it is a dense ``np.ndarray``, factored by LAPACK ``dpotrf``, whose
 factor ``dpotrs`` applies; above it, it is a :class:`SparseMatrix` built
 from sparse products and factored by SuperLU.  The dense form is
-C-ordered and has two assembly kernels, chosen per block of support
-columns by the work rule of ``PAIR_WORK_FACTOR``: one BLAS rank-k
-update of the gathered columns, or, for sparse columns, scipy's
-compiled ``csc_matvecs`` (the kernel under its sparse times dense
-product), which multiplies the scaled columns by their dense transpose
+C-ordered and has one assembly kernel, scipy's compiled
+``csc_matvecs`` (the kernel under its sparse times dense product),
+which multiplies the scaled support columns by their dense transpose
 and sums the same products in the same order into both triangles, so
 that no mirror is needed.  The per-iteration kernels call the LAPACK
-and BLAS wrappers directly, without the argument handling of
+wrappers directly, without the argument handling of
 ``scipy.linalg``'s ``cho_factor``/``cho_solve``, and dense copies of
 column subsets are gathered straight from the CSC arrays
 (:func:`_gather_columns`) instead of slicing the sparse matrix.
@@ -51,7 +49,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas as blas
 from scipy.linalg.lapack import dpotrf, dpotrs
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -72,24 +69,10 @@ __all__ = [
 # factored by LAPACK; above it they stay sparse and SuperLU with a
 # fill-reducing ordering factors them.
 DENSE_FACTOR_MAX_DIM = 256
-# Dense assembly gathers the support columns in blocks of at most this
-# many, so the gathered block stays small however large the support.
+# Dense assembly takes the support columns in blocks of at most this
+# many, so the dense transposed copy of a block stays small however
+# large the support.
 _GATHER_COLS = 2048
-# Dense assembly takes a block of support columns through scipy's
-# csc_matvecs, and any other block through BLAS dsyrk, by this rule: the
-# block goes to csc_matvecs when (P + PAIR_FIXED_COST) * PAIR_WORK_FACTOR
-# < m^2 * (columns in the block).  P counts the pairs (e, f) of entries
-# of one column with f at or above e, and m^2 per column is the work of
-# the dense rank-k update.  Both constants were measured for the numpy
-# kernel that summed the pair products into bins before csc_matvecs
-# replaced it: PAIR_WORK_FACTOR was the cost of one pair in multiply-adds
-# of the update, PAIR_FIXED_COST the fixed cost of that kernel's extra
-# numpy calls, in pairs (about 15 us), with one BLAS thread, |S| = m and
-# 2m, m = 50 to 256.  They are kept so that every block takes the kernel
-# it took then: the two kernels add in different orders, so a block that
-# switched kernels would change the bits of V and of every solve.
-PAIR_WORK_FACTOR = 500
-PAIR_FIXED_COST = 1000
 
 
 class InvalidSupportError(ValueError):
@@ -268,16 +251,10 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
     ``weights`` is indexed by column of ``A``; only the entries on
     ``support`` are read and they must lie in [0, 1].  The result is
     symmetric to the bit.  With at most ``DENSE_FACTOR_MAX_DIM`` rows it
-    is a C-ordered ``np.ndarray``, summed over blocks of support columns
-    read from the CSC arrays and scaled by ``sqrt(w)``.  A block with P
-    pairs (e, f) of entries of one column, f at or above e, and ``(P +
-    PAIR_FIXED_COST) * PAIR_WORK_FACTOR < m^2 * (columns in the block)``
-    is multiplied by its dense transpose in scipy's compiled
-    ``csc_matvecs``, which fills both triangles; any other block is
-    gathered into a dense ``G`` and added by one BLAS update ``G G^T``
-    to one triangle, which is mirrored.  Above ``DENSE_FACTOR_MAX_DIM``
-    rows it is a symmetric :class:`SparseMatrix`, its lower triangle
-    computed and mirrored.
+    is a C-ordered ``np.ndarray`` built by :func:`_dense_normal_matrix`
+    from the support columns scaled by ``sqrt(w)``.  Above
+    ``DENSE_FACTOR_MAX_DIM`` rows it is a symmetric
+    :class:`SparseMatrix`, its lower triangle computed and mirrored.
     """
     m = A.nrows
     support = np.asarray(support, dtype=np.int64)
@@ -323,87 +300,45 @@ def _column_entries(csc: sp.csc_array, cols: np.ndarray):
     return pos, which, first
 
 
-def _gather_columns(csc: sp.csc_array, cols: np.ndarray, scale=None) -> np.ndarray:
+def _gather_columns(csc: sp.csc_array, cols: np.ndarray) -> np.ndarray:
     """Dense F-ordered ``(m, cols.size)`` copy of the columns ``cols`` of ``csc``.
 
-    Column j of the result is column ``cols[j]``, times ``scale[j]`` when
-    ``scale`` is given.  The entries are read straight from the CSC
-    arrays, so the values equal those of ``csc[:, cols].toarray()``
-    without building the slice.  ``cols`` must be in range; it is not
-    checked.
+    Column j of the result is column ``cols[j]``.  The entries are read
+    straight from the CSC arrays, so the values equal those of
+    ``csc[:, cols].toarray()`` without building the slice.  ``cols``
+    must be in range; it is not checked.
     """
     pos, which, _ = _column_entries(csc, cols)
     dense = np.zeros((csc.shape[0], cols.size), order="F")
-    vals = csc.data[pos]
-    dense[csc.indices[pos], which] = vals if scale is None else vals * scale[which]
+    dense[csc.indices[pos], which] = csc.data[pos]
     return dense
-
-
-def _add_column_products(csc: sp.csc_array, cols: np.ndarray, scale, V: np.ndarray) -> None:
-    """Add ``sum_j scale_j^2 a_j a_j^T`` over the columns ``cols`` to ``V``.
-
-    ``V`` is C-ordered and updated in place, both triangles.  scipy's
-    compiled ``csc_matvecs`` multiplies the scaled columns, in CSC form,
-    by their dense C-ordered transpose: for each entry ``a_ij``, column
-    by column, it adds ``a_ij`` times row j of the transpose to row i of
-    ``V``.  Entry (i, k) so sums the products ``a_ij a_kj`` in column
-    order, and entry (k, i) the same products in the same order, so the
-    update is symmetric to the bit; a product with a zero of the dense
-    copy adds zero, which changes no sum.
-    """
-    m = V.shape[0]
-    pos, which, first = _column_entries(csc, cols)
-    rows = csc.indices[pos]
-    vals = csc.data[pos] * scale[which]
-    dense = np.zeros((cols.size, m))
-    dense[which, rows] = vals
-    indptr = np.append(first, pos.size).astype(rows.dtype, copy=False)
-    csc_matvecs(m, cols.size, m, indptr, rows, vals, dense, V)
 
 
 def _dense_normal_matrix(csc: sp.csc_array, scale, support) -> np.ndarray:
     """``sum_j scale_j^2 a_j a_j^T`` over the columns ``support``, as a dense array.
 
-    The result is C-ordered and symmetric to the bit.  The columns are
-    taken in blocks of at most ``_GATHER_COLS``, and the work rule of
-    ``PAIR_WORK_FACTOR`` sends each block either to
-    :func:`_add_column_products` or to one BLAS ``dsyrk`` update of its
-    gathered columns.  A block of the first kind after the first block
-    sums into zeros of its own, then added to ``V``, so that its
-    products are summed on their own before they meet the sums of
-    earlier blocks.  ``dsyrk`` updates one triangle in place; when it
-    ran, that triangle is mirrored onto the other at the end.
-    ``support`` and ``scale`` are not checked.
+    The result is C-ordered and symmetric to the bit.  scipy's compiled
+    ``csc_matvecs`` multiplies the scaled columns, in CSC form, by their
+    dense C-ordered transpose, straight into ``V``: for each entry
+    ``a_ij``, column by column, it adds ``a_ij`` times row j of the
+    transpose to row i of ``V``.  Entry (i, k) so sums the products
+    ``a_ij a_kj`` in support order, and entry (k, i) the same products
+    in the same order; a product with a zero of the dense copy adds
+    zero, which changes no sum.  The columns go in blocks of at most
+    ``_GATHER_COLS``, which bounds the transposed copy and leaves every
+    sum as it is.  ``support`` and ``scale`` are not checked.
     """
     m = csc.shape[0]
     V = np.zeros((m, m))
-    by_pairs = by_rank_k = False
     for lo in range(0, support.size, _GATHER_COLS):
         cols, s = support[lo : lo + _GATHER_COLS], scale[lo : lo + _GATHER_COLS]
-        counts = csc.indptr[cols + 1] - csc.indptr[cols]
-        pairs = int(counts @ (counts + 1)) // 2
-        if (pairs + PAIR_FIXED_COST) * PAIR_WORK_FACTOR < m * m * cols.size:
-            if lo == 0:
-                _add_column_products(csc, cols, s, V)
-            else:
-                block = np.zeros((m, m))
-                _add_column_products(csc, cols, s, block)
-                V += block
-            by_pairs = True
-        else:
-            G = _gather_columns(csc, cols, s)
-            # V.T is the F-ordered view of V: dsyrk updates its lower
-            # triangle, the upper triangle of V, in place
-            V = blas.dsyrk(1.0, G, beta=1.0, c=V.T, lower=1, overwrite_c=1).T
-            by_rank_k = True
-    if by_rank_k:
-        if by_pairs:
-            # csc_matvecs has also added to the lower triangle
-            V[np.tri(m, k=-1, dtype=bool)] = 0.0
-        # adding zeros mirrors the upper triangle exactly; the diagonal
-        # is doubled and halved, both exact
-        V = V + V.T
-        V[np.diag_indices(m)] *= 0.5
+        pos, which, first = _column_entries(csc, cols)
+        rows = csc.indices[pos]
+        vals = csc.data[pos] * s[which]
+        dense = np.zeros((cols.size, m))
+        dense[which, rows] = vals
+        indptr = np.append(first, pos.size).astype(rows.dtype, copy=False)
+        csc_matvecs(m, cols.size, m, indptr, rows, vals, dense, V)
     return V
 
 

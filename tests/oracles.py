@@ -66,35 +66,31 @@ def highs_mps_optimum(model) -> float:
     return sense * res.fun + model.objective_constant
 
 
-def pair_normal_matrix(A, weights, support, block: int) -> np.ndarray:
+def pair_normal_matrix(A, weights, support) -> np.ndarray:
     """Dense ``sum_{i in support} w_i A_i A_i^T``, summed entry pair by entry pair.
 
-    The support is taken in blocks of ``block`` columns.  In a block,
-    each entry e of a column, scaled by the square root of its weight,
-    is paired with the entries f at or above it (f = e included), and
-    the product lands in the bin (row e, row f) of the lower triangle;
-    ``np.bincount`` sums each bin from zero in column order, and each
-    block's bins are added to the running sum.  Adding zeros then
-    mirrors the lower triangle.  Each entry so sums the same products in
-    the same order as the dense assembly of ``assemble_normal_matrix``
-    when every block takes its pair branch.
+    Each entry e of a support column, scaled by the square root of its
+    weight, is paired with the entries f at or above it (f = e
+    included), and the product lands in the bin (row e, row f) of the
+    lower triangle; ``np.bincount`` sums each bin from zero in support
+    order.  Adding zeros then mirrors the lower triangle.  Each entry so
+    sums the same products in the same order as the dense assembly of
+    ``assemble_normal_matrix``.
     """
     csc = A.csc
     m = csc.shape[0]
     support = np.asarray(support, dtype=np.int64)
     scale = np.sqrt(np.asarray(weights, dtype=np.float64)[support])
-    V = np.zeros((m, m), order="F")
-    for lo in range(0, support.size, block):
-        bins, products = [], []
-        for col, s in zip(support[lo : lo + block], scale[lo : lo + block]):
-            rows = csc.indices[csc.indptr[col] : csc.indptr[col + 1]]
-            vals = csc.data[csc.indptr[col] : csc.indptr[col + 1]] * s
-            e, f = np.tril_indices(rows.size)  # rows ascend, so rows[e] >= rows[f]
-            bins.append(rows[e] + m * rows[f])
-            products.append(vals[e] * vals[f])
-        V += np.bincount(
-            np.concatenate(bins), weights=np.concatenate(products), minlength=m * m
-        ).reshape(m, m, order="F")
+    bins, products = [], []
+    for col, s in zip(support, scale):
+        rows = csc.indices[csc.indptr[col] : csc.indptr[col + 1]]
+        vals = csc.data[csc.indptr[col] : csc.indptr[col + 1]] * s
+        e, f = np.tril_indices(rows.size)  # rows ascend, so rows[e] >= rows[f]
+        bins.append(rows[e] + m * rows[f])
+        products.append(vals[e] * vals[f])
+    V = np.bincount(
+        np.concatenate(bins), weights=np.concatenate(products), minlength=m * m
+    ).reshape(m, m, order="F")
     V = V + V.T
     V[np.diag_indices(m)] *= 0.5
     return V

@@ -239,6 +239,13 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="line 3: 7 fields, expected 10"):
             _read_records_csv(path)
 
+    def test_read_records_names_a_missing_column(self, tmp_path):
+        path = str(tmp_path / "records.csv")
+        with open(path, "w") as fh:
+            fh.write("problem,solver\np1,a\n")
+        with pytest.raises(ValueError, match=f"{re.escape(path)}: header has no column 'tol'"):
+            _read_records_csv(path)
+
 
 class TestSuiteValidation:
     @pytest.mark.parametrize(

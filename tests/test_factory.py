@@ -344,3 +344,8 @@ class TestEdgeListText:
     def test_rejects_self_loop(self):
         with pytest.raises(TriangleSpecError):
             TriangleSpec.from_edge_list_text("1 1\n")
+
+    @pytest.mark.parametrize("line", ["-1 2", "0 -3"])
+    def test_rejects_negative_vertex_id(self, line):
+        with pytest.raises(TriangleSpecError, match=f"negative vertex id in edge line '{line}'"):
+            TriangleSpec.from_edge_list_text(f"0 1\n{line}\n")

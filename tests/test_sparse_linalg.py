@@ -182,9 +182,6 @@ class TestSparseMatrix:
             dense = _gather_columns(A.csc, idx)
             assert dense.flags.f_contiguous and dense.shape == (12, idx.size)
             assert np.array_equal(dense, A.cols(idx).toarray())
-            scale = rng.random(idx.size)
-            assert np.array_equal(_gather_columns(A.csc, idx, scale),
-                                  A.cols(idx).toarray() * scale)
 
 
 class TestAssembleNormalMatrix:
@@ -241,8 +238,12 @@ class TestAssembleNormalMatrix:
             assert np.max(np.abs(dense - sparse)) <= 1e-14 * np.max(np.abs(sparse))
 
     @staticmethod
-    def kernel_grid():
-        """Seeded (A, w, support) cases for the two dense assembly kernels."""
+    def kernel_cases():
+        """Seeded (A, w, support) cases for the dense assembly kernel.
+
+        A grid of sizes and densities, a support wider than one block,
+        then cases of index width, support order and weights.
+        """
         rng = np.random.default_rng(2024)
         for m in (5, 50, 200):
             for density in (0.01, 0.03, 0.1, 0.3):
@@ -264,22 +265,6 @@ class TestAssembleNormalMatrix:
         empty = np.where(~D.any(axis=0))[0]
         D[rng.integers(0, 50, empty.size), empty] = 1.0 + rng.random(empty.size)
         yield SparseMatrix(D), rng.uniform(0.0, 1.0, n), rng.permutation(n)
-
-    def test_pair_and_rank_k_kernels_agree(self, monkeypatch):
-        for A, w, sup in self.kernel_grid():
-            with monkeypatch.context() as mp:
-                mp.setattr(sparse_linalg, "PAIR_WORK_FACTOR", 0)  # pairs always
-                pairs = assemble_normal_matrix(A, w, sup)
-            with monkeypatch.context() as mp:
-                mp.setattr(sparse_linalg, "PAIR_WORK_FACTOR", np.inf)  # never
-                rank_k = assemble_normal_matrix(A, w, sup)
-            assert np.array_equal(pairs, pairs.T)
-            assert np.max(np.abs(pairs - rank_k)) <= 1e-15 * np.max(np.abs(rank_k))
-
-    @staticmethod
-    def pair_kernel_cases():
-        """The kernel grid, plus cases of index width, support order and weights."""
-        yield from TestAssembleNormalMatrix.kernel_grid()
         rng = np.random.default_rng(77)
         for index_dtype in (np.int32, np.int64):
             csc = rand_sparse(rng, 60, 150, 0.05).csc.copy()
@@ -297,76 +282,15 @@ class TestAssembleNormalMatrix:
         w[::2] = 0.0
         yield A, w, rng.permutation(120)
 
-    def test_pair_kernel_matches_the_bincount_oracle(self, monkeypatch):
+    def test_pair_kernel_matches_the_bincount_oracle(self):
         # the compiled kernel sums each entry's products in the order
-        # np.bincount does, block by block, both triangles at once
-        monkeypatch.setattr(sparse_linalg, "PAIR_WORK_FACTOR", 0)  # pairs always
-        for A, w, sup in self.pair_kernel_cases():
+        # np.bincount does, over the whole support, both triangles at once
+        for A, w, sup in self.kernel_cases():
             V = assemble_normal_matrix(A, w, sup)
-            assert np.array_equal(V, pair_normal_matrix(A, w, sup, sparse_linalg._GATHER_COLS))
+            assert np.array_equal(V, pair_normal_matrix(A, w, sup))
             assert np.array_equal(V, V.T)
             assert V.flags.c_contiguous
 
-    @pytest.mark.parametrize("pairs_first", [True, False])
-    def test_blocks_of_either_kernel_combine(self, monkeypatch, pairs_first):
-        # one support whose blocks take different kernels, in either order
-        kernels = []
-
-        def spy(name, real):
-            def wrapper(*args):
-                kernels.append(name)
-                return real(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(sparse_linalg, "_add_column_products",
-                            spy("pairs", sparse_linalg._add_column_products))
-        monkeypatch.setattr(sparse_linalg, "_gather_columns", spy("rank_k", _gather_columns))
-        rng = np.random.default_rng(8)
-        m, wide = 200, sparse_linalg._GATHER_COLS
-        n_two, n_full = (wide, 3) if pairs_first else (100, wide)
-        D = np.zeros((m, n_two + n_full))
-        for j in range(n_two):  # two entries a column, so off-diagonal products
-            D[rng.choice(m, 2, replace=False), j] = rng.standard_normal(2)
-        D[:, n_two:] = rng.standard_normal((m, n_full)) * (rng.random((m, n_full)) < 0.3)
-        A = SparseMatrix(D)
-        w = rng.uniform(0.0, 1.0, D.shape[1])
-        sup = np.arange(D.shape[1]) if pairs_first else np.arange(D.shape[1])[::-1]
-        V = assemble_normal_matrix(A, w, sup)
-        assert kernels == (["pairs", "rank_k"] if pairs_first else ["rank_k", "pairs"])
-        assert np.array_equal(V, V.T)
-        assert V.flags.c_contiguous
-        # the rank-k block sums its 2048 columns in another order
-        oracle = pair_normal_matrix(A, w, sup, wide)
-        assert np.max(np.abs(V - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-
-    def test_work_rule_picks_the_kernel(self, monkeypatch):
-        calls = []
-        real = sparse_linalg._add_column_products
-
-        def spy(csc, cols, scale, V):
-            calls.append(cols.size)
-            return real(csc, cols, scale, V)
-
-        monkeypatch.setattr(sparse_linalg, "_add_column_products", spy)
-        rng = np.random.default_rng(3)
-
-        def one_entry_columns(m, n):
-            return SparseMatrix.from_coo(m, n, rng.integers(0, m, n), np.arange(n),
-                                         rng.standard_normal(n))
-
-        # 200 pairs, (200 + 1000) * 500 against 200^2 * 200 dense work
-        A = one_entry_columns(200, 200)
-        V = assemble_normal_matrix(A, np.ones(200), np.arange(200))
-        assert calls == [200]
-        D = A.toarray()
-        assert np.allclose(V, D @ D.T, rtol=0.0, atol=1e-14 * np.abs(D).max() ** 2)
-        # full columns: 100 * 101 / 2 pairs per column, above 100^2 / 500
-        assemble_normal_matrix(SparseMatrix(rng.standard_normal((100, 100))),
-                               np.ones(100), np.arange(100))
-        # at m = 50 the fixed cost of the pair kernel outweighs the update
-        assemble_normal_matrix(one_entry_columns(50, 100), np.ones(100), np.arange(100))
-        assert calls == [200]
 
     def test_empty_support_dense_zeros(self):
         A = rand_sparse(np.random.default_rng(4), 7, 10)
