@@ -87,18 +87,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _triangle_graph(args) -> factory.TriangleSpec:
+    """The graph of ``gen --kind triangle``: the ``--edges`` file or a complete graph."""
+    if not args.edges:
+        return factory.TriangleSpec.complete(args.vertices)
+    try:
+        with open(args.edges, "r", encoding="ascii") as fh:
+            return factory.TriangleSpec.from_edge_list_text(fh.read())
+    except (UnicodeDecodeError, factory.TriangleSpecError) as exc:
+        raise factory.TriangleSpecError(f"{args.edges}: {exc}") from None
+
+
 def _cmd_gen(args) -> int:
+    # the graph is parsed once, and before the output directory is made,
+    # so a bad edge file leaves nothing behind
+    tri = _triangle_graph(args) if args.kind == "triangle" else None
     os.makedirs(args.out, exist_ok=True)
     entries = []
     for k in range(args.count):
         seed = args.seed + k
         base = os.path.join(args.out, f"{args.kind}_{seed:06d}")
-        if args.kind == "triangle":
-            if args.edges:
-                with open(args.edges, "r", encoding="ascii") as fh:
-                    tri = factory.TriangleSpec.from_edge_list_text(fh.read())
-            else:
-                tri = factory.TriangleSpec.complete(args.vertices)
+        if tri is not None:
             rng = np.random.default_rng(seed)
             xbar = rng.uniform(0.0, 1.5, size=len(tri.edges))
             problem = factory.build_triangle_bap(tri, xbar)

@@ -56,7 +56,8 @@ class OracleError(RuntimeError):
 
 
 class TriangleSpecError(ValueError):
-    """A triple references an edge that is not part of the graph."""
+    """Graph data for a triangle instance is malformed: a bad edge or
+    edge-list line, or a triple that misses one of its edges."""
 
 
 @dataclass(frozen=True)
@@ -124,18 +125,23 @@ class TriangleSpec:
         included."""
         edges = []
         top = -1
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#")[0].strip()
             if not line:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise TriangleSpecError(f"bad edge line {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+                raise TriangleSpecError(f"line {lineno}: bad edge line {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise TriangleSpecError(
+                    f"line {lineno}: non-integer vertex id in edge line {line!r}"
+                ) from None
             if u < 0 or v < 0:
-                raise TriangleSpecError(f"negative vertex id in edge line {line!r}")
+                raise TriangleSpecError(f"line {lineno}: negative vertex id in edge line {line!r}")
             if u == v:
-                raise TriangleSpecError(f"self-loop ({u}, {v})")
+                raise TriangleSpecError(f"line {lineno}: self-loop ({u}, {v})")
             edges.append((min(u, v), max(u, v)))
             top = max(top, u, v)
         edge_set = set(edges)

@@ -18,14 +18,20 @@ index k0 from x0, row i (step k = k0 + i) then satisfies
 
 with ``G = A A^T``: one forward substitution with ``tril(G)``, which is
 the Gauss-Seidel sweep on ``A A^T`` of Bjorck and Elfving.  The point
-before the clamp is ``(k0 x0 + m v + A^T s) / (k0 + m)``.  G is built
-densely and F-ordered once per solve, O(m^2) memory, and a sweep costs
-one LAPACK ``dtrtrs`` call on G (the call ``scipy.linalg.solve_triangular``
-makes for F-ordered input, without its argument handling), one
-``A^T s`` and one ``A x`` product through
-:meth:`~polyproj.sparse_linalg.SparseMatrix.rmatvec` and
-:meth:`~polyproj.sparse_linalg.SparseMatrix.matvec`, and a few
-n-vector updates into two buffers allocated once per solve.
+before the clamp is ``(k0 x0 + m v + A^T s) / (k0 + m)``.
+
+Once per solve, scipy's compiled sparse kernels build a CSR copy of A
+(``csr_tocsc`` on its CSC arrays) and G (``csr_matmat`` and
+``csr_todense``), densely and F-ordered, O(m^2) memory; the same
+kernels that ``(A @ A.T).toarray()`` runs, without its dispatch.  A
+sweep then costs one LAPACK ``dtrtrs`` call on G, which solves in place
+(the call ``scipy.linalg.solve_triangular`` makes for F-ordered input,
+without its argument handling), two ``csr_matvec`` calls, ``A^T s`` on
+the CSC arrays and ``A x`` on the CSR copy, and a few vector updates.
+Every vector it writes is a buffer allocated once per solve, so a
+sweep allocates no array.  The row-by-row ``A x`` sums each row in the
+column order that ``csc_matvec`` does, so the results are those of
+``A @ x`` to the bit.
 
 The module does no file I/O: ``serialize.write_trace_csv`` writes the
 per-sweep trace that ``HlwbConfig.collect_trace`` records.
@@ -33,11 +39,19 @@ per-sweep trace that ``HlwbConfig.collect_trace`` records.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
+from scipy.sparse._sparsetools import (
+    csr_matmat,
+    csr_matmat_maxnnz,
+    csr_matvec,
+    csr_todense,
+    csr_tocsc,
+)
 
 from .bap import BapProblem
 
@@ -89,12 +103,44 @@ def project_hyperplane(
 
     The normal ``a`` is given sparsely: ``a[cols] = vals`` and zero
     elsewhere, so the cost is O(len(cols)) whatever the length of x.
+
+    No solver calls it: :func:`solve_hlwb` takes the m steps of a sweep
+    together.  It stays because the traced benchmark run aggregates it
+    (ROADMAP items 4 and 11), and it is the single-row step that the
+    sweep is tested against.
     """
     sq = float(vals @ vals)
     if sq == 0.0:
         raise ZeroRowError("cannot project onto a hyperplane with zero normal")
     x[cols] += ((beta - float(vals @ x[cols])) / sq) * vals
     return x
+
+
+def _rows_and_gram(csc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays of ``A`` and ``G = A A^T``, densely, from scipy's kernels.
+
+    The CSC arrays of ``A`` are the CSR arrays of ``A^T``; ``csr_tocsc``
+    on them gives the CSR arrays of ``A``, whose rows list their columns
+    in increasing order.  ``csr_matmat`` then forms ``A A^T`` and
+    ``csr_todense`` writes it into a C-ordered zero buffer: the calls
+    and operands that ``(csc @ csc.T).toarray()`` makes, so G holds the
+    same bits.  G is returned as the F-ordered transpose view of that
+    buffer, as ``toarray`` returns it, which ``dtrtrs`` reads in place.
+    """
+    m, n = csc.shape
+    idx = csc.indices.dtype
+    rptr = np.empty(m + 1, dtype=idx)
+    rind = np.empty(csc.nnz, dtype=idx)
+    rval = np.empty(csc.nnz)
+    csr_tocsc(n, m, csc.indptr, csc.indices, csc.data, rptr, rind, rval)
+    nnz = csr_matmat_maxnnz(m, m, rptr, rind, csc.indptr, csc.indices)
+    gptr = np.empty(m + 1, dtype=idx)
+    gind = np.empty(nnz, dtype=idx)
+    gval = np.empty(nnz)
+    csr_matmat(m, m, rptr, rind, rval, csc.indptr, csc.indices, csc.data, gptr, gind, gval)
+    dense = np.zeros((m, m))
+    csr_todense(m, m, gptr, gind, gval, dense)
+    return rptr, rind, rval, dense.T
 
 
 def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbResult:
@@ -114,10 +160,12 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     if problem.n_free:
         raise ValueError("free variables are out of scope for this baseline")
     A = problem.A
-    m = A.nrows
-    # only the lower triangle is read by the triangular solve; G is
-    # F-ordered already, so dtrtrs reads it without a copy
-    G = np.asfortranarray((A.csc @ A.csc.T).toarray())
+    csc = A.csc
+    m, n = csc.shape
+    rptr, rind, rval, G = _rows_and_gram(csc)
+    # F-ordered, so dtrtrs reads G without a copy; it reads only the
+    # lower triangle
+    assert G.flags.f_contiguous
     if not np.all(np.diagonal(G) > 0.0):
         raise ZeroRowError("constraint matrix has an all-zero row")
 
@@ -129,36 +177,50 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     mv = m * v
 
     # k0 * x0 and k0 * (b - A x0) at the start of the sweep; k0 = 0 first
-    w0 = np.zeros_like(v)
-    r0 = np.zeros_like(b)
-    xhat = np.empty_like(v)
+    w0 = np.zeros(n)
+    r0 = np.zeros(m)
+    # the sweep's buffers: s is solved in place in rhs = r0 + ramp
+    rhs = np.empty(m)
+    ats = np.empty(n)
+    xhat = np.empty(n)
+    ax = np.empty(m)
+    res = np.empty(m)
     k0 = sweeps = 0
     trace: list[tuple[int, float, float]] = []
 
     while True:
-        s, info = dtrtrs(G, r0 + ramp, lower=1)
+        np.add(r0, ramp, out=rhs)
+        s, info = dtrtrs(G, rhs, lower=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"LAPACK dtrtrs returned info {info}")
         # global iteration k0 + i is row i; k is the orthant step
         k = k0 + m
+        # A^T s; the CSC arrays of A are the CSR arrays of A^T
+        ats.fill(0.0)
+        csr_matvec(n, m, csc.indptr, csc.indices, csc.data, s, ats)
         # xhat = max((w0 + m v + A^T s) / k, 0), one operation at a time
         np.add(w0, mv, out=xhat)
-        np.add(xhat, A.rmatvec(s), out=xhat)
+        np.add(xhat, ats, out=xhat)
         np.divide(xhat, k, out=xhat)
         np.maximum(xhat, 0.0, out=xhat)
-        res = b - A.matvec(xhat)
+        # A xhat row by row, each row summed in the column order of csc_matvec
+        ax.fill(0.0)
+        csr_matvec(m, n, rptr, rind, rval, xhat, ax)
+        np.subtract(b, ax, out=res)
         sigma = 1.0 / (k + 1)
         sweeps += 1
-        rel = float(np.linalg.norm(res)) / nb
+        # ||res|| as np.linalg.norm computes it for a float vector
+        rel = math.sqrt(res @ res) / nb
         if cfg.collect_trace:
             trace.append((sweeps, rel, sigma))
         if rel <= cfg.tol or sweeps >= cfg.max_sweeps:
             break
         # x0 = sigma v + (1 - sigma) xhat, scaled by k0 = k + 1:
-        # w0 = v + k xhat
+        # w0 = v + k xhat, r0 = rv + k res
         np.multiply(k, xhat, out=w0)
         np.add(v, w0, out=w0)
-        r0 = rv + k * res
+        np.multiply(k, res, out=r0)
+        np.add(rv, r0, out=r0)
         k0 = k + 1
 
     return HlwbResult(

@@ -8,8 +8,13 @@ import pytest
 
 from polyproj import cli
 from polyproj.cli import main
-from polyproj.factory import GenSpec, gen_lp
-from polyproj.serialize import read_bap_instance, read_lp_instance, write_lp_instance
+from polyproj.factory import GenSpec, TriangleSpec, build_triangle_bap, gen_lp
+from polyproj.serialize import (
+    read_bap_instance,
+    read_lp_instance,
+    write_bap_instance,
+    write_lp_instance,
+)
 
 
 def test_gen_bap_writes_instances_and_manifest(tmp_path, capsys):
@@ -347,6 +352,41 @@ def test_gen_triangle_from_edge_list(tmp_path, capsys):
     # 4 edges, 1 induced triple: rows 3*1 + 4, cols 4 + 3 + 4
     assert prob.A.shape == (7, 11)
     assert main(["bap", "solve", os.path.join(out, "triangle_000005")]) == 0
+
+
+@pytest.mark.parametrize("text, reason", [
+    (b"0 1\nx 2\n", "line 2: non-integer vertex id in edge line 'x 2'"),
+    (b"0 1\n\xc3\xa9 2\n", "'ascii' codec can't decode byte 0xc3 in position 4"),
+])
+def test_gen_triangle_names_the_edge_file_it_rejects(tmp_path, capsys, text, reason):
+    edges = tmp_path / "graph.txt"
+    edges.write_bytes(text)
+    out = tmp_path / "tri"
+    assert main(["gen", "--kind", "triangle", "--edges", str(edges), "--count", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {edges}: {reason}")
+    # the file is parsed before the output directory is made
+    assert not out.exists()
+
+
+def test_gen_triangle_count_writes_the_instances_of_single_parses(tmp_path, capsys):
+    text = "0 1\n0 2\n1 2\n2 3\n1 3\n"
+    edges = tmp_path / "graph.txt"
+    edges.write_text(text)
+    out = tmp_path / "tri"
+    assert main(["gen", "--kind", "triangle", "--edges", str(edges), "--seed", "4",
+                 "--count", "3", "--out", str(out)]) == 0
+    for seed in (4, 5, 6):
+        # each instance as a fresh parse of the file for its seed writes it
+        tri = TriangleSpec.from_edge_list_text(text)
+        xbar = np.random.default_rng(seed).uniform(0.0, 1.5, size=len(tri.edges))
+        want = tmp_path / f"want_{seed}"
+        write_bap_instance(build_triangle_bap(tri, xbar), str(want))
+        base = out / f"triangle_{seed:06d}"
+        for ext in (".mtx", ".bap"):
+            assert (base.parent / (base.name + ext)).read_bytes() == (
+                want.parent / (want.name + ext)
+            ).read_bytes()
 
 
 def _python_dash_m_help(module):

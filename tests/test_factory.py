@@ -349,3 +349,16 @@ class TestEdgeListText:
     def test_rejects_negative_vertex_id(self, line):
         with pytest.raises(TriangleSpecError, match=f"negative vertex id in edge line '{line}'"):
             TriangleSpec.from_edge_list_text(f"0 1\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["x 2", "0 1.5", "0 0x1"])
+    def test_rejects_non_integer_vertex_id_naming_its_line(self, line):
+        # a comment line and a blank line still count toward the line number
+        text = f"# graph\n0 1\n\n{line}  # bad\n"
+        with pytest.raises(
+            TriangleSpecError, match=f"^line 4: non-integer vertex id in edge line '{line}'$"
+        ):
+            TriangleSpec.from_edge_list_text(text)
+
+    def test_rejects_a_line_without_two_ids_naming_its_line(self):
+        with pytest.raises(TriangleSpecError, match="^line 2: bad edge line '0 1 2'$"):
+            TriangleSpec.from_edge_list_text("0 1\n0 1 2\n")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
+import polyproj.hlwb
 from polyproj.bap import BapProblem
 from polyproj.factory import DEGENERATE, GenSpec, gen_bap_with_known_vertex
 from polyproj.hlwb import (
@@ -9,6 +11,7 @@ from polyproj.hlwb import (
     HlwbConfig,
     HlwbResult,
     ZeroRowError,
+    _rows_and_gram,
     project_hyperplane,
     solve_hlwb,
 )
@@ -220,9 +223,11 @@ def triangular_solve_hlwb(problem, cfg):
 
 @pytest.mark.parametrize(
     "m, density",
-    # m = 200 at density 0.1 is the largest class of the benchmark's sweeps
+    # m = 50 at density 0.01 is the sparsest class of the benchmark's
+    # sweeps, m = 200 at density 0.1 the largest
     [pytest.param(20, 0.05, id="20"), pytest.param(50, 0.05, id="50"),
-     pytest.param(120, 0.05, id="120"), pytest.param(200, 0.1, id="200-d0.1")],
+     pytest.param(50, 0.01, id="50-d0.01"), pytest.param(120, 0.05, id="120"),
+     pytest.param(200, 0.1, id="200-d0.1")],
 )
 @pytest.mark.parametrize("seed", [101, 102, 103, 104])
 def test_lapack_sweep_is_bit_identical_to_solve_triangular(m, density, seed):
@@ -237,8 +242,17 @@ def test_lapack_sweep_is_bit_identical_to_solve_triangular(m, density, seed):
 
 
 @pytest.mark.parametrize("max_sweeps", [1, 3, 2000])
-def test_solve_leaves_its_inputs_unchanged(max_sweeps):
-    """The sweep's reused buffers never alias v, b or the arrays of A."""
+def test_solve_leaves_its_inputs_unchanged(max_sweeps, monkeypatch):
+    """The sweep's reused buffers never alias v, b or the arrays of A, and
+    the returned x shares no memory with the CSR copy of A or with G."""
+    built = []
+
+    def recording(csc):
+        out = _rows_and_gram(csc)
+        built.extend(out)
+        return out
+
+    monkeypatch.setattr(polyproj.hlwb, "_rows_and_gram", recording)
     problem = gen_bap_with_known_vertex(GenSpec(50, 500, 0.1, seed=12)).problem
     csc = problem.A.csc
     inputs = (problem.v, problem.b, csc.data, csc.indices, csc.indptr)
@@ -246,4 +260,28 @@ def test_solve_leaves_its_inputs_unchanged(max_sweeps):
     res = solve_hlwb(problem, HlwbConfig(tol=1e-4, max_sweeps=max_sweeps))
     assert 1 <= res.sweeps <= max_sweeps
     assert [(a.dtype, a.shape, a.tobytes()) for a in inputs] == before
-    assert not any(np.shares_memory(res.x, a) for a in inputs)
+    # the CSR arrays of A (indptr, indices, data) and G
+    assert len(built) == 4 and built[3].shape == (50, 50)
+    assert not any(np.shares_memory(res.x, a) for a in inputs + tuple(built))
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_int32_and_int64_indices_give_equal_bits(seed):
+    """The dense constructor yields int32 index arrays; an int64 copy of
+    the same matrix runs the same kernels on the wider index type."""
+    problem = gen_bap_with_known_vertex(GenSpec(30, 300, 0.05, seed=seed)).problem
+    A32 = SparseMatrix(problem.A.toarray())
+    c = A32.csc
+    assert c.indices.dtype == c.indptr.dtype == np.int32
+    c64 = sp.csc_array(
+        (c.data.copy(), c.indices.astype(np.int64), c.indptr.astype(np.int64)), shape=c.shape
+    )
+    assert c64.indices.dtype == c64.indptr.dtype == np.int64
+    A64 = SparseMatrix._trusted(c64)
+    cfg = HlwbConfig(tol=1e-4, max_sweeps=400, collect_trace=True)
+    got32 = solve_hlwb(BapProblem(A32, problem.b, problem.v), cfg)
+    got64 = solve_hlwb(BapProblem(A64, problem.b, problem.v), cfg)
+    assert np.array_equal(got32.x, got64.x)
+    assert (got32.rel_residual, got32.sweeps, got32.status, got32.trace) == (
+        got64.rel_residual, got64.sweeps, got64.status, got64.trace
+    )
