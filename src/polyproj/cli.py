@@ -99,8 +99,10 @@ def _triangle_graph(args) -> factory.TriangleSpec:
 
 
 def _cmd_gen(args) -> int:
-    # the graph is parsed once, and before the output directory is made,
-    # so a bad edge file leaves nothing behind
+    # the count is checked and the graph parsed once, before the output
+    # directory is made, so bad input leaves nothing behind
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     tri = _triangle_graph(args) if args.kind == "triangle" else None
     os.makedirs(args.out, exist_ok=True)
     entries = []

@@ -114,6 +114,8 @@ class TriangleSpec:
 
     @classmethod
     def complete(cls, num_vertices: int) -> "TriangleSpec":
+        if num_vertices < 3:  # a triangle instance needs a triple
+            raise TriangleSpecError(f"complete graph needs 3 or more vertices, got {num_vertices}")
         edges = tuple(itertools.combinations(range(num_vertices), 2))
         triples = tuple(itertools.combinations(range(num_vertices), 3))
         return cls(num_vertices, edges, triples)

@@ -31,7 +31,9 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 import scipy.sparse as sp
 
 from .bap import BapProblem, BapSolution, CONVERGED, RnnmConfig, solve_rnnm
-from .sparse_linalg import SparseMatrix, _dense_normal_matrix, _gather_columns, as_vector
+from .sparse_linalg import (
+    SparseMatrix, _column_entries, _dense_normal_matrix, _gather_columns, as_vector
+)
 
 __all__ = [
     "LpProblem",
@@ -79,15 +81,11 @@ class LpProblem:
     """Maximization LP data ``max c^T x  s.t.  A x = b, x >= 0``.
 
     Full row rank and a finite optimal value are assumed, not verified.
-    The CSR form of ``[A^T | -I_n]``, whose rows the dual-feasibility
-    system selects, is built on first use and kept in a slot; filling it
-    is a benign race: threads that fill it at once build equal arrays.
     """
 
     A: SparseMatrix
     b: np.ndarray
     c: np.ndarray
-    _dual_csr: sp.csr_array | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b", as_vector(self.b, self.A.nrows, "b"))
@@ -102,15 +100,6 @@ class LpProblem:
     @property
     def n(self) -> int:
         return self.A.ncols
-
-    def _dual_rows(self) -> sp.csr_array:
-        """``[A^T | -I_n]`` in CSR form, built once."""
-        if self._dual_csr is None:
-            rows = sp.hstack(
-                [self.A.csc.T, -sp.eye_array(self.n, format="csr")], format="csr"
-            )
-            object.__setattr__(self, "_dual_csr", rows)
-        return self._dual_csr
 
 
 @dataclass(frozen=True)
@@ -415,23 +404,27 @@ def _dual_feasibility_bap(
     """
     B, N = state.bases.B, state.bases.N
     m = problem.m
-    # rows B and N of [A^T | -I_n]; the -1 of row j sits in column m + j
-    rows = problem._dual_rows()[np.concatenate([B, N])]
-    rhs = np.concatenate([problem.c[B], problem.c[N]])
+    A = problem.A.csc
+    sel = np.concatenate([B, N])
+    rhs = problem.c[sel]
     anchor = np.concatenate([-state.y, np.zeros(B.size), state.z[N]])
     free = np.arange(anchor.size) < m
 
-    keep = np.ones(anchor.size, dtype=bool)
-    y_used = np.zeros(m + problem.n, dtype=bool)
-    y_used[rows.indices] = True
-    keep[:m] = y_used[:m]  # only y-block columns can be empty
+    # row r is column sel[r] of A in the y block and the -1 of z column m + r
+    pos, rows, _ = _column_entries(A, sel)
+    y_cols = A.indices[pos]
+    keep = ~free
+    keep[y_cols] = True  # only y-block columns can be empty
     if pin_basic:
         keep[m : m + B.size] = False
-    cols = np.concatenate([np.arange(m), m + B, m + N])[keep]
-    # rows of the validated A^T and a unit diagonal; the CSR-to-CSC
-    # conversion sorts the row indices, so the matrix is canonical and
-    # goes on the trusted path
-    M = rows[:, cols].tocsc()
+    z_rows = np.flatnonzero(keep[m:])
+    cols = (np.cumsum(keep) - 1)[np.append(y_cols, m + z_rows)]  # numbered among the kept
+    vals = np.append(A.data[pos], np.full(z_rows.size, -1.0))
+    # entries of the validated A and a unit diagonal, none twice; the
+    # conversion to CSC sorts the row indices, so the matrix is canonical
+    # and goes on the trusted path
+    shape = (sel.size, np.count_nonzero(keep))
+    M = sp.coo_array((vals, (np.append(rows, z_rows), cols)), shape=shape).tocsc()
     return BapProblem(SparseMatrix._trusted(M), rhs, anchor[keep], free[keep]), keep, anchor
 
 

@@ -11,17 +11,17 @@ written by :mod:`polyproj.serialize`.
 The normal matrix ``V = sum w_i A_i A_i^T`` has one form per size
 regime, chosen by ``DENSE_FACTOR_MAX_DIM``: for at most that many rows
 it is a dense ``np.ndarray``, factored by LAPACK ``dpotrf``, whose
-factor ``dpotrs`` applies; above it, it is a :class:`SparseMatrix` built
-from sparse products and factored by SuperLU.  The dense form is
-C-ordered and has one assembly kernel, scipy's compiled
-``csc_matvecs`` (the kernel under its sparse times dense product),
-which multiplies the scaled support columns by their dense transpose
-and sums the same products in the same order into both triangles, so
-that no mirror is needed.  The per-iteration kernels call the LAPACK
-wrappers directly, without the argument handling of
-``scipy.linalg``'s ``cho_factor``/``cho_solve``, and dense copies of
-column subsets are gathered straight from the CSC arrays
-(:func:`_gather_columns`) instead of slicing the sparse matrix.
+factor ``dpotrs`` applies; above it, it is a :class:`SparseMatrix`
+factored by SuperLU.  Both multiply the support columns ``S``, scaled by
+``sqrt(w)``, by their transpose: the C-ordered dense form with scipy's
+compiled ``csc_matvecs`` (the kernel under its sparse times dense
+product), the sparse form as the sparse product ``S S^T``.  Either sums
+the same products in support order into entries (i, k) and (k, i), so
+both are symmetric to the bit, equal, and need no mirror.  The
+per-iteration kernels call the LAPACK wrappers directly, without the
+argument handling of ``scipy.linalg``'s ``cho_factor``/``cho_solve``,
+and dense copies of column subsets are gathered straight from the CSC
+arrays (:func:`_gather_columns`) instead of slicing the sparse matrix.
 
 Validation happens at the boundary only.  Matrices that come from
 outside (the public constructor, which takes a dense ``np.ndarray`` or
@@ -252,17 +252,12 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
     ``support`` are read and they must lie in [0, 1].  The result is
     symmetric to the bit.  With at most ``DENSE_FACTOR_MAX_DIM`` rows it
     is a C-ordered ``np.ndarray`` built by :func:`_dense_normal_matrix`
-    from the support columns scaled by ``sqrt(w)``.  Above
-    ``DENSE_FACTOR_MAX_DIM`` rows it is a symmetric
-    :class:`SparseMatrix`, its lower triangle computed and mirrored.
+    from the support columns ``S`` scaled by ``sqrt(w)``; above, it is
+    the :class:`SparseMatrix` ``S S^T``, equal to that array to the bit.
     """
     m = A.nrows
     support = np.asarray(support, dtype=np.int64)
-    if support.size == 0:
-        if m <= DENSE_FACTOR_MAX_DIM:
-            return np.zeros((m, m))
-        return SparseMatrix._trusted(sp.csc_array((m, m)))
-    if support.min() < 0 or support.max() >= A.ncols:
+    if support.size and (support.min() < 0 or support.max() >= A.ncols):
         raise InvalidSupportError("support index out of range")
     seen = np.zeros(A.ncols, dtype=bool)
     seen[support] = True
@@ -274,13 +269,16 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
         raise ValueError("weights must lie in [0, 1] on the support")
     if m <= DENSE_FACTOR_MAX_DIM:
         return _dense_normal_matrix(A.csc, np.sqrt(w), support)
-    As = A.csc[:, support]
-    prod = (As @ sp.diags_array(w)) @ As.T
-    lower = sp.tril(prod, format="csc")
-    # Sparse products and sums of canonical operands drop exact zeros,
-    # and tril/triu leave sorted, duplicate-free columns.
-    mirrored = lower + sp.triu(lower.T, k=1)
-    return SparseMatrix._trusted(mirrored)
+    # the product sums s_ij s_kj in support order, drops exact zeros and
+    # has no duplicates; sorting its row indices makes it canonical
+    pos, which, first = _column_entries(A.csc, support)
+    S = sp.csc_array(
+        (A.csc.data[pos] * np.sqrt(w)[which], A.csc.indices[pos], np.append(first, pos.size)),
+        shape=(m, support.size),
+    )
+    V = S @ S.T  # CSC, as S is
+    V.sort_indices()
+    return SparseMatrix._trusted(V)
 
 
 def _column_entries(csc: sp.csc_array, cols: np.ndarray):

@@ -369,6 +369,26 @@ def test_gen_triangle_names_the_edge_file_it_rejects(tmp_path, capsys, text, rea
     assert not out.exists()
 
 
+@pytest.mark.parametrize("vertices", ["-1", "0", "1", "2"])
+def test_gen_triangle_rejects_a_graph_without_a_triple(tmp_path, capsys, vertices):
+    out = tmp_path / "tri"
+    assert main(["gen", "--kind", "triangle", "--vertices", vertices,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: complete graph needs 3 or more vertices, got {vertices}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["bap", "triangle"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_rejects_a_count_below_one(tmp_path, capsys, kind, count):
+    out = tmp_path / "gen"
+    assert main(["gen", "--kind", kind, "--count", count, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --count must be at least 1, got {count}\n"
+    assert not out.exists()
+
+
 def test_gen_triangle_count_writes_the_instances_of_single_parses(tmp_path, capsys):
     text = "0 1\n0 2\n1 2\n2 3\n1 3\n"
     edges = tmp_path / "graph.txt"

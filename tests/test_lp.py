@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -876,9 +877,48 @@ class TestDualFeasibilityRows:
                     assert np.array_equal(M.data, ref.data)
         assert stones >= len(problems)
 
-    def test_rows_are_built_once_per_problem(self):
-        problem = gen_lp(GenSpec(8, 30, 0.3, seed=10)).problem
-        rows = problem._dual_rows()
-        assert problem._dual_rows() is rows
-        want = sp.hstack([problem.A.csc.T, -sp.eye_array(problem.n)]).toarray()
-        assert np.array_equal(rows.toarray(), want)
+
+def afiro_problem(data_dir):
+    with open(os.path.join(data_dir, "afiro.mps")) as fh:
+        return to_standard_form(parse_mps(fh.read()))[0]
+
+
+def solve_in_threads(problem, count):
+    """``solve_lp`` on one problem from ``count`` threads started together."""
+    barrier = threading.Barrier(count)
+    results = [None] * count
+
+    def run(k):
+        barrier.wait(timeout=10)
+        results[k] = solve_lp(problem)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None for r in results)
+    return results
+
+
+class TestSharedLpProblem:
+    def test_threads_sharing_a_problem_get_identical_results(self, data_dir):
+        first, second = solve_in_threads(afiro_problem(data_dir), 2)
+        assert first.status == "solved"
+        assert first.report() == second.report()
+        for name in ("x", "y_lp", "z_lp"):
+            a, b = getattr(first.certificate, name), getattr(second.certificate, name)
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_solves_leave_the_problem_fields_as_they_were(self, data_dir):
+        problem = afiro_problem(data_dir)
+        before = dict(vars(problem))
+        snapshot = (problem.A.csc.copy(), problem.b.copy(), problem.c.copy())
+        solve_in_threads(problem, 2)
+        assert [f.name for f in dataclasses.fields(problem)] == ["A", "b", "c"]
+        assert vars(problem).keys() == {"A", "b", "c"}
+        assert all(vars(problem)[k] is v for k, v in before.items())
+        csc, b, c = snapshot
+        assert (problem.A.csc != csc).nnz == 0
+        assert problem.b.tobytes() == b.tobytes() and problem.c.tobytes() == c.tobytes()

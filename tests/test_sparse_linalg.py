@@ -221,7 +221,8 @@ class TestAssembleNormalMatrix:
             assert evals.min() >= -1e-12 * norm
 
     def test_regimes_agree(self, monkeypatch):
-        # dense and sparse assembly, bit-symmetric both; the widest
+        # dense and sparse assembly sum the same products in the same
+        # order: bit-symmetric both and equal to the bit; the widest
         # support spans more than one gathered block
         rng = np.random.default_rng(21)
         for m, n, density in ((5, 12, 0.5), (40, 200, 0.1), (120, 600, 0.05), (6, 4500, 0.3)):
@@ -235,7 +236,7 @@ class TestAssembleNormalMatrix:
             assert isinstance(dense, np.ndarray)
             assert np.array_equal(dense, dense.T)
             assert np.array_equal(sparse, sparse.T)
-            assert np.max(np.abs(dense - sparse)) <= 1e-14 * np.max(np.abs(sparse))
+            assert np.array_equal(dense, sparse)
 
     @staticmethod
     def kernel_cases():
@@ -292,11 +293,15 @@ class TestAssembleNormalMatrix:
             assert V.flags.c_contiguous
 
 
-    def test_empty_support_dense_zeros(self):
+    def test_empty_support_dense_zeros(self, monkeypatch):
         A = rand_sparse(np.random.default_rng(4), 7, 10)
         M = assemble_normal_matrix(A, np.ones(10), [])
         assert isinstance(M, np.ndarray)
         assert np.array_equal(M, np.zeros((7, 7)))
+        monkeypatch.setattr(sparse_linalg, "DENSE_FACTOR_MAX_DIM", 0)  # the sparse regime
+        M = assemble_normal_matrix(A, np.ones(10), [])
+        assert isinstance(M, SparseMatrix) and M.shape == (7, 7) and M.nnz == 0
+        assert_canonical(M)
 
     def test_invalid_support(self):
         A = SparseMatrix(np.eye(2))
