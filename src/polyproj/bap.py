@@ -69,6 +69,8 @@ NON_VERTEX = "non_vertex"
 
 # Sufficient-decrease constant of the Armijo test on the dual function.
 ARMIJO_SIGMA = 1e-4
+# Steps without a new best that end a solve whose best meets 10 * tol.
+STALL_WINDOW = 10
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -160,9 +162,10 @@ class RnnmConfig:
     ``||F_k|| <= 1``.  The cap keeps the bound below ``||F_k||``:
     uncapped, it reaches ``||F_k||`` on large residuals and CG accepts
     the zero step.  The shift always follows the adaptive rule of
-    :func:`regularization_lambda`.  On hitting ``max_iter`` the best
-    iterate is returned and accepted as converged if it meets
-    ``10 * tol``.
+    :func:`regularization_lambda`.  A run that ends unconverged (y
+    unchanged by a step, the rounding floor, ``STALL_WINDOW`` steps
+    without a new best, or ``max_iter``) returns the best iterate and
+    counts as converged if it meets ``10 * tol``.
     """
 
     tol: float = 1e-14
@@ -318,14 +321,17 @@ def solve_rnnm(
     for Armijo-globalized Newton on a convex C^1 function rests on.  The
     accepted trial's Moreau split and residual are the next iterate's,
     so a full step costs what an unsearched step would, and gives the
-    same ``y``.  Stops when ``||F(y)|| / (1 + ||b||) <= tol``, when a
-    trial step no longer changes ``y`` at machine precision or a new
-    best residual is at or below the rounding floor
-    ``eps * (||A||_F ||x|| + ||b||) / (1 + ||b||)`` of its ``x`` (both
-    stalled), or when ``max_iter`` is hit.  An unconverged run returns
-    the best iterate seen, with the ``(x, z)`` and residual computed
-    when it was reached; at ``max_iter`` it counts as converged if it
-    meets ``10 * tol``.  Trace rows are ``(k, rel_residual, lambda, t)``.
+    same ``y``.  Stops converged when ``||F(y)|| / (1 + ||b||) <= tol``.
+    Otherwise it stops when a trial step leaves ``y`` unchanged at
+    machine precision, when a new best residual is at or below the
+    rounding floor ``eps * (||A||_F ||x|| + ||b||) / (1 + ||b||)`` of its
+    ``x``, when ``STALL_WINDOW`` steps in a row bring no new best once
+    the best meets ``10 * tol`` (the search is not monotone in the
+    residual), or after ``max_iter`` steps.  It then returns the best
+    iterate seen, with the ``(x, z)`` and residual computed when it was
+    reached: converged if that best meets ``10 * tol``, else
+    ``max_iter`` at the budget and stalled at the other exits.  Trace
+    rows are ``(k, rel_residual, lambda, t)``.
     """
     cfg = config if config is not None else RnnmConfig()
     y = np.zeros(problem.m) if y0 is None else as_vector(y0, problem.m, "y0").copy()
@@ -338,11 +344,11 @@ def solve_rnnm(
     stopcrit = _norm(F) / nb
     v_norm = _norm(problem.v)
 
-    best = (stopcrit, y, x, z)
+    best = (stopcrit, y, x, z, 0)  # the last entry is k
     trace: list[tuple[int, float, float, float]] = []
     d_norm = 0.0
     k = 0
-    status = CONVERGED if stopcrit <= cfg.tol else MAX_ITER
+    status = MAX_ITER
 
     sets = None
     while stopcrit > cfg.tol and k < cfg.max_iter:
@@ -407,23 +413,22 @@ def solve_rnnm(
         k += 1
         if cfg.collect_trace:
             trace.append((k, stopcrit, lam, t))
-        if stopcrit <= cfg.tol:
-            status = CONVERGED
-            break
         if stopcrit < best[0]:
-            best = (stopcrit, y, x, z)
+            best = (stopcrit, y, x, z, k)
             # at the rounding floor of A x - b no step can gain more than
             # noise, which Armijo may keep accepting
             if stopcrit <= _EPS * (a_norm * _norm(x) + b_norm) / nb:
                 status = STALLED
                 break
+        elif k - best[4] >= STALL_WINDOW and best[0] <= 10.0 * cfg.tol:
+            status = STALLED
+            break
 
-    if status != CONVERGED:
-        # fall back to the best iterate; y + t*d and moreau_split build
-        # fresh arrays, so it is returned as stored
-        stopcrit, y, x, z = best
-        if status == MAX_ITER and stopcrit <= 10.0 * cfg.tol:
-            status = CONVERGED
+    # every exit returns the best iterate, the last one if it meets tol;
+    # y + t*d and moreau_split build fresh arrays, so it is returned as stored
+    stopcrit, y, x, z, _ = best
+    if stopcrit <= 10.0 * cfg.tol:
+        status = CONVERGED
 
     return BapSolution(
         x=x,

@@ -99,11 +99,13 @@ def _triangle_graph(args) -> factory.TriangleSpec:
 
 
 def _cmd_gen(args) -> int:
-    # the count is checked and the graph parsed once, before the output
-    # directory is made, so bad input leaves nothing behind
+    # the count, the graph (parsed once) and the generator spec are checked
+    # before the output directory is made, so bad input leaves nothing behind
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     tri = _triangle_graph(args) if args.kind == "triangle" else None
+    if tri is None:
+        bench._gen_spec(vars(args), args.seed)
     os.makedirs(args.out, exist_ok=True)
     entries = []
     for k in range(args.count):

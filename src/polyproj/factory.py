@@ -82,8 +82,8 @@ class GenSpec:
             raise ValueError("density must lie in (0, 1]")
         if self.density * self.n < 1.0:
             raise ValueError("density * n must be at least one entry per row")
-        if self.anchor_norm <= 0.0:
-            raise ValueError("anchor_norm must be positive")
+        if not 0.0 < self.anchor_norm < math.inf:  # NaN fails too
+            raise ValueError("anchor_norm must be positive and finite")
         if self.degeneracy not in (NONDEGENERATE, DEGENERATE, NON_VERTEX):
             raise ValueError(f"unknown degeneracy mode {self.degeneracy!r}")
 

@@ -30,7 +30,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 import scipy.sparse as sp
 
-from .bap import BapProblem, BapSolution, CONVERGED, RnnmConfig, solve_rnnm
+from .bap import BapProblem, CONVERGED, RnnmConfig, solve_rnnm
 from .sparse_linalg import (
     SparseMatrix, _column_entries, _dense_normal_matrix, _gather_columns, as_vector
 )
@@ -66,7 +66,7 @@ class SensitivityFailureError(RuntimeError):
 
 
 class SubproblemFailureError(RuntimeError):
-    """A projection subproblem stayed unconverged through the retry ladder."""
+    """A projection subproblem solve ended unconverged."""
 
     def __init__(self, stone: int, rel_residual: float):
         super().__init__(
@@ -157,12 +157,13 @@ SUBPROBLEM_MAX_ITER = 2000
 class LpConfig:
     """Path-following controls.
 
-    ``tol_gap >= 0`` is the relative gap that ends the solve.  The
-    class constant ``subproblem_tols`` is the retry ladder for each
-    projection solve, ``SUBPROBLEM_MAX_ITER`` Newton iterations per
-    rung.  The nudge past a stone is relative, ``max(1e-8, 1e-2/stone)``.
-    The degeneracy escape that multiplies R by ten is described in
-    :func:`solve_lp`.
+    ``tol_gap >= 0`` is the relative gap that ends the solve.  Each
+    projection is one :func:`solve_rnnm` call of at most
+    ``SUBPROBLEM_MAX_ITER`` iterations; the class constant
+    ``subproblem_tols`` holds its tolerance and the ``10 * tol`` level
+    at which it accepts its best iterate.  The nudge past a stone is
+    relative, ``max(1e-8, 1e-2/stone)``.  The degeneracy escape that
+    multiplies R by ten is described in :func:`solve_lp`.
     """
 
     tol_gap: float = 1e-8
@@ -499,7 +500,7 @@ def lp_bounds(problem: LpProblem, state: SsepfState, pin_basic: bool = False) ->
         y_lp, z_lp[N], Aty = closed
     else:
         sub, keep, full = _dual_feasibility_bap(problem, state, pin_basic)
-        sol = _solve_with_ladder(sub, None)
+        sol = solve_rnnm(sub, None, RnnmConfig(LpConfig.subproblem_tols[0], SUBPROBLEM_MAX_ITER))
         if sol.status != CONVERGED:
             warning = f"dual-feasibility projection ended {sol.status}"
         full[keep] = sol.x
@@ -528,16 +529,6 @@ def lp_bounds(problem: LpProblem, state: SsepfState, pin_basic: bool = False) ->
         rel_residual_triplet=(primal, dual, comp),
         warning=warning,
     )
-
-
-def _solve_with_ladder(sub: BapProblem, y0) -> BapSolution:
-    sol = None
-    for tol in LpConfig.subproblem_tols:
-        rc = RnnmConfig(tol=tol, max_iter=SUBPROBLEM_MAX_ITER)
-        sol = solve_rnnm(sub, y0, rc)
-        if sol.status == CONVERGED:
-            return sol
-    return sol
 
 
 def _basis_zero_tol(w: np.ndarray, z: np.ndarray) -> float:
@@ -576,7 +567,7 @@ def solve_lp(problem: LpProblem, config: LpConfig | None = None) -> LpResult:
 
     for stone in range(1, cfg.max_stones + 1):
         sub = scaled_subproblem(problem, R)
-        sol = _solve_with_ladder(sub, y_start)
+        sol = solve_rnnm(sub, y_start, RnnmConfig(cfg.subproblem_tols[0], SUBPROBLEM_MAX_ITER))
         if sol.status != CONVERGED:
             raise SubproblemFailureError(stone, sol.rel_residual)
         w, z = sol.x, sol.z

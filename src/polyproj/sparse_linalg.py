@@ -265,7 +265,7 @@ def assemble_normal_matrix(A: SparseMatrix, weights, support) -> SparseMatrix | 
         raise InvalidSupportError("support contains duplicate indices")
     weights = np.asarray(weights, dtype=np.float64)
     w = weights[support]
-    if (w < 0.0).any() or (w > 1.0).any():
+    if not ((w >= 0.0) & (w <= 1.0)).all():  # NaN fails too
         raise ValueError("weights must lie in [0, 1] on the support")
     if m <= DENSE_FACTOR_MAX_DIM:
         return _dense_normal_matrix(A.csc, np.sqrt(w), support)
@@ -363,8 +363,7 @@ def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
         # ravel returns a view of an F-contiguous array
         diagonal = dense.ravel(order="F")[:: n + 1]
         diagonal += shift
-        # normal matrices are built from validated (finite) matrices, so
-        # no finiteness scan; clean=0 leaves the unread upper triangle
+        # clean=0 leaves the unread upper triangle
         factor, info = dpotrf(dense, lower=1, overwrite_a=1, clean=0)
         if info > 0:
             raise NotPositiveDefiniteError(
@@ -372,6 +371,9 @@ def cholesky_shifted(M: SparseMatrix | np.ndarray, shift: float) -> CholFactor:
             )
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
+        # dpotrf can pass a non-finite entry of M to the factor's diagonal
+        if not np.isfinite(factor.diagonal()).all():
+            raise NotPositiveDefiniteError("non-finite pivot in dense factorization")
         return CholFactor(n, dense=factor)
     shifted = (M.csc + shift * sp.eye_array(n, format="csc")).tocsc()
     lu = spla.splu(

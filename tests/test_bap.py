@@ -489,6 +489,19 @@ class TestSolveRnnm:
             assert sol.iterations <= 30
             assert sol.rel_residual <= 1e-16
 
+    def test_floor_stall_within_ten_tol_is_converged(self):
+        # tol at half the floor residual leaves the trajectory of the
+        # tol 1e-300 run, which stalls at the floor; a stall counts as
+        # converged at 10 * tol, as a run out of budget does
+        for seed in range(8):
+            g = gen_bap_with_known_vertex(GenSpec(m=15, n=60, density=0.2, seed=seed))
+            floor = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-300))
+            tol = floor.rel_residual / 2
+            sol = solve_rnnm(g.problem, config=RnnmConfig(tol=tol))
+            assert sol.status == CONVERGED
+            assert tol < sol.rel_residual <= 10 * tol
+            assert np.array_equal(sol.y, floor.y)
+
     def test_full_steps_on_a_vertex_instance(self):
         # no step backtracks on a well-posed projection: the search
         # leaves the undamped Newton iteration as it was

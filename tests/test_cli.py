@@ -389,6 +389,20 @@ def test_gen_rejects_a_count_below_one(tmp_path, capsys, kind, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["bap", "lp"])
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "20", "--n", "12"], "m < n is required"),
+    (["--anchor-norm", "-1"], "anchor_norm must be positive and finite"),
+    (["--anchor-norm", "nan"], "anchor_norm must be positive and finite"),
+    (["--seed", "-1"], "seed must be nonnegative"),
+])
+def test_gen_checks_the_spec_before_making_the_directory(tmp_path, capsys, kind, flags, message):
+    out = tmp_path / "gen"
+    assert main(["gen", "--kind", kind, *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_triangle_count_writes_the_instances_of_single_parses(tmp_path, capsys):
     text = "0 1\n0 2\n1 2\n2 3\n1 3\n"
     edges = tmp_path / "graph.txt"

@@ -34,6 +34,10 @@ class TestGenSpec:
             GenSpec(m=2, n=10, density=0.5, seed=0, degeneracy="weird")
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             GenSpec(m=2, n=10, density=0.5, seed=-1)  # default_rng rejects it
+        # NaN and inf used to pass and fail later, in generation
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="anchor_norm must be positive and finite"):
+                GenSpec(m=2, n=10, density=0.5, seed=0, anchor_norm=bad)
 
     def test_m_below_one_rejected(self):
         for m in (0, -3):

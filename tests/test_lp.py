@@ -29,7 +29,6 @@ from polyproj.lp import (
     _basis_zero_tol,
     _dual_feasibility_bap,
     _factor_basis,
-    _solve_with_ladder,
 )
 from polyproj.mps import parse_mps, to_standard_form
 from polyproj.sparse_linalg import SparseMatrix, _dense_normal_matrix
@@ -413,10 +412,11 @@ class TestBasisCertificate:
 
         monkeypatch.setattr(lp_mod, "SUBPROBLEM_MAX_ITER", 30)
         sub, _, _ = _dual_feasibility_bap(lp, state, pin_basic=True)
-        ref = _solve_with_ladder(sub, None)
+        ref = solve_rnnm(sub, None, RnnmConfig(tol=LpConfig.subproblem_tols[0], max_iter=30))
         projections = count_projections(monkeypatch)
         cert = lp_bounds(lp, state, pin_basic=True)
-        assert len(projections) == len(LpConfig.subproblem_tols)
+        # one projection: an unconverged solve is not run again
+        assert len(projections) == 1
         assert np.array_equal(cert.y_lp, ref.x[:2])
         assert np.array_equal(cert.z_lp, [0.0, 0.0, ref.x[2]])
         assert cert.warning == f"dual-feasibility projection ended {ref.status}"
@@ -589,6 +589,32 @@ class TestGlobalizedSubproblem:
         assert res.status == "solved"
         assert max(s.subproblem_iterations for s in res.stones) <= 20
 
+    @pytest.mark.parametrize("seed, stones", [(4, 26), (5, 28)])
+    def test_scaled_lp_takes_one_short_solve_per_stone(self, monkeypatch, seed, stones):
+        # rows and columns scaled by 10^U(-1, 1), which leaves the optimal
+        # value as it is; stone solves here stall just above tol, and two
+        # wandered for 726 and 360 steps before they reached the floor
+        gl = gen_lp(GenSpec(60, 240, 0.1, seed=seed))
+        rng = np.random.default_rng(100 + seed)
+        R = 10.0 ** rng.uniform(-1.0, 1.0, gl.problem.m)
+        C = 10.0 ** rng.uniform(-1.0, 1.0, gl.problem.n)
+        A = SparseMatrix(R[:, None] * gl.problem.A.toarray() * C)
+        lp = LpProblem(A, R * gl.problem.b, C * gl.problem.c)
+        solves = []
+
+        def spy(sub, y0, config):
+            sol = solve_rnnm(sub, y0, config)
+            solves.append((sub.A is lp.A, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(lp_mod, "solve_rnnm", spy)
+        res = solve_lp(lp)
+        assert res.status == "solved" and len(res.stones) == stones
+        ref = gl.known_optimum
+        assert abs(res.certificate.lower - ref) <= 1e-7 * (1.0 + abs(ref))
+        assert sum(stone_solve for stone_solve, _ in solves) == stones
+        assert max(iterations for _, iterations in solves) <= 50
+
 
 class TestSubproblemFailure:
     def test_infeasible_lp_raises_with_stone_index(self, monkeypatch):
@@ -597,7 +623,7 @@ class TestSubproblemFailure:
 
         A = SparseMatrix(np.array([[1.0, 1.0]]))
         infeasible = LpProblem(A, np.array([-1.0]), np.array([1.0, 0.0]))
-        # a short budget: the full one spends 2 x 2000 iterations to fail
+        # a short budget: the full one spends 2000 iterations to fail
         monkeypatch.setattr(lp_mod, "SUBPROBLEM_MAX_ITER", 60)
         with pytest.raises(SubproblemFailureError) as err:
             solve_lp(infeasible)
@@ -679,7 +705,8 @@ def sliced_bounds(problem, state, pin_basic):
         y_lp, z_lp[N] = closed
     else:
         sub, keep, full = _dual_feasibility_bap(problem, state, pin_basic)
-        full[keep] = _solve_with_ladder(sub, None).x
+        cfg = RnnmConfig(tol=LpConfig.subproblem_tols[0], max_iter=lp_mod.SUBPROBLEM_MAX_ITER)
+        full[keep] = solve_rnnm(sub, None, cfg).x
         y_lp = full[:m]
         z_lp[B], z_lp[N] = full[m : m + B.size], full[m + B.size :]
     if Z.size:

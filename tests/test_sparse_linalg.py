@@ -310,10 +310,18 @@ class TestAssembleNormalMatrix:
         with pytest.raises(InvalidSupportError):
             assemble_normal_matrix(A, np.ones(2), [0, 0])
 
-    def test_weights_range_checked(self):
+    def test_weights_range_checked(self, monkeypatch):
         A = SparseMatrix(np.eye(2))
         with pytest.raises(ValueError):
             assemble_normal_matrix(A, np.array([1.5, 0.5]), [0, 1])
+        # a NaN weight fails the range test on both sides of the size
+        # rule; it used to give a NaN V that was not even symmetric
+        A = SparseMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 3.0]]))
+        for dense_max in (DENSE_FACTOR_MAX_DIM, 0):
+            with monkeypatch.context() as mp:
+                mp.setattr(sparse_linalg, "DENSE_FACTOR_MAX_DIM", dense_max)
+                with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                    assemble_normal_matrix(A, np.array([np.nan, 1.0, 1.0]), [0, 1, 2])
 
 
 class TestCholeskyShifted:
@@ -401,6 +409,14 @@ class TestCholeskyShifted:
     def test_dense_not_positive_definite_raises(self):
         with pytest.raises(NotPositiveDefiniteError, match="2-th leading minor"):
             cholesky_shifted(np.array([[1.0, 0.0], [0.0, -5.0]]), 1e-8)
+
+    @pytest.mark.parametrize("M", [
+        np.diag([2.0, np.inf, 2.0]),  # gave the finite, wrong [1/3, 0, 1/3]
+        np.array([[2.0, 0.0, 0.0], [np.nan, 2.0, 0.0], [0.0, 0.0, 2.0]]),  # gave all NaN
+    ])
+    def test_dense_non_finite_factor_raises(self, M):
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite pivot"):
+            cholesky_shifted(M, 1.0)
 
     def test_not_psd_raises(self):
         M = SparseMatrix(np.array([[1.0, 0.0], [0.0, -5.0]]))
