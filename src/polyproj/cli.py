@@ -103,8 +103,13 @@ def _cmd_gen(args) -> int:
     # before the output directory is made, so bad input leaves nothing behind
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    tri = _triangle_graph(args) if args.kind == "triangle" else None
-    if tri is None:
+    tri = None
+    if args.kind == "triangle":
+        # the generator spec checks the seed of the other kinds
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+        tri = _triangle_graph(args)
+    else:
         bench._gen_spec(vars(args), args.seed)
     os.makedirs(args.out, exist_ok=True)
     entries = []

@@ -17,8 +17,17 @@ index k0 from x0, row i (step k = k0 + i) then satisfies
     G_ii s_i = k0 (b_i - (A x0)_i) + i (b_i - (A v)_i) - sum_{j<i} G_ij s_j
 
 with ``G = A A^T``: one forward substitution with ``tril(G)``, which is
-the Gauss-Seidel sweep on ``A A^T`` of Bjorck and Elfving.  The point
-before the clamp is ``(k0 x0 + m v + A^T s) / (k0 + m)``.
+the Gauss-Seidel sweep on ``A A^T`` of Bjorck and Elfving.  The sweep
+ends at ``k = k0 + m`` on the clamped point ``x_hat = W / k`` with
+
+    W = max(k0 x0 + m v + A^T s, 0),
+
+as ``k max(u / k, 0) = max(u, 0)`` for ``k > 0``.  The loop carries W,
+never x_hat.  The next sweep starts from ``x0 = sigma v + (1 - sigma)
+x_hat`` at ``k0 = k + 1``, so ``k0 x0 + m v = W + c`` with
+``c = v + m v``, and its right-hand side ``k0 (b - A x0) + i (b - A v)``
+is ``rv + i rv - (A W - k b)`` with ``rv = b - A v``.  The stopping test
+reads the same vector: ``||A x_hat - b|| = ||A W - k b|| / k``.
 
 Once per solve, scipy's compiled sparse kernels build a CSR copy of A
 (``csr_tocsc`` on its CSC arrays) and G (``csr_matmat`` and
@@ -26,12 +35,23 @@ Once per solve, scipy's compiled sparse kernels build a CSR copy of A
 kernels that ``(A @ A.T).toarray()`` runs, without its dispatch.  A
 sweep then costs one LAPACK ``dtrtrs`` call on G, which solves in place
 (the call ``scipy.linalg.solve_triangular`` makes for F-ordered input,
-without its argument handling), two ``csr_matvec`` calls, ``A^T s`` on
-the CSC arrays and ``A x`` on the CSR copy, and a few vector updates.
-Every vector it writes is a buffer allocated once per solve, so a
-sweep allocates no array.  The row-by-row ``A x`` sums each row in the
-column order that ``csc_matvec`` does, so the results are those of
-``A @ x`` to the bit.
+without its argument handling), ``A^T s`` by ``csr_matvec`` on the CSC
+arrays of A, added straight onto the buffer that holds ``W + c``, the
+clamp, and ``A W - k b`` by ``csr_matvec`` onto ``-k b``.  Every vector
+it writes is a buffer allocated once per solve, so a sweep allocates no
+array, and x_hat is formed once, at exit.
+
+``A W`` runs over the rows of A restricted to a cover of the support of
+W, a set of columns outside which W is zero.  The cover is the support
+of W when it was last built; it is built again, in O(nnz(A)), whenever
+``outside @ W`` (``outside`` the 0/1 indicator of the columns not in
+the cover) is not ``<= 0``, which a positive entry or a NaN outside the
+cover makes.  The support of W settles early, so the cover is rarely
+rebuilt, and a sparse W makes ``A W`` cheaper than a full product.  The
+terms it skips are ``a_ij * 0``, which leave a sum other than a signed
+zero unchanged, and each row keeps its column order, the order of
+``csc_matvec``: ``A W`` holds the bits of the full product, up to the
+sign of a zero.
 
 The module does no file I/O: ``serialize.write_trace_csv`` writes the
 per-sweep trace that ``HlwbConfig.collect_trace`` records.
@@ -143,6 +163,18 @@ def _rows_and_gram(csc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return rptr, rind, rval, dense.T
 
 
+def _column_restriction(
+    rptr: np.ndarray, rind: np.ndarray, rval: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays of A with only the entries in the columns where
+    ``keep`` is True.  Column indices stay those of A, and each row keeps
+    its column order."""
+    kept = keep[rind]
+    before = np.zeros(len(rind) + 1, dtype=rptr.dtype)
+    np.cumsum(kept, dtype=rptr.dtype, out=before[1:])
+    return before[rptr], rind[kept], rval[kept]
+
+
 def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbResult:
     """Run sweeps of cyclic projections with anchored harmonic steering.
 
@@ -151,10 +183,15 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     orthant clamp; the steering index k is global and never resets.
     The hyperplane steps of a sweep are one forward substitution with
     ``tril(A A^T)`` on the scaled multipliers ``s = k t`` of the
-    recurrence ``w_{k+1} = w_k + v + s_k a_i``, ``w_k = k x_k`` (see the
-    module docstring); ``A A^T`` is held densely, O(m^2) memory.  The
-    stopping test runs once per completed sweep on the post-orthant
-    iterate (which is nonnegative): ``||A x_hat - b|| / (1 + ||b||) <= tol``.
+    recurrence ``w_{k+1} = w_k + v + s_k a_i``, ``w_k = k x_k``, and the
+    loop carries the clamped scaled iterate ``W = k x_hat`` from sweep
+    to sweep (see the module docstring); ``A A^T`` is held densely,
+    O(m^2) memory.  ``A W`` runs over a cover of the support of W,
+    rebuilt when W grows outside it.  The stopping test runs once per
+    completed sweep on the post-orthant iterate (which is nonnegative):
+    ``||A x_hat - b|| / (1 + ||b||) <= tol``, computed as
+    ``||A W - k b|| / (k (1 + ||b||))``; ``rel_residual`` is that value,
+    and ``x = W / k`` is formed once, at exit.
     """
     cfg = config if config is not None else HlwbConfig()
     if problem.n_free:
@@ -173,58 +210,52 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     b = problem.b
     nb = 1.0 + float(np.linalg.norm(b))
     rv = b - A.matvec(v)
-    ramp = np.arange(m) * rv
-    mv = m * v
-
-    # k0 * x0 and k0 * (b - A x0) at the start of the sweep; k0 = 0 first
-    w0 = np.zeros(n)
-    r0 = np.zeros(m)
-    # the sweep's buffers: s is solved in place in rhs = r0 + ramp
-    rhs = np.empty(m)
-    ats = np.empty(n)
-    xhat = np.empty(n)
+    # the first sweep (k0 = 0): s is solved in place in rhs = i rv, and
+    # A^T s is added onto w = m v
+    rhs = np.arange(m) * rv
+    w = m * v
+    # later sweeps: rhs = rr - (A W - k b) and w = W + c
+    rr = rv + rhs
+    c = v + w
     ax = np.empty(m)
-    res = np.empty(m)
+    # the cover starts empty, so the first sweep with W != 0 builds it
+    outside = np.ones(n)
+    cptr, cind, cval = _column_restriction(rptr, rind, rval, np.zeros(n, dtype=bool))
     k0 = sweeps = 0
     trace: list[tuple[int, float, float]] = []
 
     while True:
-        np.add(r0, ramp, out=rhs)
         s, info = dtrtrs(G, rhs, lower=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"LAPACK dtrtrs returned info {info}")
         # global iteration k0 + i is row i; k is the orthant step
         k = k0 + m
-        # A^T s; the CSC arrays of A are the CSR arrays of A^T
-        ats.fill(0.0)
-        csr_matvec(n, m, csc.indptr, csc.indices, csc.data, s, ats)
-        # xhat = max((w0 + m v + A^T s) / k, 0), one operation at a time
-        np.add(w0, mv, out=xhat)
-        np.add(xhat, ats, out=xhat)
-        np.divide(xhat, k, out=xhat)
-        np.maximum(xhat, 0.0, out=xhat)
-        # A xhat row by row, each row summed in the column order of csc_matvec
-        ax.fill(0.0)
-        csr_matvec(m, n, rptr, rind, rval, xhat, ax)
-        np.subtract(b, ax, out=res)
+        # W = max(w + A^T s, 0); the CSC arrays of A are the CSR arrays of A^T
+        csr_matvec(n, m, csc.indptr, csc.indices, csc.data, s, w)
+        np.maximum(w, 0.0, out=w)
+        if not outside @ w <= 0.0:  # W grew outside the cover, or is NaN
+            held = w != 0.0
+            outside = np.logical_not(held).astype(float)
+            cptr, cind, cval = _column_restriction(rptr, rind, rval, held)
+        # A W - k b row by row, each row summed in the column order of
+        # csc_matvec from -k b_i
+        np.multiply(b, -k, out=ax)
+        csr_matvec(m, n, cptr, cind, cval, w, ax)
         sigma = 1.0 / (k + 1)
         sweeps += 1
-        # ||res|| as np.linalg.norm computes it for a float vector
-        rel = math.sqrt(res @ res) / nb
+        # ||A x_hat - b|| / (1 + ||b||), the norm as np.linalg.norm computes it
+        rel = math.sqrt(ax @ ax) / (k * nb)
         if cfg.collect_trace:
             trace.append((sweeps, rel, sigma))
         if rel <= cfg.tol or sweeps >= cfg.max_sweeps:
             break
-        # x0 = sigma v + (1 - sigma) xhat, scaled by k0 = k + 1:
-        # w0 = v + k xhat, r0 = rv + k res
-        np.multiply(k, xhat, out=w0)
-        np.add(v, w0, out=w0)
-        np.multiply(k, res, out=r0)
-        np.add(rv, r0, out=r0)
+        np.subtract(rr, ax, out=rhs)
+        np.add(w, c, out=w)
         k0 = k + 1
 
+    np.divide(w, k, out=w)
     return HlwbResult(
-        x=xhat,
+        x=w,
         rel_residual=rel,
         sweeps=sweeps,
         status="converged" if rel <= cfg.tol else MAX_SWEEPS,

@@ -380,6 +380,14 @@ def test_gen_triangle_rejects_a_graph_without_a_triple(tmp_path, capsys, vertice
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_gen_triangle_rejects_a_negative_seed(tmp_path, capsys, seed):
+    out = tmp_path / "tri"
+    assert main(["gen", "--kind", "triangle", "--seed", seed, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --seed must be nonnegative, got {seed}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["bap", "triangle"])
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_gen_rejects_a_count_below_one(tmp_path, capsys, kind, count):

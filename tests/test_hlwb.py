@@ -5,7 +5,13 @@ import scipy.sparse as sp
 
 import polyproj.hlwb
 from polyproj.bap import BapProblem
-from polyproj.factory import DEGENERATE, GenSpec, gen_bap_with_known_vertex
+from polyproj.factory import (
+    DEGENERATE,
+    GenSpec,
+    TriangleSpec,
+    build_triangle_bap,
+    gen_bap_with_known_vertex,
+)
 from polyproj.hlwb import (
     MAX_SWEEPS,
     HlwbConfig,
@@ -192,9 +198,48 @@ class TestSweepParity:
 
 
 def triangular_solve_hlwb(problem, cfg):
-    """The sweep loop with each forward substitution run through
-    ``scipy.linalg.solve_triangular`` instead of LAPACK ``dtrtrs``
-    directly.  Returns an ``HlwbResult``."""
+    """The sweep loop on the scaled iterate ``W = k x_hat`` in plain scipy:
+    each forward substitution through ``scipy.linalg.solve_triangular``
+    instead of LAPACK ``dtrtrs`` directly, and every product over the
+    whole of A.  A row sum that the solver starts from a value already
+    in its output buffer starts here from a leading column of ones or of
+    ``-b``: ``[I | A^T] @ [w; s]`` is ``w + A^T s`` and
+    ``[-b | A] @ [k; W]`` is ``A W - k b``, summed in the solver's
+    order.  Returns an ``HlwbResult``."""
+    A = problem.A.csc
+    At = A.T
+    m, n = A.shape
+    G = (A @ At).toarray()
+    add_ats = sp.hstack([sp.identity(n, format="csr"), At.tocsr()], format="csr")
+    aw_minus_kb = sp.hstack([sp.csr_array(-problem.b[:, None]), A.tocsr()], format="csr")
+    v, b = problem.v, problem.b
+    nb = 1.0 + float(np.linalg.norm(b))
+    rv = b - A @ v
+    rhs, w = np.arange(m) * rv, m * v
+    rr, c = rv + rhs, v + w
+    k0 = sweeps = 0
+    trace = []
+    while True:
+        s = scipy.linalg.solve_triangular(G, rhs, lower=True, check_finite=False)
+        k = k0 + m
+        W = np.maximum(add_ats @ np.concatenate([w, s]), 0.0)
+        ax = aw_minus_kb @ np.concatenate([[k], W])
+        sweeps += 1
+        rel = float(np.linalg.norm(ax)) / (k * nb)
+        trace.append((sweeps, rel, 1.0 / (k + 1)))
+        if rel <= cfg.tol or sweeps == cfg.max_sweeps:
+            break
+        rhs, w, k0 = rr - ax, W + c, k + 1
+    status = "converged" if rel <= cfg.tol else MAX_SWEEPS
+    return HlwbResult(W / k, rel, sweeps, status, trace)
+
+
+def xhat_recurrence_hlwb(problem, cfg):
+    """The sweep loop carrying the clamped iterate ``x_hat`` itself, with
+    ``x_hat = max((w0 + m v + A^T s) / k, 0)`` and the next sweep's
+    ``w0 = v + k x_hat`` and ``k0 (b - A x0) = rv + k (b - A x_hat)``.
+    It is the scaled recurrence up to rounding.  Returns an
+    ``HlwbResult``."""
     A = problem.A.csc
     At = A.T
     m = A.shape[0]
@@ -221,7 +266,7 @@ def triangular_solve_hlwb(problem, cfg):
     return HlwbResult(xhat, rel, sweeps, status, trace)
 
 
-@pytest.mark.parametrize(
+ORACLE_CASES = pytest.mark.parametrize(
     "m, density",
     # m = 50 at density 0.01 is the sparsest class of the benchmark's
     # sweeps, m = 200 at density 0.1 the largest
@@ -229,7 +274,11 @@ def triangular_solve_hlwb(problem, cfg):
      pytest.param(50, 0.01, id="50-d0.01"), pytest.param(120, 0.05, id="120"),
      pytest.param(200, 0.1, id="200-d0.1")],
 )
-@pytest.mark.parametrize("seed", [101, 102, 103, 104])
+ORACLE_SEEDS = pytest.mark.parametrize("seed", [101, 102, 103, 104])
+
+
+@ORACLE_CASES
+@ORACLE_SEEDS
 def test_lapack_sweep_is_bit_identical_to_solve_triangular(m, density, seed):
     problem = gen_bap_with_known_vertex(GenSpec(m, 10 * m, density, seed=seed)).problem
     cfg = HlwbConfig(tol=1e-4, max_sweeps=400, collect_trace=True)
@@ -239,6 +288,58 @@ def test_lapack_sweep_is_bit_identical_to_solve_triangular(m, density, seed):
         want.rel_residual, want.sweeps, want.status
     )
     assert got.trace == want.trace
+
+
+@ORACLE_CASES
+@ORACLE_SEEDS
+def test_scaled_recurrence_matches_the_xhat_recurrence(m, density, seed):
+    problem = gen_bap_with_known_vertex(GenSpec(m, 10 * m, density, seed=seed)).problem
+    cfg = HlwbConfig(tol=1e-4, max_sweeps=400)
+    got, old = solve_hlwb(problem, cfg), xhat_recurrence_hlwb(problem, cfg)
+    assert (got.sweeps, got.status) == (old.sweeps, old.status)
+    assert np.linalg.norm(got.x - old.x) <= 1e-14 * np.linalg.norm(old.x)
+
+
+def test_cover_follows_a_support_that_grows_after_the_first_sweep():
+    """Columns that are zero after sweep 1 and positive later must enter
+    the cover that ``A W`` runs over; the full-matrix oracle checks it."""
+    problem = gen_bap_with_known_vertex(GenSpec(10, 40, 0.3, seed=8)).problem
+    first, second = (solve_hlwb(problem, HlwbConfig(tol=1e-18, max_sweeps=s)).x
+                     for s in (1, 2))
+    assert np.any((first == 0.0) & (second > 0.0))
+    cfg = HlwbConfig(tol=1e-18, max_sweeps=200, collect_trace=True)
+    got, want = solve_hlwb(problem, cfg), triangular_solve_hlwb(problem, cfg)
+    assert np.array_equal(got.x, want.x)
+    assert (got.rel_residual, got.sweeps, got.status, got.trace) == (
+        want.rel_residual, want.sweeps, want.status, want.trace
+    )
+
+
+@pytest.mark.parametrize("vertices", [6, 8])
+def test_triangle_instance_is_bit_identical_to_the_oracle(vertices):
+    """Triangle-inequality rows: each row has three entries of +-1, a
+    support pattern unlike the random generator's."""
+    tri = TriangleSpec.complete(vertices)
+    xbar = np.random.default_rng(0).uniform(0.0, 1.5, size=len(tri.edges))
+    problem = build_triangle_bap(tri, xbar)
+    cfg = HlwbConfig(tol=1e-3, max_sweeps=400, collect_trace=True)
+    got, want = solve_hlwb(problem, cfg), triangular_solve_hlwb(problem, cfg)
+    assert np.array_equal(got.x, want.x)
+    assert (got.rel_residual, got.sweeps, got.status, got.trace) == (
+        want.rel_residual, want.sweeps, want.status, want.trace
+    )
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_rel_residual_describes_the_returned_x(tol, seed):
+    """The loop's residual, read off ``A W - k b``, is that of ``x = W / k``."""
+    problem = gen_bap_with_known_vertex(GenSpec(40, 400, 0.05, seed=seed)).problem
+    res = solve_hlwb(problem, HlwbConfig(tol=tol, max_sweeps=300))
+    b = problem.b
+    direct = np.linalg.norm(problem.A.csc @ res.x - b) / (1.0 + np.linalg.norm(b))
+    assert res.rel_residual == pytest.approx(direct, rel=1e-12, abs=0.0)
+    assert (res.status == "converged") == (res.rel_residual <= tol)
 
 
 @pytest.mark.parametrize("max_sweeps", [1, 3, 2000])
