@@ -176,7 +176,9 @@ class RnnmConfig:
     def __post_init__(self):
         if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        budget = self.max_iter
+        # a bool is an Integral, but never a budget
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
             raise ValueError("max_iter must be at least 1 and an integer")
         if self.mode not in ("exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")

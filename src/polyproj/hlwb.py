@@ -31,27 +31,36 @@ reads the same vector: ``||A x_hat - b|| = ||A W - k b|| / k``.
 
 Once per solve, scipy's compiled sparse kernels build a CSR copy of A
 (``csr_tocsc`` on its CSC arrays) and G (``csr_matmat`` and
-``csr_todense``), densely and F-ordered, O(m^2) memory; the same
-kernels that ``(A @ A.T).toarray()`` runs, without its dispatch.  A
-sweep then costs one LAPACK ``dtrtrs`` call on G, which solves in place
-(the call ``scipy.linalg.solve_triangular`` makes for F-ordered input,
-without its argument handling), ``A^T s`` by ``csr_matvec`` on the CSC
-arrays of A, added straight onto the buffer that holds ``W + c``, the
-clamp, and ``A W - k b`` by ``csr_matvec`` onto ``-k b``.  Every vector
-it writes is a buffer allocated once per solve, so a sweep allocates no
-array, and x_hat is formed once, at exit.
+``csr_todense``), densely and F-ordered, O(m^2) memory.  G holds the
+bits of ``(A @ A.T).toarray()``, as ``csr_matmat`` stores the same
+entries whatever the length of its output buffers.  Those are sized
+without the pass that counts G's entries: every stored entry (i, l)
+takes at least one product ``a_ij a_lj``, column j makes ``c_j^2`` of
+them from its ``c_j`` entries, and G has m^2 entries, so at most
+``min(m^2, sum_j c_j^2)`` are stored.  A sweep then costs one LAPACK ``dtrtrs``
+call on G, which solves in place (the call
+``scipy.linalg.solve_triangular`` makes for F-ordered input, without
+its argument handling), ``A^T s`` by ``csr_matvec`` on the CSC arrays
+of A, added straight onto the buffer that holds ``W + c``, the clamp,
+and ``A W - k b`` by ``csr_matvec`` onto ``-k b``.  Every vector it
+writes is a buffer allocated once per solve, so a sweep allocates no
+array, and x_hat is formed once, at exit.  The loop calls the kernels
+with the least dispatch that gives the same arithmetic: ``ndarray.dot``
+for the 1-D products, ``dtrtrs`` with positional arguments, and the
+config, the arrays of A and the ufuncs bound to local names.
 
 ``A W`` runs over the rows of A restricted to a cover of the support of
 W, a set of columns outside which W is zero.  The cover is the support
-of W when it was last built; it is built again, in O(nnz(A)), whenever
-``outside @ W`` (``outside`` the 0/1 indicator of the columns not in
-the cover) is not ``<= 0``, which a positive entry or a NaN outside the
-cover makes.  The support of W settles early, so the cover is rarely
-rebuilt, and a sparse W makes ``A W`` cheaper than a full product.  The
-terms it skips are ``a_ij * 0``, which leave a sum other than a signed
-zero unchanged, and each row keeps its column order, the order of
-``csc_matvec``: ``A W`` holds the bits of the full product, up to the
-sign of a zero.
+of W when it was last built; it is built again whenever ``outside @ W``
+(``outside`` the 0/1 indicator of the columns not in the cover) is not
+``<= 0``, which a positive entry or a NaN outside the cover makes.  It
+is built from its own columns of the CSC arrays, in O(nnz(cover) + m),
+and starts empty.  The support of W settles early, so the cover is
+rarely rebuilt, and a sparse W makes ``A W`` cheaper than a full
+product.  The terms it skips are ``a_ij * 0``, which leave a sum other
+than a signed zero unchanged, and each row keeps its column order, the
+order of ``csc_matvec``: ``A W`` holds the bits of the full product, up
+to the sign of a zero.
 
 The module does no file I/O: ``serialize.write_trace_csv`` writes the
 per-sweep trace that ``HlwbConfig.collect_trace`` records.
@@ -65,15 +74,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.sparse._sparsetools import (
-    csr_matmat,
-    csr_matmat_maxnnz,
-    csr_matvec,
-    csr_todense,
-    csr_tocsc,
-)
+from scipy.sparse._sparsetools import csr_matmat, csr_matvec, csr_todense, csr_tocsc
 
 from .bap import BapProblem
+from .sparse_linalg import _column_entries
 
 __all__ = [
     "HlwbConfig",
@@ -103,7 +107,9 @@ class HlwbConfig:
     def __post_init__(self):
         if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
-        if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
+        budget = self.max_sweeps
+        # a bool is an Integral, but never a budget
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
             raise ValueError("max_sweeps must be at least 1 and an integer")
 
 
@@ -142,10 +148,17 @@ def _rows_and_gram(csc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     The CSC arrays of ``A`` are the CSR arrays of ``A^T``; ``csr_tocsc``
     on them gives the CSR arrays of ``A``, whose rows list their columns
     in increasing order.  ``csr_matmat`` then forms ``A A^T`` and
-    ``csr_todense`` writes it into a C-ordered zero buffer: the calls
-    and operands that ``(csc @ csc.T).toarray()`` makes, so G holds the
-    same bits.  G is returned as the F-ordered transpose view of that
-    buffer, as ``toarray`` returns it, which ``dtrtrs`` reads in place.
+    ``csr_todense`` writes it into a C-ordered zero buffer, with the
+    operands and the order of summation of ``(csc @ csc.T).toarray()``,
+    so G holds the same bits.  The entry buffers are sized by a bound,
+    not by the counting pass of ``csr_matmat_maxnnz``: a stored entry
+    (i, l) takes at least one product ``a_ij a_lj``, column j makes
+    ``c_j^2`` of them from its ``c_j`` entries, and G has m^2 entries,
+    so at most ``min(m^2, sum_j c_j^2)`` are stored.  ``csr_matmat``
+    does not check the length of its buffers; the bound alone keeps it
+    inside them.  G is returned as the F-ordered
+    transpose view of the dense buffer, as ``toarray`` returns it, which
+    ``dtrtrs`` reads in place.
     """
     m, n = csc.shape
     idx = csc.indices.dtype
@@ -153,7 +166,8 @@ def _rows_and_gram(csc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     rind = np.empty(csc.nnz, dtype=idx)
     rval = np.empty(csc.nnz)
     csr_tocsc(n, m, csc.indptr, csc.indices, csc.data, rptr, rind, rval)
-    nnz = csr_matmat_maxnnz(m, m, rptr, rind, csc.indptr, csc.indices)
+    counts = np.diff(csc.indptr).astype(np.int64)
+    nnz = min(m * m, int(counts @ counts))
     gptr = np.empty(m + 1, dtype=idx)
     gind = np.empty(nnz, dtype=idx)
     gval = np.empty(nnz)
@@ -163,16 +177,24 @@ def _rows_and_gram(csc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return rptr, rind, rval, dense.T
 
 
-def _column_restriction(
-    rptr: np.ndarray, rind: np.ndarray, rval: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays of A with only the entries in the columns where
-    ``keep`` is True.  Column indices stay those of A, and each row keeps
-    its column order."""
-    kept = keep[rind]
-    before = np.zeros(len(rind) + 1, dtype=rptr.dtype)
-    np.cumsum(kept, dtype=rptr.dtype, out=before[1:])
-    return before[rptr], rind[kept], rval[kept]
+def _column_restriction(csc, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays of A with only the entries in the columns ``cols``,
+    which must be ascending and in range.
+
+    The entries of those columns are gathered from the CSC arrays and
+    transposed by ``csr_tocsc``, in O(nnz(cover) + m) rather than a pass
+    over all of A.  Their local column ids map back to those of A, and
+    since ``cols`` ascends, each row lists its columns in increasing
+    order, as the rows of the CSR copy of A do."""
+    m = csc.shape[0]
+    idx = csc.indices.dtype
+    pos, _, first = _column_entries(csc, cols)
+    cptr = np.empty(m + 1, dtype=idx)
+    cind = np.empty(pos.size, dtype=idx)
+    cval = np.empty(pos.size)
+    local_ptr = np.append(first, pos.size).astype(idx)
+    csr_tocsc(cols.size, m, local_ptr, csc.indices[pos], csc.data[pos], cptr, cind, cval)
+    return cptr, cols.astype(idx)[cind], cval
 
 
 def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbResult:
@@ -199,7 +221,9 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     A = problem.A
     csc = A.csc
     m, n = csc.shape
-    rptr, rind, rval, G = _rows_and_gram(csc)
+    # the CSR copy of A is only csr_matmat's operand; the cover of
+    # supp(W) is built from the CSC arrays
+    G = _rows_and_gram(csc)[3]
     # F-ordered, so dtrtrs reads G without a copy; it reads only the
     # lower triangle
     assert G.flags.f_contiguous
@@ -220,37 +244,41 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     ax = np.empty(m)
     # the cover starts empty, so the first sweep with W != 0 builds it
     outside = np.ones(n)
-    cptr, cind, cval = _column_restriction(rptr, rind, rval, np.zeros(n, dtype=bool))
+    cptr, cind, cval = _column_restriction(csc, np.empty(0, dtype=np.intp))
     k0 = sweeps = 0
     trace: list[tuple[int, float, float]] = []
+    # the sweep's names bound locally: its cost is dispatch, not arithmetic
+    tol, max_sweeps, collect_trace = cfg.tol, cfg.max_sweeps, cfg.collect_trace
+    indptr, indices, data = csc.indptr, csc.indices, csc.data
+    maximum, multiply, subtract, add, sqrt = np.maximum, np.multiply, np.subtract, np.add, math.sqrt
 
     while True:
-        s, info = dtrtrs(G, rhs, lower=1, overwrite_b=1)
+        # lower=1, trans=0, unitdiag=0, lda=m, overwrite_b=1
+        s, info = dtrtrs(G, rhs, 1, 0, 0, m, 1)
         if info != 0:
             raise np.linalg.LinAlgError(f"LAPACK dtrtrs returned info {info}")
         # global iteration k0 + i is row i; k is the orthant step
         k = k0 + m
         # W = max(w + A^T s, 0); the CSC arrays of A are the CSR arrays of A^T
-        csr_matvec(n, m, csc.indptr, csc.indices, csc.data, s, w)
-        np.maximum(w, 0.0, out=w)
-        if not outside @ w <= 0.0:  # W grew outside the cover, or is NaN
+        csr_matvec(n, m, indptr, indices, data, s, w)
+        maximum(w, 0.0, out=w)
+        if not outside.dot(w) <= 0.0:  # W grew outside the cover, or is NaN
             held = w != 0.0
             outside = np.logical_not(held).astype(float)
-            cptr, cind, cval = _column_restriction(rptr, rind, rval, held)
+            cptr, cind, cval = _column_restriction(csc, np.flatnonzero(held))
         # A W - k b row by row, each row summed in the column order of
         # csc_matvec from -k b_i
-        np.multiply(b, -k, out=ax)
+        multiply(b, -k, out=ax)
         csr_matvec(m, n, cptr, cind, cval, w, ax)
-        sigma = 1.0 / (k + 1)
         sweeps += 1
         # ||A x_hat - b|| / (1 + ||b||), the norm as np.linalg.norm computes it
-        rel = math.sqrt(ax @ ax) / (k * nb)
-        if cfg.collect_trace:
-            trace.append((sweeps, rel, sigma))
-        if rel <= cfg.tol or sweeps >= cfg.max_sweeps:
+        rel = sqrt(ax.dot(ax)) / (k * nb)
+        if collect_trace:
+            trace.append((sweeps, rel, 1.0 / (k + 1)))
+        if rel <= tol or sweeps >= max_sweeps:
             break
-        np.subtract(rr, ax, out=rhs)
-        np.add(w, c, out=w)
+        subtract(rr, ax, out=rhs)
+        add(w, c, out=w)
         k0 = k + 1
 
     np.divide(w, k, out=w)
@@ -258,6 +286,6 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
         x=w,
         rel_residual=rel,
         sweeps=sweeps,
-        status="converged" if rel <= cfg.tol else MAX_SWEEPS,
-        trace=trace if cfg.collect_trace else None,
+        status="converged" if rel <= tol else MAX_SWEEPS,
+        trace=trace if collect_trace else None,
     )

@@ -173,7 +173,9 @@ class LpConfig:
     def __post_init__(self):
         if not self.tol_gap >= 0.0:  # NaN fails too
             raise ValueError("tol_gap must be nonnegative")
-        if not isinstance(self.max_stones, numbers.Integral) or self.max_stones < 1:
+        budget = self.max_stones
+        # a bool is an Integral, but never a budget
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
             raise ValueError("max_stones must be at least 1 and an integer")
 
 

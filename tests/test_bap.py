@@ -337,6 +337,12 @@ class TestRegularizationLambda:
             with pytest.raises(ValueError, match="max_iter must be at least 1"):
                 RnnmConfig(max_iter=max_iter)
 
+    @pytest.mark.parametrize("max_iter", [True, np.True_])
+    def test_bool_iteration_budget_rejected(self, max_iter):
+        # True == 1 would run one iteration
+        with pytest.raises(ValueError, match="max_iter must be at least 1 and an integer"):
+            RnnmConfig(max_iter=max_iter)
+
 
 class TestSolveRnnm:
     def test_simplex_adaptive_default(self):

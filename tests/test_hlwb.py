@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matmat_maxnnz
 
 import polyproj.hlwb
 from polyproj.bap import BapProblem
@@ -17,6 +18,7 @@ from polyproj.hlwb import (
     HlwbConfig,
     HlwbResult,
     ZeroRowError,
+    _column_restriction,
     _rows_and_gram,
     project_hyperplane,
     solve_hlwb,
@@ -112,6 +114,12 @@ class TestSolveHlwb:
     @pytest.mark.parametrize("max_sweeps", [0, -3, 2.5, float("nan")])
     def test_sweep_budget_below_one_rejected(self, max_sweeps):
         with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            HlwbConfig(max_sweeps=max_sweeps)
+
+    @pytest.mark.parametrize("max_sweeps", [True, np.True_])
+    def test_bool_sweep_budget_rejected(self, max_sweeps):
+        # True == 1 would run one sweep
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1 and an integer"):
             HlwbConfig(max_sweeps=max_sweeps)
 
     def test_zero_row_rejected(self):
@@ -386,3 +394,86 @@ def test_int32_and_int64_indices_give_equal_bits(seed):
     assert (got32.rel_residual, got32.sweeps, got32.status, got32.trace) == (
         got64.rel_residual, got64.sweeps, got64.status, got64.trace
     )
+
+
+def with_index_dtype(csc, idx):
+    """A copy of ``csc`` whose index arrays are of type ``idx``."""
+    return sp.csc_array(
+        (csc.data.copy(), csc.indices.astype(idx), csc.indptr.astype(idx)), shape=csc.shape
+    )
+
+
+INDEX_DTYPES = pytest.mark.parametrize("idx", [np.int32, np.int64], ids=["int32", "int64"])
+
+
+def check_gram(csc, monkeypatch):
+    """G from ``_rows_and_gram`` holds the bits of ``(csc @ csc.T).toarray()``,
+    and the entry buffer that ``csr_matmat`` writes into is at least as
+    long as ``csr_matmat_maxnnz`` counts.  A shorter one would be written
+    past its end, which corrupts memory instead of raising, so the length
+    is checked before the call."""
+    real, calls = polyproj.hlwb.csr_matmat, []
+
+    def checked(m, n, ap, aj, ax, bp, bj, bx, cp, cj, cx):
+        assert len(cj) == len(cx) >= csr_matmat_maxnnz(m, n, ap, aj, bp, bj)
+        calls.append(len(cj))
+        return real(m, n, ap, aj, ax, bp, bj, bx, cp, cj, cx)
+
+    monkeypatch.setattr(polyproj.hlwb, "csr_matmat", checked)
+    G = _rows_and_gram(csc)[3]
+    assert len(calls) == 1
+    assert np.array_equal(G, (csc @ csc.T).toarray())
+
+
+@ORACLE_CASES
+@INDEX_DTYPES
+def test_gram_buffer_holds_every_entry(m, density, idx, monkeypatch):
+    problem = gen_bap_with_known_vertex(GenSpec(m, 10 * m, density, seed=101)).problem
+    check_gram(with_index_dtype(problem.A.csc, idx), monkeypatch)
+
+
+@INDEX_DTYPES
+def test_gram_buffer_holds_every_entry_of_a_triangle_instance(idx, monkeypatch):
+    tri = TriangleSpec.complete(8)
+    xbar = np.random.default_rng(0).uniform(0.0, 1.5, size=len(tri.edges))
+    check_gram(with_index_dtype(build_triangle_bap(tri, xbar).A.csc, idx), monkeypatch)
+
+
+@INDEX_DTYPES
+def test_gram_buffer_bound_by_column_counts(idx, monkeypatch):
+    """One entry per column: the sum of squared column counts, not m^2,
+    bounds G's entries."""
+    csc = gen_bap_with_known_vertex(GenSpec(50, 500, 0.01, seed=101)).problem.A.csc
+    counts = np.diff(csc.indptr).astype(np.int64)
+    assert counts @ counts < 50 * 50
+    check_gram(with_index_dtype(csc, idx), monkeypatch)
+
+
+def mask_restriction(rptr, rind, rval, keep):
+    """The cover by a pass over all of A's CSR arrays: the entries whose
+    column ``keep`` marks, in their row order."""
+    kept = keep[rind]
+    before = np.zeros(len(rind) + 1, dtype=rptr.dtype)
+    np.cumsum(kept, dtype=rptr.dtype, out=before[1:])
+    return before[rptr], rind[kept], rval[kept]
+
+
+@INDEX_DTYPES
+@pytest.mark.parametrize("which", ["none", "all", "random"])
+def test_column_restriction_matches_the_mask_over_all_entries(idx, which):
+    csc = gen_bap_with_known_vertex(GenSpec(40, 400, 0.05, seed=7)).problem.A.csc
+    csc = with_index_dtype(csc, idx)
+    n = csc.shape[1]
+    cols = {
+        "none": np.empty(0, dtype=np.intp),
+        "all": np.arange(n),
+        "random": np.sort(np.random.default_rng(3).choice(n, size=n // 3, replace=False)),
+    }[which]
+    keep = np.zeros(n, dtype=bool)
+    keep[cols] = True
+    rptr, rind, rval, _ = _rows_and_gram(csc)
+    got = _column_restriction(csc, cols)
+    want = mask_restriction(rptr, rind, rval, keep)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)

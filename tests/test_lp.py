@@ -497,6 +497,12 @@ class TestSolveLp:
         assert res.status == "stone_budget"
         assert len(res.stones) == 1
 
+    @pytest.mark.parametrize("max_stones", [True, np.True_])
+    def test_bool_stone_budget_rejected(self, max_stones):
+        # True == 1 would run one stone
+        with pytest.raises(ValueError, match="max_stones must be at least 1 and an integer"):
+            LpConfig(max_stones=max_stones)
+
     def test_negative_or_nan_tol_gap_rejected(self):
         for bad in (-1.0, -1e-12, float("nan")):
             with pytest.raises(ValueError, match="tol_gap must be nonnegative"):
