@@ -21,7 +21,6 @@ globalizes the iteration (see :func:`solve_rnnm`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .sparse_linalg import (
     _column_entries,
     as_vector,
     assemble_normal_matrix,
+    check_budget,
     cholesky_shifted,
     independent_columns,
 )
@@ -41,41 +41,27 @@ __all__ = [
     "IndexSets",
     "BapSolution",
     "RnnmConfig",
-    "InvalidStateError",
     "residual",
     "moreau_split",
     "classify_indices",
     "generalized_jacobian",
     "regularization_lambda",
     "solve_rnnm",
-    "dual_objective",
     "kkt_report",
-    "is_vertex",
     "CONVERGED",
     "MAX_ITER",
     "STALLED",
-    "NONDEGENERATE_VERTEX",
-    "DEGENERATE_VERTEX",
-    "NON_VERTEX",
 ]
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
 STALLED = "stalled"
 
-NONDEGENERATE_VERTEX = "nondegenerate_vertex"
-DEGENERATE_VERTEX = "degenerate_vertex"
-NON_VERTEX = "non_vertex"
-
 # Sufficient-decrease constant of the Armijo test on the dual function.
 ARMIJO_SIGMA = 1e-4
 # Steps without a new best that end a solve whose best meets 10 * tol.
 STALL_WINDOW = 10
 _EPS = float(np.finfo(np.float64).eps)
-
-
-class InvalidStateError(RuntimeError):
-    """An operation was asked of a solution in the wrong state."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +162,7 @@ class RnnmConfig:
     def __post_init__(self):
         if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
-        budget = self.max_iter
-        # a bool is an Integral, but never a budget
-        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
-            raise ValueError("max_iter must be at least 1 and an integer")
+        check_budget(self.max_iter, "max_iter")
         if self.mode not in ("exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -443,19 +426,6 @@ def solve_rnnm(
     )
 
 
-def dual_objective(problem: BapProblem, y, z) -> float:
-    """Dual functional ``-0.5||z + A^T y||^2 + y^T(b - A v) - z^T v``.
-
-    Equals the primal value at a converged certificate (strong duality);
-    below it at any feasible ``(y, z)``.
-    """
-    y = as_vector(y, problem.m, "y")
-    z = as_vector(z, problem.n, "z")
-    zay = z + problem.A.rmatvec(y)
-    av = problem.A.matvec(problem.v)
-    return float(-0.5 * (zay @ zay) + y @ (problem.b - av) - z @ problem.v)
-
-
 def kkt_report(problem: BapProblem, sol: BapSolution) -> tuple[float, float, float]:
     """Relative KKT residuals ``(primal, dual, complementarity)``.
 
@@ -472,25 +442,3 @@ def kkt_report(problem: BapProblem, sol: BapSolution) -> tuple[float, float, flo
     comp /= 1.0 + max(float(np.linalg.norm(sol.x)), float(np.linalg.norm(sol.z)))
     return primal, dual, comp
 
-
-def is_vertex(problem: BapProblem, sol: BapSolution) -> str:
-    """Classify the converged optimum as a vertex of the feasible set.
-
-    A vertex requires full column rank of A on the active coordinates;
-    nondegeneracy additionally requires the basic count ``m - n_free``
-    of strictly positive constrained coordinates and an empty boundary
-    set (strict complementarity).
-    """
-    if sol.status != CONVERGED:
-        raise InvalidStateError("vertex classification requires a converged solution")
-    _, _, p = moreau_split(problem, sol.y)
-    sets = classify_indices(problem, p)
-    free_idx = np.where(problem.free)[0]
-    active = np.concatenate([sets.i_plus, free_idx])
-    kept = independent_columns(problem.A, active)
-    if kept.size < active.size:
-        return NON_VERTEX
-    basic_count = problem.m - problem.n_free
-    if sets.i_plus.size == basic_count and sets.i_zero.size == 0:
-        return NONDEGENERATE_VERTEX
-    return DEGENERATE_VERTEX

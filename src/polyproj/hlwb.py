@@ -29,8 +29,8 @@ x_hat`` at ``k0 = k + 1``, so ``k0 x0 + m v = W + c`` with
 is ``rv + i rv - (A W - k b)`` with ``rv = b - A v``.  The stopping test
 reads the same vector: ``||A x_hat - b|| = ||A W - k b|| / k``.
 
-Once per solve, scipy's compiled sparse kernels build a CSR copy of A
-(``csr_tocsc`` on its CSC arrays) and G (``csr_matmat`` and
+Once per solve, scipy's compiled sparse kernels build G (``csr_tocsc``
+for the CSR operand of ``csr_matmat``, then ``csr_matmat`` and
 ``csr_todense``), densely and F-ordered, O(m^2) memory.  G holds the
 bits of ``(A @ A.T).toarray()``, as ``csr_matmat`` stores the same
 entries whatever the length of its output buffers.  Those are sized
@@ -69,15 +69,14 @@ per-sweep trace that ``HlwbConfig.collect_trace`` records.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.sparse._sparsetools import csr_matmat, csr_matvec, csr_todense, csr_tocsc
 
-from .bap import BapProblem
-from .sparse_linalg import _column_entries
+from .bap import CONVERGED, BapProblem
+from .sparse_linalg import _column_entries, check_budget
 
 __all__ = [
     "HlwbConfig",
@@ -107,10 +106,7 @@ class HlwbConfig:
     def __post_init__(self):
         if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
-        budget = self.max_sweeps
-        # a bool is an Integral, but never a budget
-        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
-            raise ValueError("max_sweeps must be at least 1 and an integer")
+        check_budget(self.max_sweeps, "max_sweeps")
 
 
 @dataclass
@@ -142,12 +138,13 @@ def project_hyperplane(
     return x
 
 
-def _rows_and_gram(csc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays of ``A`` and ``G = A A^T``, densely, from scipy's kernels.
+def _gram(csc) -> np.ndarray:
+    """``G = A A^T``, densely, from scipy's kernels.
 
     The CSC arrays of ``A`` are the CSR arrays of ``A^T``; ``csr_tocsc``
     on them gives the CSR arrays of ``A``, whose rows list their columns
-    in increasing order.  ``csr_matmat`` then forms ``A A^T`` and
+    in increasing order, and which are only ``csr_matmat``'s left
+    operand.  ``csr_matmat`` then forms ``A A^T`` and
     ``csr_todense`` writes it into a C-ordered zero buffer, with the
     operands and the order of summation of ``(csc @ csc.T).toarray()``,
     so G holds the same bits.  The entry buffers are sized by a bound,
@@ -174,7 +171,7 @@ def _rows_and_gram(csc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     csr_matmat(m, m, rptr, rind, rval, csc.indptr, csc.indices, csc.data, gptr, gind, gval)
     dense = np.zeros((m, m))
     csr_todense(m, m, gptr, gind, gval, dense)
-    return rptr, rind, rval, dense.T
+    return dense.T
 
 
 def _column_restriction(csc, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,9 +218,7 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
     A = problem.A
     csc = A.csc
     m, n = csc.shape
-    # the CSR copy of A is only csr_matmat's operand; the cover of
-    # supp(W) is built from the CSC arrays
-    G = _rows_and_gram(csc)[3]
+    G = _gram(csc)
     # F-ordered, so dtrtrs reads G without a copy; it reads only the
     # lower triangle
     assert G.flags.f_contiguous
@@ -286,6 +281,6 @@ def solve_hlwb(problem: BapProblem, config: HlwbConfig | None = None) -> HlwbRes
         x=w,
         rel_residual=rel,
         sweeps=sweeps,
-        status="converged" if rel <= tol else MAX_SWEEPS,
+        status=CONVERGED if rel <= tol else MAX_SWEEPS,
         trace=trace if collect_trace else None,
     )

@@ -21,7 +21,6 @@ through dense least-squares solves (complete orthogonal factorization).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -32,7 +31,7 @@ import scipy.sparse as sp
 
 from .bap import BapProblem, CONVERGED, RnnmConfig, solve_rnnm
 from .sparse_linalg import (
-    SparseMatrix, _column_entries, _dense_normal_matrix, _gather_columns, as_vector
+    SparseMatrix, _column_entries, _dense_normal_matrix, _gather_columns, as_vector, check_budget
 )
 
 __all__ = [
@@ -173,10 +172,7 @@ class LpConfig:
     def __post_init__(self):
         if not self.tol_gap >= 0.0:  # NaN fails too
             raise ValueError("tol_gap must be nonnegative")
-        budget = self.max_stones
-        # a bool is an Integral, but never a budget
-        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
-            raise ValueError("max_stones must be at least 1 and an integer")
+        check_budget(self.max_stones, "max_stones")
 
 
 @dataclass
@@ -434,17 +430,17 @@ def _dual_feasibility_bap(
 def _basis_dual(
     problem: LpProblem,
     bases: BasisPartition,
-    basis_lu: tuple[np.ndarray, np.ndarray] | None = None,
+    basis_lu: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Closed-form answer of the z_B = 0 projection at a basis spanning R^m.
 
     When the columns of B span R^m, the pinned dual-feasible set holds
     at most the one point ``y`` solving ``A_B^T y = c_B``, ``z_N =
     A_N^T y - c_N``; when it exists and ``z_N >= 0`` it is the
-    projection's answer.  With ``basis_lu``, the factor of a square A_B
-    from :func:`_factor_basis`, y is one transposed LU solve; otherwise
-    one least-squares solve of ``A_B^T y = c_B`` (complete orthogonal
-    factorization, rank cutoff 1e-10) covers every |B|.  Returns
+    projection's answer.  When ``basis_lu`` is the factor of a square
+    A_B from :func:`_factor_basis`, y is one transposed LU solve; when
+    it is None, one least-squares solve of ``A_B^T y = c_B`` (complete
+    orthogonal factorization, rank cutoff 1e-10) covers every |B|.  Returns
     ``(y, z_N, A^T y)``, or None when the numerical rank of A_B is below
     m (|B| < m included), ``A_B^T y = c_B`` leaves a relative residual
     above 1e-12 on any row of B, or some ``z_N`` entry is negative.

@@ -47,6 +47,8 @@ threads.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -60,6 +62,7 @@ __all__ = [
     "InvalidSupportError",
     "NotPositiveDefiniteError",
     "as_vector",
+    "check_budget",
     "assemble_normal_matrix",
     "cholesky_shifted",
     "independent_columns",
@@ -98,6 +101,13 @@ def as_vector(values, length: int, name: str = "vector") -> np.ndarray:
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def check_budget(budget, name: str) -> None:
+    """Reject ``budget`` unless it is an integer of at least 1."""
+    # a bool is an Integral, but never a budget
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+        raise ValueError(f"{name} must be at least 1 and an integer")
 
 
 def _operand(values, length: int, name: str) -> np.ndarray:

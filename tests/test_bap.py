@@ -6,20 +6,14 @@ import pytest
 import polyproj.bap as bap_mod
 from polyproj.bap import (
     CONVERGED,
-    DEGENERATE_VERTEX,
     MAX_ITER,
-    NON_VERTEX,
-    NONDEGENERATE_VERTEX,
     STALLED,
     BapProblem,
     BapSolution,
     IndexSets,
-    InvalidStateError,
     RnnmConfig,
     classify_indices,
-    dual_objective,
     generalized_jacobian,
-    is_vertex,
     kkt_report,
     moreau_split,
     regularization_lambda,
@@ -625,28 +619,6 @@ class TestDescentDirection:
             assert dd < -1e-12 * np.linalg.norm(grad) * np.linalg.norm(d)
 
 
-class TestDualObjective:
-    def test_zero_point(self):
-        prob = simplex_problem()
-        assert dual_objective(prob, np.zeros(1), np.zeros(2)) == 0.0
-
-    def test_strong_duality_at_optimum(self):
-        prob = simplex_problem()
-        sol = solve_rnnm(prob)
-        phi = dual_objective(prob, sol.y, sol.z)
-        assert phi == pytest.approx(0.25, abs=1e-10)
-
-    def test_weak_duality_spot_check(self):
-        rng = np.random.default_rng(55)
-        g = gen_bap_with_known_vertex(GenSpec(m=10, n=40, density=0.3, seed=21))
-        prob = g.problem
-        p_star = 0.5 * np.linalg.norm(g.known_x - prob.v) ** 2
-        for _ in range(20):
-            y = rng.standard_normal(prob.m)
-            z = np.abs(rng.standard_normal(prob.n))
-            assert dual_objective(prob, y, z) <= p_star + 1e-9
-
-
 class TestKktReport:
     def test_converged_certificate(self):
         sol = solve_rnnm(simplex_problem(), config=RnnmConfig(tol=1e-14))
@@ -673,34 +645,6 @@ class TestKktReport:
         _, dual, comp = kkt_report(prob, sol)
         assert dual == 0.0
         assert comp == 0.0
-
-
-class TestIsVertex:
-    def test_simplex_solution_is_not_a_vertex(self):
-        prob = simplex_problem()
-        sol = solve_rnnm(prob)
-        assert is_vertex(prob, sol) == NON_VERTEX
-
-    def test_factory_nondegenerate(self):
-        g = gen_bap_with_known_vertex(GenSpec(m=12, n=60, density=0.2, seed=2))
-        sol = solve_rnnm(g.problem, config=RnnmConfig(tol=1e-12))
-        assert is_vertex(g.problem, sol) == NONDEGENERATE_VERTEX
-
-    def test_origin_degenerate(self):
-        A = SparseMatrix(np.eye(2))
-        prob = BapProblem(A, np.zeros(2), np.array([-1.0, -1.0]))
-        sol = solve_rnnm(prob)
-        assert np.allclose(sol.x, 0.0)
-        assert is_vertex(prob, sol) == DEGENERATE_VERTEX
-
-    def test_requires_convergence(self):
-        prob = simplex_problem()
-        sol = BapSolution(
-            x=np.zeros(2), y=np.zeros(1), z=np.zeros(2),
-            rel_residual=1.0, iterations=0, status=MAX_ITER,
-        )
-        with pytest.raises(InvalidStateError):
-            is_vertex(prob, sol)
 
 
 class TestHandIteration:

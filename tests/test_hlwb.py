@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matmat_maxnnz
+from scipy.sparse._sparsetools import csr_matmat_maxnnz, csr_tocsc
 
 import polyproj.hlwb
 from polyproj.bap import BapProblem
@@ -19,7 +19,7 @@ from polyproj.hlwb import (
     HlwbResult,
     ZeroRowError,
     _column_restriction,
-    _rows_and_gram,
+    _gram,
     project_hyperplane,
     solve_hlwb,
 )
@@ -353,15 +353,21 @@ def test_rel_residual_describes_the_returned_x(tol, seed):
 @pytest.mark.parametrize("max_sweeps", [1, 3, 2000])
 def test_solve_leaves_its_inputs_unchanged(max_sweeps, monkeypatch):
     """The sweep's reused buffers never alias v, b or the arrays of A, and
-    the returned x shares no memory with the CSR copy of A or with G."""
+    the returned x shares no memory with G or with the CSR arrays the
+    solve builds: the copy of A that G is formed from, and each cover."""
     built = []
 
     def recording(csc):
-        out = _rows_and_gram(csc)
-        built.extend(out)
-        return out
+        G = _gram(csc)
+        built.append(G)
+        return G
 
-    monkeypatch.setattr(polyproj.hlwb, "_rows_and_gram", recording)
+    def recording_tocsc(n_row, n_col, ap, ai, ax, bp, bi, bx):
+        built.extend((bp, bi, bx))
+        return csr_tocsc(n_row, n_col, ap, ai, ax, bp, bi, bx)
+
+    monkeypatch.setattr(polyproj.hlwb, "_gram", recording)
+    monkeypatch.setattr(polyproj.hlwb, "csr_tocsc", recording_tocsc)
     problem = gen_bap_with_known_vertex(GenSpec(50, 500, 0.1, seed=12)).problem
     csc = problem.A.csc
     inputs = (problem.v, problem.b, csc.data, csc.indices, csc.indptr)
@@ -369,8 +375,8 @@ def test_solve_leaves_its_inputs_unchanged(max_sweeps, monkeypatch):
     res = solve_hlwb(problem, HlwbConfig(tol=1e-4, max_sweeps=max_sweeps))
     assert 1 <= res.sweeps <= max_sweeps
     assert [(a.dtype, a.shape, a.tobytes()) for a in inputs] == before
-    # the CSR arrays of A (indptr, indices, data) and G
-    assert len(built) == 4 and built[3].shape == (50, 50)
+    # the CSR copy of A, then G, then the empty cover and its rebuilds
+    assert [a.shape for a in built[3:7]] == [(50, 50), (51,), (0,), (0,)]
     assert not any(np.shares_memory(res.x, a) for a in inputs + tuple(built))
 
 
@@ -407,7 +413,7 @@ INDEX_DTYPES = pytest.mark.parametrize("idx", [np.int32, np.int64], ids=["int32"
 
 
 def check_gram(csc, monkeypatch):
-    """G from ``_rows_and_gram`` holds the bits of ``(csc @ csc.T).toarray()``,
+    """G from ``_gram`` holds the bits of ``(csc @ csc.T).toarray()``,
     and the entry buffer that ``csr_matmat`` writes into is at least as
     long as ``csr_matmat_maxnnz`` counts.  A shorter one would be written
     past its end, which corrupts memory instead of raising, so the length
@@ -420,7 +426,7 @@ def check_gram(csc, monkeypatch):
         return real(m, n, ap, aj, ax, bp, bj, bx, cp, cj, cx)
 
     monkeypatch.setattr(polyproj.hlwb, "csr_matmat", checked)
-    G = _rows_and_gram(csc)[3]
+    G = _gram(csc)
     assert len(calls) == 1
     assert np.array_equal(G, (csc @ csc.T).toarray())
 
@@ -449,9 +455,15 @@ def test_gram_buffer_bound_by_column_counts(idx, monkeypatch):
     check_gram(with_index_dtype(csc, idx), monkeypatch)
 
 
-def mask_restriction(rptr, rind, rval, keep):
+def mask_restriction(csc, keep):
     """The cover by a pass over all of A's CSR arrays: the entries whose
-    column ``keep`` marks, in their row order."""
+    column ``keep`` marks, in their row order.  The CSR arrays of A are
+    ``csr_tocsc`` of its CSC arrays, which are the CSR arrays of A^T."""
+    m, n = csc.shape
+    rptr = np.empty(m + 1, dtype=csc.indices.dtype)
+    rind = np.empty(csc.nnz, dtype=csc.indices.dtype)
+    rval = np.empty(csc.nnz)
+    csr_tocsc(n, m, csc.indptr, csc.indices, csc.data, rptr, rind, rval)
     kept = keep[rind]
     before = np.zeros(len(rind) + 1, dtype=rptr.dtype)
     np.cumsum(kept, dtype=rptr.dtype, out=before[1:])
@@ -471,9 +483,8 @@ def test_column_restriction_matches_the_mask_over_all_entries(idx, which):
     }[which]
     keep = np.zeros(n, dtype=bool)
     keep[cols] = True
-    rptr, rind, rval, _ = _rows_and_gram(csc)
     got = _column_restriction(csc, cols)
-    want = mask_restriction(rptr, rind, rval, keep)
+    want = mask_restriction(csc, keep)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)

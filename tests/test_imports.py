@@ -1,6 +1,10 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+
+import polyproj
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -28,3 +32,14 @@ def test_importing_the_factory_loads_no_scipy_optimize():
     loaded = _modules_after_importing("polyproj.factory")
     assert "polyproj.factory" in loaded
     assert [m for m in loaded if m.startswith("scipy.optimize")] == []
+
+
+def test_every_exported_name_resolves():
+    """Each name in a module's ``__all__`` is an attribute of that module,
+    so deleting a definition also deletes its export."""
+    missing = []
+    for info in pkgutil.iter_modules(polyproj.__path__, "polyproj."):
+        module = importlib.import_module(info.name)
+        missing += [(info.name, name) for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []

@@ -394,7 +394,7 @@ class TestBasisCertificate:
         bases = BasisPartition(
             B=np.array([0, 1]), N=np.array([2]), Z=np.empty(0, dtype=np.int64)
         )
-        assert _basis_dual(lp, bases) is None
+        assert _basis_dual(lp, bases, None) is None
 
     def test_projection_runs_when_z_n_is_negative(self, monkeypatch):
         # square basis {0, 1}: y = A_B^{-T} c_B = (1, 1) gives
@@ -809,7 +809,7 @@ class TestSquareBasisLu:
         assert math.isclose(step.R_n, R_n, rel_tol=1e-12)
         assert_close(step.dy, dy)
         (y_lu, zN_lu, _), (y_ls, zN_ls, _) = (_basis_dual(problem, state.bases, lu),
-                                              _basis_dual(problem, state.bases))
+                                              _basis_dual(problem, state.bases, None))
         assert_close(y_lu, y_ls)
         assert_close(zN_lu, zN_ls)
         y_sl, zN_sl = sliced_basis_dual(problem, state.bases)

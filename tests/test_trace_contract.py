@@ -5,11 +5,15 @@ start when one is missing; it also prints two package constants.  A
 change that renames or removes any of them breaks the traced run, so
 the contract is checked here as well.  The ``solve_rnnm`` wrapper reads
 the problem and config by position or keyword and the tolerance by
-attribute, with defaults; a rename there would not stop the run but
-would silently zero ``lp.ladder_reruns``.  ``lp.bounds_s`` times the
-``lp_bounds`` span, so ``solve_lp`` must reach its bound certificate
-(the closed form included) through that module attribute, once per
-stone.  Likewise an exact Newton step must reach
+attribute, with defaults, to count the calls at
+``LpConfig.subproblem_tols[1]`` as ``lp.ladder_reruns``.  No solve runs
+at that tolerance since the retry ladder was deleted, so that metric
+already reads 0 and a rename there would not change it.  The
+``subproblem_tols`` check stays because ``perfbench/run.py`` prints
+``subproblem_tols[1]``, which fails without a second entry.
+``lp.bounds_s`` times the ``lp_bounds`` span, so ``solve_lp`` must
+reach its bound certificate (the closed form included) through that
+module attribute, once per stone.  Likewise an exact Newton step must reach
 ``cholesky_shifted`` through the ``bap`` module attribute once per
 iteration, and ``generalized_jacobian`` and ``assemble_normal_matrix``
 once per step whose index sets differ from the previous step's (a step
